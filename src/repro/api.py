@@ -20,9 +20,7 @@ exposes a small surface:
 - :func:`profile_run` — simulate one point with the cycle-attribution
   profiler on and return a :class:`~repro.spec.RunResponse` whose
   ``profile`` field carries the ``repro.profile/v1`` document (see
-  :mod:`repro.obs.profile`; unpacking the response as the old
-  ``(result, profile)`` tuple still works for one release, with a
-  deprecation warning).
+  :mod:`repro.obs.profile`).
 
 Every entry point normalizes its inputs through one shared
 :func:`~repro.spec.resolve_request` path, so the identity a result
@@ -82,8 +80,7 @@ __all__ = ["simulate", "make_runner", "sweep", "profile_run",
 
 def execute(request: RunRequest, *, trace: Trace | None = None,
             processes: int | None = None, profile: bool = False,
-            tracer=None, fast_loop: bool | None = None,
-            engine: str | None = None) -> RunResponse:
+            tracer=None, engine: str | None = None) -> RunResponse:
     """Execute one typed request and return its typed response.
 
     The canonical run entry point: the request is normalized through
@@ -96,12 +93,10 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
 
     ``profile=True`` turns the cycle-attribution profiler on (the
     result stays bit-identical; monolithic runs only) and fills the
-    response's ``profile`` field.  ``tracer``, ``engine``, and the
-    deprecated ``fast_loop`` are per-call execution knobs that never
-    contribute to the request's identity (every engine is
+    response's ``profile`` field.  ``tracer`` and ``engine`` (one of
+    :data:`~repro.config.ENGINES`) are per-call execution knobs that
+    never contribute to the request's identity (both engines are
     bit-identical); a ``tracer`` does not compose with sharding.
-    ``engine`` (one of :data:`~repro.config.ENGINES`) takes precedence
-    over ``fast_loop`` when both are given.
     """
     request = resolve_request(request)
     config = request.config
@@ -122,10 +117,8 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
                 "run with shards=1 to profile")
         from repro.harness.shard_runner import run_sharded
 
-        if fast_loop is not None:
-            config = config.replace(fast_loop=fast_loop)
         if engine is not None:
-            config = config.replace(engine=engine, fast_loop=True)
+            config = config.replace(engine=engine)
         result = run_sharded(trace, config, shards=request.shards,
                              overlap=request.shard_overlap,
                              name=request.label, processes=processes)
@@ -133,7 +126,7 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
     if profile and not config.profile:
         config = config.replace(profile=True)
     sim = Simulator(trace, config, name=request.label, tracer=tracer,
-                    fast_loop=fast_loop, engine=engine)
+                    engine=engine)
     result = sim.run()
     return RunResponse(result=result, request=request,
                        profile=sim.profile_report() if profile else None)
@@ -141,7 +134,6 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
 
 def simulate(trace: Trace, config: SimConfig | None = None, *,
              name: str | None = None, tracer=None,
-             fast_loop: bool | None = None,
              engine: str | None = None,
              shards: int | None = None,
              shard_overlap: int | None = None,
@@ -156,10 +148,8 @@ def simulate(trace: Trace, config: SimConfig | None = None, *,
     ``name`` labels the result (defaults to the trace's name),
     ``tracer`` attaches a per-cycle pipeline tracer (which forces the
     naive cycle loop), and ``engine`` overrides ``config.engine`` for
-    this run (one of :data:`~repro.config.ENGINES`; every engine is
-    bit-identical, see ``docs/performance.md``).  ``fast_loop`` is the
-    deprecated boolean predecessor of ``engine`` and loses to it when
-    both are given.
+    this run (one of :data:`~repro.config.ENGINES`; both are
+    bit-identical, see ``docs/performance.md``).
 
     ``shards=K`` splits the trace into ``K`` windows simulated on a
     supervised process pool (``processes`` workers) and merges the
@@ -173,8 +163,7 @@ def simulate(trace: Trace, config: SimConfig | None = None, *,
         trace_length=len(trace), seed=trace.seed,
         shards=shards, shard_overlap=shard_overlap, label=name)
     return execute(request, trace=trace, processes=processes,
-                   tracer=tracer, fast_loop=fast_loop,
-                   engine=engine).result
+                   tracer=tracer, engine=engine).result
 
 
 def make_runner(trace_length: int | None = None, seed: int = 1,

@@ -206,10 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", default=None, choices=ENGINES,
                        help="cycle engine (default: config default, "
                             "'event'; results are identical under "
-                            "every engine)")
-    p_run.add_argument("--naive-loop", action="store_true",
-                       help="deprecated: use --engine naive "
-                            "(one-release shim)")
+                            "either engine)")
     p_run.add_argument("--resume-from", default=None, metavar="SNAPSHOT",
                        help="resume from one explicit snapshot file "
                             "(written under --machine-checkpoint-dir)")
@@ -331,10 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--warmup", type=int, default=0)
     p_prof.add_argument("--engine", default=None, choices=ENGINES,
                         help="cycle engine to profile under (the "
-                             "profile is identical under every engine)")
-    p_prof.add_argument("--naive-loop", action="store_true",
-                        help="deprecated: use --engine naive "
-                             "(one-release shim)")
+                             "profile is identical under either engine)")
     p_prof.add_argument("--json", action="store_true",
                         help="emit the repro.profile/v1 document")
 
@@ -453,24 +447,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_engine(args: argparse.Namespace) -> str | None:
-    """Engine selection shared by ``run`` and ``profile``.
-
-    Honours the deprecated ``--naive-loop`` flag for one release:
-    it warns and maps to ``--engine naive``, and conflicts with an
-    explicit ``--engine`` choice.
-    """
-    if getattr(args, "naive_loop", False):
-        if args.engine is not None and args.engine != "naive":
-            raise ConfigError(
-                "--naive-loop conflicts with --engine "
-                f"{args.engine}; drop the deprecated flag")
-        print("warning: --naive-loop is deprecated and will be removed "
-              "next release; use --engine naive", file=sys.stderr)
-        return "naive"
-    return args.engine
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     trace = build_trace(args.workload, _length(args), seed=args.seed)
     config = SimConfig()
@@ -478,7 +454,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.warmup:
         config = config.replace(warmup_instructions=args.warmup)
     config = _apply_robustness_flags(config, args)
-    engine = _resolve_engine(args)
 
     footer = None
     if args.resume_from:
@@ -490,7 +465,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         manager = CheckpointManager(Path(args.resume_from).parent,
                                     meta=meta)
         state = manager.load(args.resume_from)
-        sim = Simulator(trace, config, engine=engine)
+        sim = Simulator(trace, config, engine=args.engine)
         sim.load_state_dict(state)
         if args.machine_checkpoint_dir and config.checkpoint_interval > 0:
             sink = CheckpointManager(args.machine_checkpoint_dir,
@@ -504,7 +479,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         run = run_with_checkpoints(trace, config,
                                    directory=args.machine_checkpoint_dir,
-                                   name=args.workload, engine=engine)
+                                   name=args.workload,
+                                   engine=args.engine)
         result = run.result
         footer = (f"checkpointing: {run.snapshots_written} snapshots "
                   f"written to {args.machine_checkpoint_dir}")
@@ -513,7 +489,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if run.quarantined:
             footer += f", {run.quarantined} corrupt snapshots quarantined"
     else:
-        result = simulate(trace, config, engine=engine)
+        result = simulate(trace, config, engine=args.engine)
     if footer is not None:
         print(footer, file=sys.stderr)
     if args.json:
@@ -657,7 +633,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.warmup:
         config = config.replace(warmup_instructions=args.warmup)
     response = profile_run(trace, config, name=args.workload,
-                           engine=_resolve_engine(args))
+                           engine=args.engine)
     result, profile = response.result, response.profile
     if args.json:
         print(json.dumps(profile, indent=2))

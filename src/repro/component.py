@@ -78,8 +78,8 @@ class Component(Protocol):
         block, a squash, a fill) can wake it.  The event engine
         (``sim/events.py``) uses these bounds to tick only components
         with pending work and to jump provably idle spans analytically;
-        the bound is only consulted in states the skip proof has
-        already pinned (see ``sim/fastpath.py``).
+        the bound is only consulted in states the stall proof has
+        already pinned (see ``stall_proof`` in ``sim/events.py``).
         """
         ...
 

@@ -24,7 +24,8 @@ from repro.api import simulate
 from repro.cachekey import shard_variant as _shard_variant
 from repro.config import SimConfig
 from repro.errors import RetryExhaustedError
-from repro.spec import Point, RunRequest, normalize_points  # noqa: F401
+from repro.spec import ExperimentSpec, Point, RunRequest, \
+    normalize_points  # noqa: F401
 from repro.sim import SimResult
 from repro.stats.sweep import merge_counters
 from repro.trace import Trace
@@ -221,16 +222,17 @@ class Runner:
                       shard_threshold=self.shard_threshold,
                       processes=self.processes)
 
-    def sweep(self, points: "list[Point | tuple[str, SimConfig]]",
+    def sweep(self, points: "list[Point] | ExperimentSpec",
               processes: int | None = None, *,
               max_retries: int = 2, point_timeout: float | None = None,
               checkpoint: str | None = None,
               resume: bool = False) -> "SweepOutcome":
         """Run many points fault-tolerantly and memoize the survivors.
 
-        ``points`` may be typed :class:`~repro.harness.spec.Point`
-        objects, an :class:`~repro.harness.spec.ExperimentSpec`, or
-        legacy ``(workload, config)`` tuples (deprecated; warns once).
+        ``points`` may be typed :class:`~repro.spec.Point` objects or
+        an :class:`~repro.spec.ExperimentSpec`; legacy ``(workload,
+        config)`` tuples are rejected with a
+        :class:`~repro.errors.ConfigError` naming the replacement.
         Unsharded points fan out through
         :func:`~repro.harness.parallel.parallel_sweep`; points whose
         shard count resolves above one run one at a time with the whole

@@ -18,9 +18,12 @@ long ``REPRO_FULL=1`` sweep actually hits:
   long points with live heartbeats are never mistaken for livelock;
 - **dead workers** — a worker that segfaults or ``os._exit``\\ s marks the
   ``ProcessPoolExecutor`` broken (``BrokenProcessPool``); the supervisor
-  rebuilds the pool and retries everything that was in flight.  The pool
-  cannot attribute the death to one task, so innocent in-flight tasks
-  spend an attempt too — their retries succeed on the fresh pool;
+  rebuilds the pool and retries everything that was in flight.  At most
+  one attempt per worker is outstanding, so only attempts that were
+  actually running fail with the pool.  A task that was running alone
+  is charged the crash; when several were running, the pool cannot say
+  which one died, so none is charged and the suspects re-run one at a
+  time until each has completed or crashed alone;
 - **deterministic failures** — a task that exhausts its attempts is
   recorded as a :class:`TaskFailure` with its full attempt history; the
   batch keeps going (graceful degradation) instead of aborting.
@@ -33,6 +36,7 @@ no worker to kill).
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -188,6 +192,8 @@ def run_supervised(fn: Callable[..., Any],
         policy = RetryPolicy()
     if processes == 1 or not tasks:
         return _run_inline(fn, tasks, policy, on_success, on_failure)
+    if processes is None:
+        processes = os.cpu_count() or 1   # ProcessPoolExecutor's default
     return _run_pooled(fn, tasks, processes, policy, on_success, on_failure,
                        progress)
 
@@ -270,6 +276,9 @@ def _run_pooled(fn, tasks, processes, policy,
     pending: list[_Pending] = [
         _Pending(key, args, 1, 0.0) for key, args in tasks]
     inflight: dict[Any, _InFlight] = {}
+    # Tasks that were running together when a worker died; they run
+    # alone until each has settled, so any further crash is attributable.
+    suspects: set[str] = set()
 
     def probe(key: str) -> Any:
         if progress is None:
@@ -301,6 +310,7 @@ def _run_pooled(fn, tasks, processes, policy,
         if attempt > policy.max_retries:
             failure = TaskFailure(key, attempts[key])
             failures[key] = failure
+            suspects.discard(key)
             counters["failed"] += 1
             detail["final"] = True
             obs_events.emit(settle or "task_failed", point=key,
@@ -325,9 +335,11 @@ def _run_pooled(fn, tasks, processes, policy,
 
     def submit_ready(now: float) -> None:
         nonlocal pool
+        limit = 1 if suspects else processes
         remaining: list[_Pending] = []
-        for item in pending:
-            if item.ready_at > now:
+        # Suspects first (a stable sort keeps the order otherwise).
+        for item in sorted(pending, key=lambda item: item.key not in suspects):
+            if item.ready_at > now or len(inflight) >= limit:
                 remaining.append(item)
                 continue
             deadline = (now + policy.point_timeout
@@ -359,30 +371,31 @@ def _run_pooled(fn, tasks, processes, policy,
 
             horizons = [meta.deadline for meta in inflight.values()
                         if meta.deadline is not None]
-            horizons.extend(item.ready_at for item in pending)
+            # Ready items wait for a free worker, not for the clock.
+            horizons.extend(item.ready_at for item in pending
+                            if item.ready_at > now)
             timeout = None
             if horizons:
                 timeout = max(_MIN_WAIT, min(horizons) - time.monotonic())
             done, _ = wait(list(inflight), timeout=timeout,
                            return_when=FIRST_COMPLETED)
 
-            pool_broken = False
+            crashed: list[_InFlight] = []
+            crash_message = ""
             for future in done:
                 meta = inflight.pop(future)
                 duration = time.monotonic() - meta.started
                 try:
                     value = future.result()
                 except BrokenProcessPool as exc:
-                    pool_broken = True
-                    settle_failure(meta.key, meta.args, meta.attempt,
-                                   "WorkerCrashError",
-                                   str(exc) or "process pool broken",
-                                   duration)
+                    crash_message = str(exc) or "process pool broken"
+                    crashed.append(meta)
                 except Exception as exc:  # noqa: BLE001 — worker exception
                     settle_failure(meta.key, meta.args, meta.attempt,
                                    type(exc).__name__, str(exc), duration)
                 else:
                     results[meta.key] = value
+                    suspects.discard(meta.key)
                     counters["completed"] += 1
                     obs_events.emit("task_done", point=meta.key,
                                     attempt=meta.attempt,
@@ -390,16 +403,24 @@ def _run_pooled(fn, tasks, processes, policy,
                     if on_success is not None:
                         on_success(meta.key, value)
 
-            if pool_broken:
-                # Every future on a broken pool fails; drain them all as
-                # crash attempts (attribution to one task is impossible),
-                # then rebuild.
-                for meta in list(inflight.values()):
-                    settle_failure(meta.key, meta.args, meta.attempt,
-                                   "WorkerCrashError",
-                                   "in flight when a pool worker died",
-                                   time.monotonic() - meta.started)
+            if crashed:
+                # Every future on a broken pool fails with it.
+                crashed.extend(inflight.values())
                 inflight.clear()
+                if len(crashed) == 1:
+                    meta = crashed[0]
+                    settle_failure(meta.key, meta.args, meta.attempt,
+                                   "WorkerCrashError", crash_message,
+                                   time.monotonic() - meta.started)
+                else:
+                    counters["crashes"] += 1
+                    obs_events.emit("worker_crash", data={
+                        "message": crash_message,
+                        "suspects": sorted(m.key for m in crashed)})
+                    for meta in crashed:
+                        suspects.add(meta.key)
+                        settle_failure(meta.key, meta.args, meta.attempt,
+                                       "", "", 0.0, count_attempt=False)
                 rebuild()
                 continue
 

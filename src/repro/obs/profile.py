@@ -21,9 +21,9 @@ mshr_full        memory.mshrs    a demand miss blocked on MSHR space
 other            sim             none of the above (residue)
 ===============  ==============  =======================================
 
-The classifier reads only machine state that the fast-path engine's
-skip proof pins inside an idle window (see ``sim/fastpath.py``), so a
-skipped window of ``n`` cycles is attributed with one ``observe(n)``
+The classifier reads only machine state that the event engine's stall
+proof pins inside a jumped idle window (see ``sim/events.py``), so a
+jumped window of ``n`` cycles is attributed with one ``observe(n)``
 call to exactly the bucket each of its cycles would have landed in
 under the naive loop — profiles are **identical under both cycle
 engines**, and profiling never perturbs the simulation (the profile
@@ -86,7 +86,7 @@ class CycleProfiler:
         Priority mirrors the fetch engine's one-counter-per-cycle
         accounting (fetch state first, then the prediction unit's
         reason the FTQ is empty), evaluated on end-of-cycle state —
-        which the fast path proves constant across a skipped window.
+        which the stall proof pins constant across a jumped window.
         """
         if fetched:
             return "active"
@@ -108,8 +108,8 @@ class CycleProfiler:
         if sim.predict_unit.awaiting_resolution:
             # FTQ holds wrong-path work while the mispredicted branch
             # resolves; charge the cycle to the redirect, not "other".
-            # (_resolve_at bounds every skip window, so this state is
-            # pinned inside one — see sim/fastpath.py.)
+            # (_resolve_at bounds every jump, so this state is pinned
+            # inside one — see sim/events.py.)
             return "bpred_redirect"
         return "other"
 
@@ -182,7 +182,6 @@ class CycleProfiler:
 
 def profile_run(trace: "Trace", config: "SimConfig | None" = None, *,
                 name: str | None = None,
-                fast_loop: bool | None = None,
                 engine: str | None = None,
                 ) -> "RunResponse":
     """Simulate ``trace`` with profiling on; return a typed response.
@@ -192,9 +191,7 @@ def profile_run(trace: "Trace", config: "SimConfig | None" = None, *,
     :meth:`CycleProfiler.report` document for the measured region on
     ``.profile`` — its buckets sum to ``result.cycles`` — and the
     result itself is bit-identical to an unprofiled run of the same
-    configuration.  Unpacking the response as the old ``(result,
-    profile)`` tuple still works for one release and warns with a
-    migration hint (the ``run_simulation`` removal precedent).
+    configuration.
 
     Routed through the shared :func:`~repro.spec.resolve_request`
     normalization, like every other run entry point.
@@ -205,5 +202,4 @@ def profile_run(trace: "Trace", config: "SimConfig | None" = None, *,
     request = resolve_request(
         workload=trace.name or "trace", config=config,
         trace_length=len(trace), seed=trace.seed, label=name)
-    return execute(request, trace=trace, profile=True,
-                   fast_loop=fast_loop, engine=engine)
+    return execute(request, trace=trace, profile=True, engine=engine)

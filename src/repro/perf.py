@@ -1,27 +1,26 @@
-"""Simulation-throughput benchmark across the three cycle engines.
+"""Simulation-throughput benchmark across the two cycle engines.
 
 Measures simulated instructions per wall-clock second on a small matrix
-of configurations chosen to bracket the cycle engines' best and worst
+of configurations chosen to bracket the event engine's best and worst
 cases:
 
 - ``stall_heavy`` — no prefetching, an instruction working set several
   times the L1-I, and an extreme memory latency.  The machine spends
   almost all of its cycles fully stalled on fills, which is exactly the
-  pattern the idle-cycle jump engines collapse.
+  pattern the event engine's idle-span jumps collapse.
 - ``prefetch_saturated`` — FDIP with enqueue filtering at stock
   latencies.  The prefetcher touches the memory system nearly every
   cycle, so almost nothing is skippable; this point exists to verify
-  that the skip machinery costs (close to) nothing when it cannot help.
+  that the jump machinery costs (close to) nothing when it cannot help.
 - ``mixed_phases`` — FDIP with enqueue filtering against 800-cycle
-  memory: prefetch bursts alternate with fully drained stall windows.
-  The fast engine loses its saturated-phase overhead here while the
-  event engine's per-component elision and adaptive jump gating win
-  both phases — the point the event engine exists for.
+  memory: prefetch bursts alternate with fully drained stall windows,
+  so the event engine's per-component elision and adaptive jump gating
+  must win both phases.
 
-Each point is simulated under every engine (``naive``, ``fast``,
-``event``), timed as the **median** of ``reps`` repetitions after
-``warmup`` untimed runs, with the repetitions interleaved across
-engines so clock-frequency drift lands on all of them equally; each
+Each point is simulated under both engines (``naive`` and ``event``),
+timed as the **median** of ``reps`` repetitions after ``warmup``
+untimed runs, with the repetitions interleaved across engines so
+clock-frequency drift lands on both of them equally; each
 engine's speedup is the median of its *per-round* ratios against the
 same round's naive run, which cancels machine-speed drift between
 rounds as well.  The
@@ -199,20 +198,14 @@ def compare_to_baseline(report: dict, baseline: dict,
     Compares each engine's speedup-over-naive point by point — a
     wall-clock ratio, so a uniformly faster or slower machine cancels
     out.  A point or engine missing from the baseline is skipped (it is
-    new).  Version-1 baselines (fast engine only) are compared on their
-    single recorded speedup.  An empty list means the report is
-    acceptable.
+    new).  An empty list means the report is acceptable.
     """
     failures = []
     for name, data in report["points"].items():
         base = baseline.get("points", {}).get(name)
         if base is None:
             continue
-        base_engines = base.get("engines")
-        if base_engines is None:
-            # Version-1 baseline: one fast-vs-naive speedup per point.
-            base_engines = {"fast": {"speedup": base["speedup"]}}
-        for engine, base_row in base_engines.items():
+        for engine, base_row in base["engines"].items():
             base_speedup = base_row.get("speedup")
             row = data["engines"].get(engine)
             if base_speedup is None or row is None:

@@ -228,7 +228,6 @@ class SimulationService:
                 self.counters["completed"] += 1
                 obs_events.emit("serve_cache_hit", point=key,
                                 data={"job": job.id})
-                self._cond.notify_all()
                 return job.id
 
             primary_id = self._inflight.get(key)

@@ -21,7 +21,7 @@ from repro.sim.serialize import (
     result_to_dict,
     result_to_json,
 )
-from repro.sim.simulator import Simulator, make_prefetcher
+from repro.sim.simulator import Simulator
 from repro.sim.checkpoint import (
     CheckpointManager,
     CheckpointedRun,
@@ -44,7 +44,6 @@ __all__ = [
     "plan_shards",
     "merge_shard_snapshots",
     "sharded_result",
-    "make_prefetcher",
     "check_invariants",
     "guard_invariants",
     "assert_invariants",

@@ -25,8 +25,8 @@ happens to those snapshots:
 Identity metadata (:func:`snapshot_meta`) binds snapshots to the
 (trace, config, package version) that produced them.  The config
 fields that provably do not affect the result — ``engine``,
-``fast_loop``, ``checkpoint_interval``, ``watchdog_interval`` — are
-excluded from the digest (as are the observability fields ``profile`` and ``event_log``),
+``checkpoint_interval``, ``watchdog_interval`` — are excluded from the
+digest (as are the observability fields ``profile`` and ``event_log``),
 so a snapshot taken under one engine or cadence resumes cleanly
 under another (resume is bit-identical either way; see
 ``tests/test_checkpoint.py``).
@@ -85,9 +85,9 @@ _KILL_MARKER = "crash-drill.done"
 def snapshot_meta(trace: Trace, config: SimConfig) -> dict:
     """Identity metadata binding snapshots to one (trace, config) run.
 
-    ``engine``, ``fast_loop``, ``checkpoint_interval``,
-    ``watchdog_interval``, ``profile``, and ``event_log`` are
-    normalized out of the config digest: none of them affects the
+    ``engine``, ``checkpoint_interval``, ``watchdog_interval``,
+    ``profile``, and ``event_log`` are normalized out of the config
+    digest: none of them affects the
     simulated result, so snapshots stay resumable across engine,
     cadence, and observability changes.
     """
@@ -330,7 +330,6 @@ class CheckpointedRun:
 def run_with_checkpoints(trace: Trace, config: SimConfig, *,
                          directory: str | Path,
                          name: str | None = None,
-                         fast_loop: bool | None = None,
                          engine: str | None = None,
                          keep: int = 2, resume: bool = True,
                          cleanup: bool = True) -> CheckpointedRun:
@@ -349,8 +348,7 @@ def run_with_checkpoints(trace: Trace, config: SimConfig, *,
     """
     manager = CheckpointManager(directory, meta=snapshot_meta(trace, config),
                                 keep=keep)
-    sim = Simulator(trace, config, name=name, fast_loop=fast_loop,
-                    engine=engine)
+    sim = Simulator(trace, config, name=name, engine=engine)
     resumed_from = None
     if resume:
         state = manager.latest()

@@ -1,14 +1,10 @@
 """The event-driven cycle engine: wake scheduling over components.
 
-The naive loop polls every component every cycle; the fast engine
-(``sim/fastpath.py``) adds machine-wide idle-window jumps but pays a
-full stall-proof attempt on every cycle that delivers nothing — which
-is why it *regresses* on prefetch-saturated runs, where the proof fails
-(the prefetcher is busy) tens of thousands of times without ever
-winning a jump.  This engine inverts the control flow: work is driven
-by component wake state, not polling.
-
-Three mechanisms, all bit-identical to the naive loop:
+The naive loop in :meth:`~repro.sim.simulator.Simulator.run` polls
+every component every cycle; it is the reference semantics.  This
+engine drives work by component wake state instead of polling, and is
+bit-identical to the naive loop — the same ``SimResult``, counter for
+counter.  Two mechanisms:
 
 1. **Per-component tick elision.**  Each component's wake contract
    (:meth:`~repro.component.Component.next_wake_cycle`, plus the
@@ -32,102 +28,154 @@ Three mechanisms, all bit-identical to the naive loop:
    stream prefetcher's no-op tick still refreshes an internal LRU
    clock, so elision there would not be exact.
 
-2. **Adaptively gated analytic jumps.**  Machine-wide idle spans are
-   jumped exactly as under the fast engine (same
-   :func:`~repro.sim.fastpath.stall_proof`, same
-   ``Simulator._apply_skip`` bookkeeping), but the two jump gates —
-   the stall proof and :meth:`~repro.prefetch.base.Prefetcher.
-   quiescent` — are evaluated last-rejector-first.  On a saturated
-   FDIP run the prefetcher's O(1) PIQ check rejects every attempt and
-   stays in front; on a stream-prefetcher run quiescence walks every
-   buffer, so the proof (which rejects on the FTQ head) moves in
-   front instead.  Gate order cannot change the outcome — a jump
-   needs both — so the adaptation is bit-identical by construction.
+2. **Adaptively gated analytic jumps.**  A trace-driven run spends
+   most of its cycles with every component stalled: fetch blocked on a
+   fill, the prediction unit blocked on a full FTQ (or an L2-FTB
+   promotion, or an unresolved misprediction), the prefetcher with
+   nothing queued.  Each such cycle does nothing but bump one stall
+   counter per stalled component and record an unchanged FTQ
+   occupancy sample.  :func:`stall_proof` recognises exactly those
+   cycles *by proof*, not by heuristic, and returns the earliest
+   self-scheduled wake bound; the loop jumps the clock to one cycle
+   before it and ``Simulator._apply_skip`` batch-applies the
+   bookkeeping the naive loop would have done (the stall counters, the
+   occupancy samples, the prefetcher's internal clock).
 
-3. **A wake calendar.**  :class:`WakeCalendar` is a small binary-heap
-   scheduler over ``(cycle, source)`` wake entries; each successful
-   jump is planned by pushing every component's self-scheduled wake
-   bound and popping the earliest.  The surviving entries name the
-   wake order inside the span — :func:`plan_wake` exposes the chosen
-   wake source for diagnostics (the watchdog stall dump).
+   A jump needs two gates: the stall proof and
+   :meth:`~repro.prefetch.base.Prefetcher.quiescent`.  They are
+   evaluated last-rejector-first.  On a saturated FDIP run the
+   prefetcher's O(1) PIQ check rejects every attempt and stays in
+   front; on a stream-prefetcher run quiescence walks every buffer, so
+   the proof (which rejects on the FTQ head) moves in front instead.
+   Gate order cannot change the outcome — a jump needs both — so the
+   adaptation is bit-identical by construction.
+
+Why each stall-proof gate is sound, in cycle-schedule order:
+
+1. ``memory.begin_cycle`` only completes fills due this cycle; with the
+   jump bounded by the memory wake no fill is due in the window.
+2. ``backend.retire`` retires nothing before ``next_completion``; a
+   non-empty window bumps ``retire_stall_cycles`` once per cycle.
+3. Resolution is bounded by ``_resolve_at``.
+4. The fetch engine, when stalled, bumps exactly one of
+   ``miss_stall_cycles`` / ``ftq_empty_cycles`` / ``window_stall_cycles``
+   and returns.  Its stall cannot clear mid-window: the fill bound, the
+   FTQ (nobody pushes — predict is stalled too), and the backend window
+   (no retirement before ``next_completion``) are all pinned.
+5. The prediction unit checks FTQ-full *before* the L2-FTB wait, so a
+   full FTQ contributes no wait bound; the other stall states bound or
+   pin themselves the same way.  Running out of trace records is a
+   silent no-op (no counter).
+6. The prefetcher must declare itself quiescent — with no demand
+   accesses, fills, or FTQ pushes in the window, quiescence is stable
+   until the bound.
 
 Equivalence is enforced by the engine matrix in
-``tests/test_fast_loop_equivalence.py`` and the checkpoint fuzz suite;
+``tests/test_engine_equivalence.py`` and the checkpoint fuzz suite;
 selection is ``SimConfig(engine="event")`` (the default — see
 ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-import heapq
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import SimulationError, WatchdogStallError
-from repro.obs import events as obs_events
-from repro.sim.fastpath import SkipPlan, stall_proof
 from repro.stats import IntervalSampler, RunLengthObserver
 
 if TYPE_CHECKING:
     from repro.sim.simulator import Simulator
 
-__all__ = ["WakeCalendar", "plan_wake", "run_event_loop"]
+__all__ = ["SkipPlan", "stall_proof", "run_event_loop"]
 
 
-class WakeCalendar:
-    """A binary-heap calendar of pending ``(cycle, source)`` wakes.
+@dataclass(slots=True)
+class SkipPlan:
+    """A provably idle window and the bookkeeping it owes."""
 
-    The event engine plans each analytic jump through one calendar
-    instance (reused across attempts — no per-attempt allocation): the
-    components' self-scheduled wake bounds are pushed, the earliest is
-    the jump target, and the head entry names the wake source.
+    target: int               # first cycle at which anything can change
+    cycles: int               # skipped cycles: target - current - 1
+    fetch_counter: str        # fetch stall counter to bump per cycle
+    predict_counter: str | None   # predict stall counter (None: silent)
+    retire_stalled: bool      # backend window non-empty in the window
+
+
+def stall_proof(sim: "Simulator", cycle: int):
+    """Prove that no component except the prefetcher can do real work.
+
+    Returns ``(fetch_counter, predict_counter, retire_stalled, wake)``
+    when every non-prefetch component's next tick is a pure
+    stall-counter bump, or None when any of them could do real work
+    next cycle.  ``wake`` is the earliest self-scheduled wake bound —
+    the first cycle at which anything can change — or None when
+    nothing is scheduled at all.  The bounds are each component's
+    :meth:`~repro.component.Component.next_wake_cycle` (fetch's
+    pending demand fill, a pending L2-FTB promotion, the next memory
+    fill, the next backend completion) and the scheduled branch
+    resolution.
+
+    The prefetcher is deliberately excluded: the caller combines the
+    proof with :meth:`~repro.prefetch.base.Prefetcher.quiescent` in
+    whichever order is cheaper for the workload.
     """
+    # Failure checks run before any wake collection so a rejected
+    # attempt (the common case on busy stretches) does the least work.
 
-    __slots__ = ("_heap",)
+    # --- fetch engine ------------------------------------------------
+    fetch_wake = sim.fetch_engine.next_wake_cycle(cycle)
+    if fetch_wake is not None:
+        fetch_counter = "miss_stall_cycles"
+    else:
+        head = sim.ftq.head()
+        if head is None:
+            fetch_counter = "ftq_empty_cycles"
+        elif ((not head.wrong_path or sim.config.core.wrong_path_in_window)
+                and sim.backend.free_slots <= 0):
+            fetch_counter = "window_stall_cycles"
+        else:
+            return None   # fetch would access the memory system
 
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, str]] = []
+    # --- prediction unit ---------------------------------------------
+    predict = sim.predict_unit
+    predict_wake = None
+    if sim.ftq.full:
+        # tick checks FTQ-full before the L2-FTB wait, so a pending
+        # promotion neither clears nor bounds anything while full.
+        predict_counter: str | None = "ftq_full_stalls"
+    else:
+        predict_wake = predict.next_wake_cycle(cycle)
+        if predict_wake is not None:
+            predict_counter = "ftb_l2_stall_cycles"
+        elif predict.awaiting_resolution:
+            if sim.config.frontend.model_wrong_path:
+                return None   # producing wrong-path blocks every cycle
+            predict_counter = "mispredict_stall_cycles"
+        elif predict.out_of_records:
+            predict_counter = None   # exhausted trace: silent no-op
+        else:
+            return None   # would produce a fetch block
 
-    def clear(self) -> None:
-        del self._heap[:]
-
-    def push(self, cycle: int, source: str) -> None:
-        heapq.heappush(self._heap, (cycle, source))
-
-    def refill(self, wakes: list[tuple[int, str]]) -> tuple[int, str] | None:
-        """Replace the pending wakes wholesale and return the earliest.
-
-        Takes ownership of ``wakes``; one C-level heapify beats a
-        Python-level push per entry, and the jump planner refills the
-        whole calendar on every attempt anyway.
-        """
-        heapq.heapify(wakes)
-        self._heap = wakes
-        return wakes[0] if wakes else None
-
-    def earliest(self) -> tuple[int, str] | None:
-        """The soonest pending wake, without removing it."""
-        return self._heap[0] if self._heap else None
-
-    def pop(self) -> tuple[int, str]:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __repr__(self) -> str:
-        head = self._heap[0] if self._heap else None
-        return f"WakeCalendar(pending={len(self._heap)}, next={head})"
+    # --- self-scheduled progress bounds -------------------------------
+    wake = sim.memory.next_wake_cycle(cycle)
+    completion = sim.backend.next_wake_cycle(cycle)
+    for bound in (fetch_wake, predict_wake, completion, sim._resolve_at):
+        if bound is not None and (wake is None or bound < wake):
+            wake = bound
+    return fetch_counter, predict_counter, completion is not None, wake
 
 
-def _plan_from_proof(proof, cycle: int, max_cycles: int,
-                     calendar: WakeCalendar) -> SkipPlan | None:
-    """Turn a successful stall proof into a jump plan (or None when
-    the earliest wake is too close to skip anything)."""
-    fetch_counter, predict_counter, retire_stalled, wakes = proof
-    head = calendar.refill(wakes)
-    target = head[0] if head is not None else max_cycles + 1
-    if target > max_cycles + 1:
-        target = max_cycles + 1
+def _plan_from_proof(proof, cycle: int, max_cycles: int) -> SkipPlan | None:
+    """Turn a successful stall proof into a jump plan.
+
+    Returns None when the earliest wake is too close to skip anything.
+    The plan never jumps past ``max_cycles + 1``, so the cycle-cap
+    error fires with identical state to the naive loop; a fully
+    deadlocked machine (no wake bound at all) jumps straight to the cap.
+    """
+    fetch_counter, predict_counter, retire_stalled, wake = proof
+    target = max_cycles + 1
+    if wake is not None and wake < target:
+        target = wake
     skipped = target - cycle - 1
     if skipped <= 0:
         return None
@@ -137,40 +185,21 @@ def _plan_from_proof(proof, cycle: int, max_cycles: int,
                     retire_stalled=retire_stalled)
 
 
-def plan_wake(sim: "Simulator", cycle: int, max_cycles: int,
-              calendar: WakeCalendar) -> SkipPlan | None:
-    """The event engine's jump planner.
-
-    Precondition: the caller has already established prefetcher
-    quiescence (gate ordering is the caller's concern — the engine
-    adapts it to the workload).  Runs the shared
-    :func:`~repro.sim.fastpath.stall_proof`, orders the wake bounds
-    through ``calendar``, and returns the same
-    :class:`~repro.sim.fastpath.SkipPlan` the fast engine would — the
-    two engines are bit-identical by construction.
-    """
-    proof = stall_proof(sim, cycle)
-    if proof is None:
-        return None
-    return _plan_from_proof(proof, cycle, max_cycles, calendar)
-
-
 def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
                    max_cycles: int, occupancy: RunLengthObserver,
-                   sampler: IntervalSampler | None, interval: int,
-                   sink, next_ckpt: int | None, watchdog: int,
+                   sampler: IntervalSampler | None,
+                   next_ckpt: int | None, watchdog: int,
                    ) -> tuple[RunLengthObserver, IntervalSampler | None]:
     """Drive ``sim`` to completion under wake scheduling.
 
     Mirrors the naive loop's per-cycle schedule exactly — same
-    component order, same one-stall-counter-per-cycle accounting, same
-    warm-up reset, watchdog, and ``>=``-triggered checkpoint semantics
-    across jumps — while eliding ticks the wake contracts prove to be
-    pure stall bumps.  Returns the (possibly warm-up-rebound) occupancy
-    observer and interval sampler for the caller's finalization.
+    component order, same one-stall-counter-per-cycle accounting — and
+    shares its run bookkeeping (cycle cap, warm-up reset, watchdog,
+    checkpoint) through the ``Simulator`` helpers, while eliding ticks
+    the wake contracts prove to be pure stall bumps.  Returns the
+    (possibly warm-up-rebound) occupancy observer and interval sampler
+    for the caller's finalization.
     """
-    config = sim.config
-    window = config.telemetry_window
     profiler = sim.profiler
     memory = sim.memory
     mem_stats = memory.stats
@@ -183,7 +212,8 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
     # Hot-loop locals.  The underlying containers are mutated in place
     # everywhere during a run (squash clears, heap pushes/pops), never
     # rebound — load_state_dict, which does rebind, only runs between
-    # runs.
+    # runs.  ``stall_proof`` is deliberately not hoisted: it is looked
+    # up as a module global so instrumentation can wrap it.
     mem_events = memory._events
     ftq_entries = ftq._entries
     ftq_depth = ftq.depth
@@ -196,13 +226,13 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
     issue_width = backend.core.issue_width
     bwindow = backend._window
     bwindow_popleft = bwindow.popleft
-    calendar = WakeCalendar()
     proof_first = False   # adaptive jump-gate order; see the skip gate
 
     # The cycle counter and the occupancy run-length accumulator live
     # in locals; ``sim.cycle`` and the observer fields are synced at
     # every boundary where other code can read them (warm-up reset,
-    # analytic jumps, watchdog trips, checkpoint snapshots, loop exit).
+    # analytic jumps, watchdog trips, checkpoint snapshots, the cycle
+    # cap, loop exit).
     cycle = sim.cycle
     warmed = sim._warmed
     occ_hist = occupancy._histogram
@@ -223,9 +253,7 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             sim.cycle = cycle
             occupancy._value = occ_value
             occupancy._weight = occ_weight
-            raise SimulationError(
-                f"cycle cap exceeded ({max_cycles}); retired "
-                f"{backend.retired}/{total} — likely a deadlock")
+            raise sim._cycle_cap_error(max_cycles, total)
         # memory: wake only when a fill is due; otherwise inline the
         # input-free bookkeeping begin_cycle would do.
         if mem_events and mem_events[0][0] <= cycle:
@@ -235,7 +263,7 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             memory._ports_used = 0
         # backend: asleep until the oldest completion; a non-empty
         # window owes exactly one retire_stall_cycles per stalled cycle
-        # (matching the fast engine's batch accounting).  The due case
+        # (matching _apply_skip's batch accounting).  The due case
         # inlines Backend.retire (a completion at the head guarantees
         # n >= 1, so the n == 0 stall branch cannot apply).
         if bwindow:
@@ -292,19 +320,11 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             sim.cycle = cycle
             occupancy._value = occ_value
             occupancy._weight = occ_weight
-            occupancy.flush()
-            sim._reset_measurement()
+            occupancy, sampler = sim._end_warmup(occupancy, sampler)
             warmed = True
-            occupancy = RunLengthObserver(
-                sim.stats.histogram("ftq_occupancy"))
             occ_hist = occupancy._histogram
             occ_value = occupancy._value
             occ_weight = occupancy._weight
-            if sampler is not None:
-                sampler = IntervalSampler(
-                    window, origin=cycle, base_retired=retired)
-            obs_events.emit("warmup_end", data={
-                "name": sim.name, "cycle": cycle, "retired": retired})
         elif not fetched and retired < total:
             # A jump needs both gates: the stall proof and prefetcher
             # quiescence.  Which one is cheap and which one rejects is
@@ -326,8 +346,7 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             else:
                 proof = None
             if proof is not None:
-                plan = _plan_from_proof(proof, cycle, max_cycles,
-                                        calendar)
+                plan = _plan_from_proof(proof, cycle, max_cycles)
                 if plan is not None:
                     sim.cycle = cycle
                     occupancy._value = occ_value
@@ -345,20 +364,12 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
                 sim.cycle = cycle
                 occupancy._value = occ_value
                 occupancy._weight = occ_weight
-                obs_events.emit("watchdog_stall", data={
-                    "name": sim.name, "cycle": cycle,
-                    "retired": retired,
-                    "watchdog_interval": watchdog})
-                raise WatchdogStallError(
-                    cycle, retired, watchdog, state=sim._stall_dump())
+                raise sim._watchdog_stall(watchdog)
         if cycle >= ckpt_at:
-            # End-of-cycle consistent point; ``>=`` (not ``==``)
-            # because an analytic jump may cross the boundary.
             sim.cycle = cycle
             occupancy._value = occ_value
             occupancy._weight = occ_weight
-            sink(sim.state_dict(occupancy=occupancy, sampler=sampler))
-            ckpt_at = cycle + interval
+            ckpt_at = sim._checkpoint(occupancy, sampler)
         if retired >= total:
             # Retirement only moves in the retire step at the top of
             # the cycle, so the end-of-cycle check is equivalent to the

@@ -31,30 +31,16 @@ from repro.ftb import FetchTargetBuffer, TwoLevelFTB
 from repro.memory import MemorySystem
 from repro.obs import events as obs_events
 from repro.obs.profile import CycleProfiler
-# Re-exported for backward compatibility: kind resolution now lives in
-# the prefetcher registry (see repro/prefetch/__init__.py).
-from repro.prefetch import make_prefetcher  # noqa: F401
-from repro.sim.fastpath import plan_skip
+from repro.prefetch import make_prefetcher
+from repro.sim.events import run_event_loop
 from repro.sim.results import SimResult
 from repro.stats import IntervalSampler, IntervalSeries, \
     RunLengthObserver, StatGroup, TelemetryNode, TelemetrySnapshot
 from repro.trace import Trace
 
-__all__ = ["Simulator", "make_prefetcher"]
+__all__ = ["Simulator"]
 
 _DEFAULT_CYCLE_CAP_PER_INSTR = 200
-
-# Fast-engine fallback (see run()): probe the skip ratio over the
-# first telemetry window (or this many cycles when interval telemetry
-# is off) and latch to the naive loop when the skip machinery is
-# provably not winning — per-cycle failed proofs are pure overhead.
-# The two thresholds give the probe hysteresis: below MIN it falls
-# back (one-way latch, logged as an ``engine_fallback`` event); at or
-# above KEEP it stops probing; in between it keeps re-probing
-# window by window.
-_FALLBACK_PROBE_WINDOW = 4096
-_FALLBACK_MIN_RATIO = 0.01
-_FALLBACK_KEEP_RATIO = 0.05
 
 
 class Simulator:
@@ -65,17 +51,13 @@ class Simulator:
     - ``name`` labels the result (defaults to the trace's name);
     - ``tracer`` attaches a per-cycle pipeline tracer (forces the
       naive loop — a tracer observes every cycle by definition);
-    - ``engine`` overrides ``config.engine`` for this run: one of
-      ``"naive"``, ``"fast"``, ``"event"``.  All three are
-      bit-identical (see ``docs/performance.md``, "Engine selection");
-    - ``fast_loop`` is the deprecated pre-``engine`` override, kept
-      for one release: True selects the fast engine, False the naive
-      loop.  ``engine`` wins when both are given.
+    - ``engine`` overrides ``config.engine`` for this run: ``"naive"``
+      or ``"event"``.  Both are bit-identical (see
+      ``docs/performance.md``, "Engine selection").
     """
 
     def __init__(self, trace: Trace, config: SimConfig, *,
                  name: str | None = None, tracer=None,
-                 fast_loop: bool | None = None,
                  engine: str | None = None):
         if config.max_instructions is not None \
                 and config.max_instructions < len(trace):
@@ -117,18 +99,12 @@ class Simulator:
         self.cycle = 0
         self.tracer = tracer
         if engine is None:
-            if fast_loop is not None:
-                engine = "fast" if fast_loop else "naive"
-            else:
-                engine = config.resolved_engine
+            engine = config.engine
         elif engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {engine!r}; expected one of "
                 f"{', '.join(ENGINES)}")
         self.engine = engine
-        # Back-compat mirror of the pre-engine attribute (True for any
-        # skipping engine); scheduled for removal with the knob itself.
-        self.fast_loop = engine != "naive"
         self.skipped_cycles = 0   # diagnostics only; not a statistic
         # Opt-in cycle-attribution profiler (see repro/obs/profile.py).
         # It lives outside the telemetry tree on purpose: SimResult
@@ -227,7 +203,6 @@ class Simulator:
 
         # A tracer observes every cycle; it forces the naive loop.
         engine = self.engine if self.tracer is None else "naive"
-        fast = engine == "fast"
         tracer = self.tracer
         profiler = self.profiler
         memory = self.memory
@@ -254,13 +229,10 @@ class Simulator:
             self._resume_occupancy = None
 
         interval = self.config.checkpoint_interval
-        sink = self.checkpoint_sink
         next_ckpt = (self.cycle + interval
-                     if interval > 0 and sink is not None else None)
+                     if interval > 0 and self.checkpoint_sink is not None
+                     else None)
         watchdog = self.config.watchdog_interval
-        # A resume restarts the watchdog's interval at the resume point.
-        progress_cycle = self.cycle
-        progress_retired = backend.retired
 
         if self.config.event_log is not None:
             obs_events.attach_log_file(self.config.event_log)
@@ -270,32 +242,22 @@ class Simulator:
             "resumed": self.cycle > 0})
 
         if engine == "event":
-            from repro.sim.events import run_event_loop
-
             occupancy, sampler = run_event_loop(
                 self, total=total, warmup=warmup, max_cycles=max_cycles,
-                occupancy=occupancy, sampler=sampler, interval=interval,
-                sink=sink, next_ckpt=next_ckpt, watchdog=watchdog)
+                occupancy=occupancy, sampler=sampler, next_ckpt=next_ckpt,
+                watchdog=watchdog)
             return self._finish(occupancy, sampler, mem_stats)
 
-        # Fast-engine fallback probe: measure the observed skip ratio
-        # over the first telemetry window; when the skip machinery is
-        # (almost) never winning, every further plan attempt is pure
-        # overhead — latch to the naive loop for the rest of the run.
-        # At least the default probe span: a tiny telemetry window
-        # would judge the skip machinery before it ever gets a chance.
-        probe_window = max(window, _FALLBACK_PROBE_WINDOW)
-        probe_start = self.cycle
-        probe_skipped = self.skipped_cycles
-        probe_at = probe_start + probe_window
-
+        # The naive loop: the reference semantics the event engine must
+        # reproduce bit for bit.  A resume restarts the watchdog's
+        # interval at the resume point.
+        progress_cycle = self.cycle
+        progress_retired = backend.retired
         while backend.retired < total:
             self.cycle += 1
             cycle = self.cycle
             if cycle > max_cycles:
-                raise SimulationError(
-                    f"cycle cap exceeded ({max_cycles}); retired "
-                    f"{backend.retired}/{total} — likely a deadlock")
+                raise self._cycle_cap_error(max_cycles, total)
             memory.begin_cycle(cycle)
             backend.retire(cycle)
             if self._resolve_at is not None and cycle >= self._resolve_at:
@@ -309,82 +271,92 @@ class Simulator:
                 sampler.advance(cycle, occ, backend.retired,
                                 mem_stats.get("demand_misses"))
             if profiler is not None:
-                # End-of-cycle classification; inside a fast-path skip
-                # window this state is pinned, so _apply_skip attributes
+                # End-of-cycle classification; inside an event-engine
+                # jump this state is pinned, so _apply_skip attributes
                 # the whole window with one observe(n) call.
                 profiler.observe(self, bool(fetched))
             if tracer is not None:
                 tracer.record(cycle, self)
 
             if not self._warmed and backend.retired >= warmup:
-                occupancy.flush()
-                self._reset_measurement()
-                occupancy = RunLengthObserver(
-                    self.stats.histogram("ftq_occupancy"))
-                if sampler is not None:
-                    # Counters just cleared; anchor the interval series
-                    # at the measurement origin so window boundaries and
-                    # deltas cover only the measured region.
-                    sampler = IntervalSampler(
-                        window, origin=self.cycle,
-                        base_retired=backend.retired)
-                obs_events.emit("warmup_end", data={
-                    "name": self.name, "cycle": self.cycle,
-                    "retired": backend.retired})
-            elif fast and not fetched and backend.retired < total:
-                # (the fetched guard merely pre-filters active cycles;
-                # the retired guard keeps the loop's exit cycle — and
-                # therefore the reported cycle count — identical)
-                if cycle >= probe_at:
-                    span = cycle - probe_start
-                    skipped = self.skipped_cycles - probe_skipped
-                    ratio = skipped / span if span > 0 else 1.0
-                    if ratio < _FALLBACK_MIN_RATIO:
-                        # One-way latch: results are identical either
-                        # way, only the per-cycle proof overhead goes.
-                        fast = False
-                        obs_events.emit("engine_fallback", data={
-                            "name": self.name, "cycle": cycle,
-                            "probe_cycles": span,
-                            "skipped_cycles": skipped,
-                            "skip_ratio": round(ratio, 6),
-                            "from_engine": "fast",
-                            "to_engine": "naive"})
-                    elif ratio >= _FALLBACK_KEEP_RATIO:
-                        probe_at = max_cycles + 1   # healthy: stop probing
-                    else:
-                        probe_start = cycle
-                        probe_skipped = self.skipped_cycles
-                        probe_at = cycle + probe_window
-                if fast:
-                    plan = plan_skip(self, cycle, max_cycles)
-                    if plan is not None:
-                        self._apply_skip(plan, occupancy, sampler)
-
+                occupancy, sampler = self._end_warmup(occupancy, sampler)
             if watchdog > 0:
                 if backend.retired > progress_retired:
                     progress_retired = backend.retired
-                    progress_cycle = self.cycle
-                elif self.cycle - progress_cycle >= watchdog:
-                    obs_events.emit("watchdog_stall", data={
-                        "name": self.name, "cycle": self.cycle,
-                        "retired": backend.retired,
-                        "watchdog_interval": watchdog})
-                    raise WatchdogStallError(
-                        self.cycle, backend.retired, watchdog,
-                        state=self._stall_dump())
-            if next_ckpt is not None and self.cycle >= next_ckpt:
-                # End-of-cycle consistent point; ``>=`` (not ``==``)
-                # because a fast-path skip may jump across the boundary.
-                sink(self.state_dict(occupancy=occupancy, sampler=sampler))
-                next_ckpt = self.cycle + interval
+                    progress_cycle = cycle
+                elif cycle - progress_cycle >= watchdog:
+                    raise self._watchdog_stall(watchdog)
+            if next_ckpt is not None and cycle >= next_ckpt:
+                next_ckpt = self._checkpoint(occupancy, sampler)
 
         return self._finish(occupancy, sampler, mem_stats)
+
+    # ------------------------------------------------------------------
+    # Run bookkeeping shared by both loops.  Each runs only when its
+    # rule fires, so neither loop pays a call per simulated cycle.
+    # ------------------------------------------------------------------
+
+    def _cycle_cap_error(self, max_cycles: int,
+                         total: int) -> SimulationError:
+        """The error a loop raises on passing the cycle cap."""
+        return SimulationError(
+            f"cycle cap exceeded ({max_cycles}); retired "
+            f"{self.backend.retired}/{total} — likely a deadlock")
+
+    def _end_warmup(self, occupancy: RunLengthObserver,
+                    sampler: IntervalSampler | None,
+                    ) -> tuple[RunLengthObserver, IntervalSampler | None]:
+        """Reset the measurement at the warm-up boundary.
+
+        Clears every statistic (caches, predictors, and the FTB stay
+        warm) and returns the fresh occupancy observer and interval
+        sampler the loop continues with.
+        """
+        occupancy.flush()
+        self._warmed = True
+        self._measure_start_cycle = self.cycle
+        self._measure_start_retired = self.backend.retired
+        self._reset_stats()
+        if self.profiler is not None:
+            self.profiler.reset()
+        occupancy = RunLengthObserver(self.stats.histogram("ftq_occupancy"))
+        if sampler is not None:
+            # Counters just cleared; anchor the interval series at the
+            # measurement origin so window boundaries and deltas cover
+            # only the measured region.
+            sampler = IntervalSampler(self.config.telemetry_window,
+                                      origin=self.cycle,
+                                      base_retired=self.backend.retired)
+        obs_events.emit("warmup_end", data={
+            "name": self.name, "cycle": self.cycle,
+            "retired": self.backend.retired})
+        return occupancy, sampler
+
+    def _watchdog_stall(self, watchdog: int) -> WatchdogStallError:
+        """Log a watchdog trip; returns the error the loop raises."""
+        obs_events.emit("watchdog_stall", data={
+            "name": self.name, "cycle": self.cycle,
+            "retired": self.backend.retired,
+            "watchdog_interval": watchdog})
+        return WatchdogStallError(self.cycle, self.backend.retired,
+                                  watchdog, state=self._stall_dump())
+
+    def _checkpoint(self, occupancy: RunLengthObserver,
+                    sampler: IntervalSampler | None) -> int:
+        """Hand the checkpoint sink an end-of-cycle snapshot.
+
+        Returns the cycle the next snapshot is due.  A loop takes one at
+        the first end-of-cycle at or past that cycle (``>=``, not
+        ``==``), because an analytic jump may cross the boundary.
+        """
+        self.checkpoint_sink(
+            self.state_dict(occupancy=occupancy, sampler=sampler))
+        return self.cycle + self.config.checkpoint_interval
 
     def _finish(self, occupancy: RunLengthObserver,
                 sampler: IntervalSampler | None,
                 mem_stats: StatGroup) -> SimResult:
-        """Shared end-of-run finalization for every engine."""
+        """Shared end-of-run finalization for both loops."""
         occupancy.flush()
         intervals = None
         if sampler is not None:
@@ -428,14 +400,6 @@ class Simulator:
         self.prefetcher.on_skip(plan.target - 1)
         self.cycle = plan.target - 1
         self.skipped_cycles += n
-
-    def _reset_measurement(self) -> None:
-        self._warmed = True
-        self._measure_start_cycle = self.cycle
-        self._measure_start_retired = self.backend.retired
-        self._reset_stats()
-        if self.profiler is not None:
-            self.profiler.reset()
 
     def _stall_dump(self) -> dict:
         """Scheduling-state summary attached to watchdog failures."""

@@ -26,7 +26,6 @@ under and the simulation a library call runs can never disagree.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -307,17 +306,6 @@ class RunResponse:
             raise ConfigError(
                 f"RunResponse.source must be one of "
                 f"{', '.join(self.SOURCES)}; got {self.source!r}")
-
-    def __iter__(self) -> Iterator[Any]:
-        # One-release shim: profile_run used to return a bare
-        # (result, profile) tuple, so unpacking must keep working.
-        warnings.warn(
-            "unpacking a RunResponse as (result, profile) is "
-            "deprecated; use response.result and response.profile "
-            "(profile_run now returns a RunResponse)",
-            DeprecationWarning, stacklevel=2)
-        yield self.result
-        yield self.profile
 
 
 def resolve_request(request: RunRequest | None = None, *,

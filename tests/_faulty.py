@@ -54,6 +54,16 @@ def crash_then_ok(counter: str, fail_times: int, value: object) -> object:
     return value
 
 
+def crash_once_after(counter: str, delay_s: float, value: object) -> object:
+    """Die on the first invocation that lives ``delay_s`` seconds.
+
+    The count is bumped only after the delay, so an attempt killed
+    while waiting (another task took the pool down) leaves no mark.
+    """
+    time.sleep(delay_s)
+    return crash_then_ok(counter, 1, value)
+
+
 def hang(counter: str, sleep_s: float = 60.0) -> None:
     bump(counter)
     time.sleep(sleep_s)

@@ -11,7 +11,7 @@ import repro
 from repro.api import simulate
 from repro.config import PrefetchConfig, PrefetcherKind, SimConfig
 from repro.errors import SimulationError
-from repro.prefetch import make_prefetcher, register, registered_kinds
+from repro.prefetch import register, registered_kinds
 from repro.prefetch.none import NonePrefetcher
 from repro.prefetch.registry import create
 from repro.sim.simulator import Simulator
@@ -41,9 +41,9 @@ class TestFacade:
         assert result == simulate(tiny_trace, SimConfig())
 
     def test_simulate_naive_override(self, tiny_trace):
-        fast = simulate(tiny_trace, SimConfig())
-        naive = simulate(tiny_trace, SimConfig(), fast_loop=False)
-        assert fast == naive
+        event = simulate(tiny_trace, SimConfig())
+        naive = simulate(tiny_trace, SimConfig(), engine="naive")
+        assert event == naive
 
     def test_simulator_extras_are_keyword_only(self, tiny_trace):
         with pytest.raises(TypeError):
@@ -138,15 +138,9 @@ class TestRegistry:
         try:
             config = SimConfig(
                 prefetch=PrefetchConfig(kind=PrefetcherKind.NONE))
-            sim = Simulator(tiny_trace, config, fast_loop=False)
+            sim = Simulator(tiny_trace, config, engine="naive")
             result = sim.run()
             assert isinstance(sim.prefetcher, CountingNone)
             assert len(ticks) == result.cycles
         finally:
             register(PrefetcherKind.NONE, replace=True)(NonePrefetcher)
-
-    def test_make_prefetcher_reexported_from_simulator(self):
-        # Long-standing import site kept working after the registry
-        # refactor.
-        from repro.sim.simulator import make_prefetcher as legacy
-        assert legacy is make_prefetcher

@@ -19,7 +19,7 @@ Regenerate after an intentional change::
         "signatures": {
             name: list(inspect.signature(getattr(api, name)).parameters)
             for name in ("simulate", "make_runner", "sweep",
-                         "profile_run")
+                         "profile_run", "execute", "resolve_request")
         },
     }
     with open("tests/data/api_surface.json", "w") as out:

@@ -38,8 +38,7 @@ class TestCacheKey:
         """Engine, cadence, and logging choices never affect the
         result, so they must never fork the key space."""
         base = cache_key("gcc_like", SimConfig(), 60_000, 1)
-        for changes in ({"engine": "naive"}, {"engine": "fast"},
-                        {"fast_loop": False},
+        for changes in ({"engine": "naive"},
                         {"checkpoint_interval": 500},
                         {"watchdog_interval": 1000},
                         {"profile": True},

@@ -56,6 +56,11 @@ def _resume(config: SimConfig, state: dict, engine: str = "event"):
     return sim.run()
 
 
+# Per-engine fuzz seed bases, pinned so each engine keeps drawing the
+# same cadences and resume points when the engine list changes.
+_FUZZ_SEED = {"naive": 0, "event": 2000}
+
+
 # ----------------------------------------------------------------------
 # Bit-identical resume (the tentpole guarantee)
 # ----------------------------------------------------------------------
@@ -66,7 +71,7 @@ class TestResumeBitIdentity:
     @pytest.mark.parametrize("kind", PrefetcherKind.ALL)
     def test_every_variant_resumes_identically(self, kind, engine):
         """Fuzz: arbitrary snapshot cadence, arbitrary resume points."""
-        rng = random.Random(1000 * ENGINES.index(engine)
+        rng = random.Random(_FUZZ_SEED[engine]
                             + PrefetcherKind.ALL.index(kind))
         interval = rng.randrange(150, 700)
         config = _config(kind, checkpoint_interval=interval)
@@ -172,7 +177,7 @@ class TestCheckpointManager:
         config = _config()
         base = snapshot_meta(_TRACE, config)
         varied = snapshot_meta(_TRACE, config.replace(
-            fast_loop=False, checkpoint_interval=123,
+            engine="naive", checkpoint_interval=123,
             watchdog_interval=456))
         assert varied == base
         other = snapshot_meta(_TRACE, _config(PrefetcherKind.NLP))

@@ -75,30 +75,18 @@ class TestEngineFlag:
         assert code == 0
         return json.loads(capsys.readouterr().out)
 
-    @pytest.mark.parametrize("engine", ["naive", "fast", "event"])
+    @pytest.mark.parametrize("engine", ["naive", "event"])
     def test_engine_choices_accepted_and_identical(self, capsys, engine):
         default = self._run_json(capsys)
         explicit = self._run_json(capsys, "--engine", engine)
         assert explicit == default
 
     def test_unknown_engine_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "-w", "compress_like", "--engine", "turbo"])
-
-    def test_naive_loop_shim_warns_and_still_runs(self, capsys):
-        code = main(["run", "-w", "compress_like", "--length", "3000",
-                     "-p", "none", "--naive-loop"])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "--engine naive" in err
-
-    def test_naive_loop_conflicts_with_explicit_engine(self, capsys):
-        code = main(["run", "-w", "compress_like", "--length", "3000",
-                     "-p", "none", "--naive-loop", "--engine", "event"])
-        assert code != 0
-        assert "conflicts" in capsys.readouterr().err
+        for engine in ("turbo", "fast"):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(
+                    ["run", "-w", "compress_like", "--engine", engine])
+            assert info.value.code == 2
 
     def test_profile_accepts_engine(self, capsys):
         code = main(["profile", "-w", "compress_like", "--length",

@@ -1,14 +1,13 @@
-"""Bit-identity of the accelerated cycle engines against the naive loop.
+"""Bit-identity of the event engine against the naive loop.
 
-The fast path (``engine="fast"``, see ``repro/sim/fastpath.py``) jumps
-over provably idle cycles in one step; the event engine
-(``engine="event"``, see ``repro/sim/events.py``) additionally elides
-per-component work inside productive cycles.  Their correctness claim
-is absolute: the full :class:`~repro.sim.results.SimResult` — every
-counter, every histogram, every derived metric — must equal the naive
-cycle-by-cycle loop's, for every prefetcher and configuration.  These
-tests sweep that claim across the engine matrix, the prefetcher kinds,
-cache-probe-filter modes, trace seeds, and the warm-up-reset edge case.
+The event engine (``engine="event"``, see ``repro/sim/events.py``)
+jumps over provably idle cycles in one step and elides per-component
+work inside productive cycles.  Its correctness claim is absolute: the
+full :class:`~repro.sim.results.SimResult` — every counter, every
+histogram, every derived metric — must equal the naive cycle-by-cycle
+loop's, for every prefetcher and configuration.  These tests sweep that
+claim across the prefetcher kinds, cache-probe-filter modes, trace
+seeds, and the warm-up-reset edge case.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.trace import Trace
 ALL_KINDS = PrefetcherKind.ALL
 CPF_MODES = (FilterMode.ENQUEUE, FilterMode.REMOVE)
 SEEDS = (9, 23)
-ACCELERATED = tuple(e for e in ENGINES if e != "naive")
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +41,7 @@ def run_all(trace: Trace, config: SimConfig):
     return out
 
 
-def assert_identical(naive, other, engine="fast"):
+def assert_identical(naive, other, engine="event"):
     """Equality with a readable counter-level diff on failure.
 
     ``SimResult`` equality covers the full telemetry snapshot (tree,
@@ -76,9 +74,7 @@ def assert_identical(naive, other, engine="fast"):
 
 
 def assert_matrix_identical(runs):
-    naive = runs["naive"][0]
-    for engine in ACCELERATED:
-        assert_identical(naive, runs[engine][0], engine)
+    assert_identical(runs["naive"][0], runs["event"][0])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -91,17 +87,16 @@ def test_engine_matrix_matches_naive(traces, kind, mode, seed):
 
 
 def test_accelerated_engines_actually_skip(traces):
-    """A stall-heavy run must exercise the skip machinery, or the
+    """A stall-heavy run must exercise the jump machinery, or the
     matrix above proves nothing."""
     config = SimConfig(prefetch=PrefetchConfig(kind=PrefetcherKind.NONE))
     config = config.replace(
         memory=replace(config.memory, memory_latency=400))
     runs = run_all(traces[SEEDS[0]], config)
     assert_matrix_identical(runs)
-    for engine in ACCELERATED:
-        sim = runs[engine][1]
-        assert sim.skipped_cycles > 0, engine
-        assert sim.skipped_cycles < sim.cycle, engine
+    sim = runs["event"][1]
+    assert sim.skipped_cycles > 0
+    assert sim.skipped_cycles < sim.cycle
     assert runs["naive"][1].skipped_cycles == 0
 
 
@@ -121,16 +116,14 @@ def test_warmup_reset_straddles_skip_window(traces):
             memory=replace(config.memory, memory_latency=400))
         runs = run_all(traces[SEEDS[0]], config)
         assert_matrix_identical(runs)
-        for engine in ACCELERATED:
-            assert runs[engine][1].skipped_cycles > 0, engine
+        assert runs["event"][1].skipped_cycles > 0
 
 
-@pytest.mark.parametrize("engine", ACCELERATED)
 @pytest.mark.parametrize("kind", (PrefetcherKind.NONE,
                                   PrefetcherKind.FDIP,
                                   PrefetcherKind.STREAM))
-def test_interval_series_identical_under_batching(traces, kind, engine):
-    """Per-window interval samples must be bit-identical per engine.
+def test_interval_series_identical_under_batching(traces, kind):
+    """Per-window interval samples must be bit-identical.
 
     The sampler reconstructs window boundaries that fall *inside* a
     skipped-cycle batch analytically; a small window against a
@@ -141,13 +134,13 @@ def test_interval_series_identical_under_batching(traces, kind, engine):
     config = config.replace(
         memory=replace(config.memory, memory_latency=400))
     naive = Simulator(traces[SEEDS[0]], config, engine="naive").run()
-    sim = Simulator(traces[SEEDS[0]], config, engine=engine)
+    sim = Simulator(traces[SEEDS[0]], config, engine="event")
     accel = sim.run()
     assert sim.skipped_cycles > 0
     assert naive.telemetry is not None and accel.telemetry is not None
     assert naive.telemetry.intervals is not None
     assert naive.telemetry.intervals == accel.telemetry.intervals
-    assert_identical(naive, accel, engine)
+    assert_identical(naive, accel)
     # The series must tile the measured region: windows are contiguous,
     # and the per-window instruction deltas sum to the run's total.
     samples = accel.telemetry.intervals.samples
@@ -164,35 +157,22 @@ def test_interval_series_with_warmup_reset(traces):
         memory=replace(config.memory, memory_latency=400))
     runs = run_all(traces[SEEDS[0]], config)
     assert_matrix_identical(runs)
-    for engine in ACCELERATED:
-        result, sim = runs[engine]
-        assert sim.skipped_cycles > 0, engine
-        samples = result.telemetry.intervals.samples
-        assert sum(s.instructions for s in samples) == result.instructions
-        assert sum(s.cycles for s in samples) == result.cycles
+    result, sim = runs["event"]
+    assert sim.skipped_cycles > 0
+    samples = result.telemetry.intervals.samples
+    assert sum(s.instructions for s in samples) == result.instructions
+    assert sum(s.cycles for s in samples) == result.cycles
 
 
 def test_tracer_forces_naive_loop(traces):
-    """A tracer must observe every cycle: any engine drops to naive."""
+    """A tracer must observe every cycle: the event engine drops to
+    the naive loop."""
     from repro.analysis import PipeTracer
 
     config = SimConfig(prefetch=PrefetchConfig(kind=PrefetcherKind.FDIP))
-    for engine in ACCELERATED:
-        tracer = PipeTracer(start=1, length=50)
-        sim = Simulator(traces[SEEDS[0]], config, tracer=tracer,
-                        engine=engine)
-        sim.run()
-        assert sim.skipped_cycles == 0, engine
-        assert len(tracer.snapshots) > 0, engine
-
-
-def test_fast_loop_config_knob(traces):
-    """``SimConfig.fast_loop=False`` disables skipping without the
-    constructor override."""
-    config = SimConfig(prefetch=PrefetchConfig(kind=PrefetcherKind.NONE),
-                       fast_loop=False)
-    config = config.replace(
-        memory=replace(config.memory, memory_latency=400))
-    sim = Simulator(traces[SEEDS[0]], config)
+    tracer = PipeTracer(start=1, length=50)
+    sim = Simulator(traces[SEEDS[0]], config, tracer=tracer,
+                    engine="event")
     sim.run()
     assert sim.skipped_cycles == 0
+    assert len(tracer.snapshots) > 0

@@ -1,11 +1,11 @@
 """Unit tests for the event-driven cycle engine (``sim/events.py``).
 
 Bit-identity against the naive loop is swept exhaustively in
-``test_fast_loop_equivalence.py`` (engine matrix) and
+``test_engine_equivalence.py`` (engine matrix) and
 ``test_checkpoint.py`` (resume identity); this module covers the event
-engine's own moving parts — the wake calendar, the jump planner, the
-per-component elision contracts, engine selection plumbing, the fast
-engine's naive fallback latch, and checkpoints that land mid-jump.
+engine's own moving parts — the jump planner, the per-component elision
+contracts, engine selection plumbing, and checkpoints that land
+mid-jump.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import pytest
 from repro.config import ENGINES, PrefetchConfig, PrefetcherKind, \
     SimConfig
 from repro.errors import ConfigError
-from repro.obs.events import KINDS, read_events
-from repro.sim.events import WakeCalendar, plan_wake
+from repro.sim.events import _plan_from_proof, stall_proof
 from repro.sim.simulator import Simulator
 from repro.workloads import build_trace
 
@@ -31,43 +30,6 @@ def _stall_config(**changes) -> SimConfig:
     config = config.replace(
         memory=replace(config.memory, memory_latency=400))
     return config.replace(**changes) if changes else config
-
-
-# ----------------------------------------------------------------------
-# WakeCalendar
-# ----------------------------------------------------------------------
-
-class TestWakeCalendar:
-
-    def test_orders_pushes_by_cycle(self):
-        calendar = WakeCalendar()
-        calendar.push(30, "memory.fill")
-        calendar.push(10, "fetch.fill")
-        calendar.push(20, "backend.completion")
-        assert calendar.earliest() == (10, "fetch.fill")
-        assert calendar.pop() == (10, "fetch.fill")
-        assert calendar.pop() == (20, "backend.completion")
-        assert calendar.pop() == (30, "memory.fill")
-        assert len(calendar) == 0
-        assert calendar.earliest() is None
-
-    def test_refill_replaces_wholesale_and_returns_earliest(self):
-        calendar = WakeCalendar()
-        calendar.push(5, "stale")
-        head = calendar.refill([(40, "a"), (15, "b"), (99, "c")])
-        assert head == (15, "b")
-        assert calendar.earliest() == (15, "b")
-        assert len(calendar) == 3
-        assert calendar.refill([]) is None
-        assert len(calendar) == 0
-
-    def test_clear_and_repr(self):
-        calendar = WakeCalendar()
-        calendar.push(7, "x")
-        assert "pending=1" in repr(calendar)
-        calendar.clear()
-        assert len(calendar) == 0
-        assert "pending=0" in repr(calendar)
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +45,10 @@ class TestPlanWake:
         Naive-step cycles until a cycle both delivers nothing and
         yields a plan; the stall config guarantees hundreds of such
         cycles early on (cold L1-I miss against 400-cycle memory).
+        The no-prefetch baseline is always quiescent, so the stall
+        proof is the only jump gate.
         """
         sim = Simulator(_TRACE, _stall_config(), engine="naive")
-        calendar = WakeCalendar()
         for _ in range(50):
             sim.cycle += 1
             cycle = sim.cycle
@@ -97,40 +60,41 @@ class TestPlanWake:
             sim.predict_unit.tick(cycle, sim.ftq)
             sim.prefetcher.tick(cycle, sim.ftq)
             if not fetched:
-                plan = plan_wake(sim, cycle, 10 ** 9, calendar)
-                if plan is not None:
-                    return sim, cycle, plan, calendar
+                proof = stall_proof(sim, cycle)
+                if proof is not None:
+                    plan = _plan_from_proof(proof, cycle, 10 ** 9)
+                    if plan is not None:
+                        return sim, cycle, proof, plan
         pytest.fail("never found a provable stall cycle")
 
     def test_plan_matches_earliest_wake(self):
-        _, cycle, plan, calendar = self._stalled_sim()
-        head = calendar.earliest()
-        assert head is not None
-        assert plan.target == head[0]
+        sim, cycle, proof, plan = self._stalled_sim()
+        bounds = [sim.fetch_engine.next_wake_cycle(cycle),
+                  sim.memory.next_wake_cycle(cycle),
+                  sim.backend.next_wake_cycle(cycle),
+                  sim._resolve_at]
+        if not sim.ftq.full:
+            bounds.append(sim.predict_unit.next_wake_cycle(cycle))
+        earliest = min(b for b in bounds if b is not None)
+        assert proof[3] == earliest
+        assert plan.target == earliest
         assert plan.cycles == plan.target - cycle - 1
         assert plan.cycles > 0
 
     def test_plan_clamped_by_max_cycles(self):
-        sim, cycle, plan, calendar = self._stalled_sim()
+        _, cycle, proof, plan = self._stalled_sim()
         cap = cycle + 2
-        clamped = plan_wake(sim, cycle, cap, calendar)
+        clamped = _plan_from_proof(proof, cycle, cap)
         if clamped is not None:
             assert clamped.target <= cap + 1
             assert clamped.cycles >= 1
 
     def test_no_plan_when_wake_is_next_cycle(self):
-        sim, cycle, plan, calendar = self._stalled_sim()
+        _, cycle, proof, _ = self._stalled_sim()
         # Replay the same proof with an artificial next-cycle wake:
         # nothing can be skipped, so there must be no plan.
-        from repro.sim.events import _plan_from_proof
-        from repro.sim.fastpath import stall_proof
-
-        proof = stall_proof(sim, cycle)
-        assert proof is not None
-        wakes = list(proof[3]) + [(cycle + 1, "imminent")]
-        assert _plan_from_proof(
-            (proof[0], proof[1], proof[2], wakes),
-            cycle, 10 ** 9, calendar) is None
+        imminent = (proof[0], proof[1], proof[2], cycle + 1)
+        assert _plan_from_proof(imminent, cycle, 10 ** 9) is None
 
 
 # ----------------------------------------------------------------------
@@ -159,8 +123,9 @@ class TestElisionContracts:
 class TestEngineSelection:
 
     def test_unknown_engine_rejected_by_config(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            SimConfig(engine="bogus")
+        for engine in ("bogus", "fast"):
+            with pytest.raises(ConfigError, match="unknown engine"):
+                SimConfig(engine=engine)
 
     def test_unknown_engine_rejected_by_simulator(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -168,12 +133,7 @@ class TestEngineSelection:
 
     def test_default_is_event(self):
         assert SimConfig().engine == "event"
-        assert SimConfig().resolved_engine == "event"
-        assert "event" in ENGINES
-
-    def test_deprecated_fast_loop_false_forces_naive(self):
-        config = SimConfig(fast_loop=False)
-        assert config.resolved_engine == "naive"
+        assert ENGINES == ("naive", "event")
 
     def test_constructor_override_wins_over_config(self):
         sim = Simulator(_TRACE, SimConfig(engine="naive"),
@@ -186,56 +146,7 @@ class TestEngineSelection:
         results = {engine: simulate(_TRACE, _stall_config(),
                                     engine=engine)
                    for engine in ENGINES}
-        assert results["fast"] == results["naive"]
         assert results["event"] == results["naive"]
-
-
-# ----------------------------------------------------------------------
-# Fast-engine naive fallback latch
-# ----------------------------------------------------------------------
-
-class TestFastEngineFallback:
-
-    @pytest.fixture(autouse=True)
-    def _fresh_log_sinks(self):
-        # Event sinks are process-global; reset so each test's
-        # config.event_log path actually receives its run's events.
-        from repro.obs.events import reset_logging
-
-        reset_logging()
-        yield
-        reset_logging()
-
-    def test_fallback_fires_on_saturated_run(self, tmp_path):
-        """A run the skip machinery never helps latches to naive and
-        logs a schema-valid engine_fallback event."""
-        assert "engine_fallback" in KINDS
-        log = str(tmp_path / "events.jsonl")
-        trace = build_trace("gcc_like", 12_000, seed=3)
-        config = SimConfig(
-            prefetch=PrefetchConfig(kind=PrefetcherKind.FDIP,
-                                    filter_mode="enqueue"),
-            engine="fast", event_log=log)
-        fast = Simulator(trace, config).run()
-        events = read_events(log, kinds={"engine_fallback"})
-        assert len(events) == 1
-        data = events[0]["data"]
-        assert data["from_engine"] == "fast"
-        assert data["to_engine"] == "naive"
-        assert data["skip_ratio"] < 0.01
-        assert data["probe_cycles"] >= 4096
-        # The latch is a pure perf decision: results stay identical.
-        naive = Simulator(trace, config.replace(
-            engine="naive", event_log=None)).run()
-        assert fast == naive
-
-    def test_no_fallback_on_stall_heavy_run(self, tmp_path):
-        log = str(tmp_path / "events.jsonl")
-        sim = Simulator(_TRACE, _stall_config(engine="fast",
-                                              event_log=log))
-        sim.run()
-        assert sim.skipped_cycles > 0
-        assert read_events(log, kinds={"engine_fallback"}) == []
 
 
 # ----------------------------------------------------------------------

@@ -281,15 +281,16 @@ class TestCycleProfiler:
         assert profile["meta"]["prefetcher"] == kind
 
     def test_identical_under_both_engines(self, small_trace):
-        fast_response = profile_run(small_trace, _fdip(),
-                                    fast_loop=True)
+        event_response = profile_run(small_trace, _fdip(),
+                                     engine="event")
         naive_response = profile_run(small_trace, _fdip(),
-                                     fast_loop=False)
-        fast_result, fast = fast_response.result, fast_response.profile
+                                     engine="naive")
+        event_result, event = (event_response.result,
+                               event_response.profile)
         naive_result, naive = (naive_response.result,
                                naive_response.profile)
-        assert fast_result == naive_result
-        assert fast["buckets"] == naive["buckets"]
+        assert event_result == naive_result
+        assert event["buckets"] == naive["buckets"]
 
     def test_profiling_never_perturbs_results(self, small_trace):
         plain = Simulator(small_trace, _fdip()).run()

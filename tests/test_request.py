@@ -166,14 +166,6 @@ class TestRunResponse:
         assert response.profile is not None
         assert response.profile["cycles"] == response.result.cycles
 
-    def test_tuple_unpacking_shim_warns(self):
-        response = self._response()
-        with pytest.warns(DeprecationWarning,
-                          match="response.result"):
-            result, profile = response
-        assert result is response.result
-        assert profile is response.profile
-
     def test_bad_source_rejected(self):
         response = self._response()
         with pytest.raises(ConfigError, match="source"):

@@ -126,6 +126,19 @@ class TestSupervisedPool:
         assert outcome.counters["rebuilds"] >= 1
         assert _faulty.read_count(counter) == 2
 
+    def test_crash_charged_only_to_its_own_task(self, tmp_path):
+        """Two tasks that each crash once, at different times, both
+        succeed with a single retry: the early crash takes the late
+        task down with the pool, and must not cost it an attempt."""
+        tasks = [("early", (str(tmp_path / "early.count"), 0.0, "a")),
+                 ("late", (str(tmp_path / "late.count"), 0.5, "b"))]
+        outcome = run_supervised(
+            _faulty.crash_once_after, tasks, processes=2,
+            policy=RetryPolicy(max_retries=1, backoff_base=0.0))
+        assert outcome.failures == {}
+        assert outcome.results == {"early": "a", "late": "b"}
+        assert _faulty.read_count(str(tmp_path / "late.count")) == 2
+
     def test_persistent_crasher_becomes_failure(self, tmp_path):
         counter = str(tmp_path / "crash.count")
         outcome = run_supervised(
