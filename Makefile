@@ -59,4 +59,5 @@ serve-smoke:
 
 clean:
 	rm -rf .trace_cache .result_cache .serve_cache benchmarks/results \
-	       .pytest_cache .hypothesis
+	       .pytest_cache .hypothesis .perfbench_tmp .perfbench_out \
+	       .benchmarks

@@ -169,50 +169,42 @@ def simulate(trace: Trace, config: SimConfig | None = None, *,
 def make_runner(trace_length: int | None = None, seed: int = 1,
                 warmup_fraction: float = 0.2,
                 persist_dir: str | None = None,
-                shards: int | None = None,
-                shard_overlap: int | None = None,
                 processes: int | None = None) -> "Runner":
     """Construct the memoizing experiment runner.
 
     A thin constructor wrapper so callers need not import
     :mod:`repro.harness` directly; see
     :class:`~repro.harness.runner.Runner` for the semantics of each
-    parameter.  ``shards``/``shard_overlap`` set the runner's
-    transparent sharding policy for long traces; ``processes`` is its
-    default worker budget.
+    parameter.  ``persist_dir`` (default: ``REPRO_RESULT_CACHE``) names
+    its result store; ``processes`` is its default worker budget.
     """
     from repro.harness.runner import Runner
 
     return Runner(trace_length=trace_length, seed=seed,
                   warmup_fraction=warmup_fraction,
-                  persist_dir=persist_dir, shards=shards,
-                  shard_overlap=shard_overlap, processes=processes)
+                  persist_dir=persist_dir, processes=processes)
 
 
 def sweep(points: "list[Point] | ExperimentSpec",
           *, trace_length: int | None = None, seed: int = 1,
           warmup_fraction: float = 0.2, processes: int | None = None,
-          max_retries: int = 2, point_timeout: float | None = None,
-          checkpoint: str | None = None, resume: bool = False,
-          shards: int | None = None,
-          shard_overlap: int | None = None) -> "SweepOutcome":
+          max_retries: int = 2,
+          point_timeout: float | None = None) -> "SweepOutcome":
     """Run many sweep points fault-tolerantly.
 
     ``points`` is a list of typed :class:`~repro.spec.Point` objects
     or an :class:`~repro.spec.ExperimentSpec` (legacy ``(workload,
     config)`` tuples are rejected with a ``ConfigError``).  Fans out
-    across ``processes`` workers with per-point retries, optional
-    timeouts, and checkpoint/resume — the same machinery the experiment
-    harness uses (see :meth:`repro.harness.runner.Runner.sweep`).
-    ``shards``/``shard_overlap`` set the default per-point sharding
-    policy (a point's own ``shards`` wins).  Returns the
-    :class:`~repro.harness.parallel.SweepOutcome` mapping each point's
-    ``(workload, config)`` identity to its result.
+    across ``processes`` workers with per-point retries and optional
+    timeouts — the same machinery the experiment harness uses (see
+    :meth:`repro.harness.runner.Runner.sweep`).  With
+    ``REPRO_RESULT_CACHE`` set, points already in that result store
+    are served from it and the rest are stored as they complete.
+    Returns the :class:`~repro.harness.parallel.SweepOutcome` mapping
+    each point's ``(workload, config)`` identity to its result.
     """
     runner = make_runner(trace_length=trace_length, seed=seed,
-                         warmup_fraction=warmup_fraction,
-                         shards=shards, shard_overlap=shard_overlap)
+                         warmup_fraction=warmup_fraction)
     return runner.sweep(points, processes=processes,
                         max_retries=max_retries,
-                        point_timeout=point_timeout,
-                        checkpoint=checkpoint, resume=resume)
+                        point_timeout=point_timeout)

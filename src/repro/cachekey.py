@@ -1,14 +1,11 @@
 """Canonical simulation-point identity digests.
 
 Every result cache in the system — the :class:`~repro.harness.persist.
-ResultStore` behind ``REPRO_RESULT_CACHE``, the sweep manifest, the
-in-memory :class:`~repro.harness.runner.Runner` memo, and the serving
+ResultStore` behind ``REPRO_RESULT_CACHE`` that sweeps resume from, the
+memoizing :class:`~repro.harness.runner.Runner`, and the serving
 layer's content-addressed :class:`~repro.serve.cache.ResultCache` —
-keys entries by the same question: *which simulation is this?*  The
-answer used to be computed in two places with subtly different logic
-(``persist.result_key`` hashed ``repr(config)``, ``runner`` assembled
-shard-variant strings by hand); this module is now the single source
-of truth.
+keys entries by the same question: *which simulation is this?*  This
+module is the single source of the answer.
 
 :func:`cache_key` digests the **canonical dict form** of the
 configuration (:meth:`~repro.config.SimConfig.to_dict`, serialized

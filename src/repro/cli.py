@@ -52,7 +52,7 @@ from typing import Sequence
 
 from repro import env
 from repro.config import ENGINES, FilterMode, PrefetcherKind, SimConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.harness import (
     EXPERIMENTS,
     ResultStore,
@@ -267,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("-t", "--techniques", nargs="+",
                       default=["none", "fdip_enqueue"],
                       choices=TECHNIQUE_ORDER)
-    p_sw.add_argument("--resume", action="store_true",
-                      help="skip points already in the checkpoint store")
     p_sw.add_argument("--checkpoint-dir", default=None,
-                      help="result store + sweep manifest directory "
-                           "(default: $REPRO_RESULT_CACHE)")
+                      help="result store directory (default: "
+                           "$REPRO_RESULT_CACHE); points it holds are "
+                           "served from it, so rerunning with the same "
+                           "directory resumes")
     p_sw.add_argument("--machine-checkpoints", default=None,
                       metavar="DIR",
                       help="in-run machine snapshot directory: killed or "
@@ -682,10 +682,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                for technique in args.techniques]
     points = [(workload, config) for workload, _, config in triples]
     checkpoint = args.checkpoint_dir or env.result_cache_dir()
-    if args.resume and checkpoint is None:
-        raise ConfigError("--resume needs --checkpoint-dir (or "
-                          "REPRO_RESULT_CACHE) to know where results "
-                          "were checkpointed")
     store = ResultStore(checkpoint) if checkpoint else None
     extra = {}
     if args.checkpoint_interval is not None:
@@ -694,7 +690,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points, trace_length=_length(args), seed=args.seed,
         processes=args.processes, max_retries=args.max_retries,
         point_timeout=args.point_timeout, store=store,
-        checkpoint=checkpoint, resume=args.resume,
         machine_checkpoints=args.machine_checkpoints, **extra)
     rows = []
     for workload, technique, config in triples:

@@ -9,10 +9,8 @@ region ends), and reports them as one
 :class:`~repro.stats.telemetry.TelemetryNode` via
 :meth:`~Component.telemetry`.
 
-The simulator no longer reaches into component-owned
-:class:`~repro.stats.counters.StatGroup` objects and merges them into a
-flat namespace; it asks each top-level component for its telemetry node
-and assembles the tree.  Composite components (the memory system, a
+The simulator asks each top-level component for its telemetry node and
+assembles the tree.  Composite components (the memory system, a
 two-level FTB, the prediction unit) surface their parts through
 :meth:`StatsComponent.sub_components`, which nests the children's nodes
 and recurses resets.
@@ -68,21 +66,6 @@ class Component(Protocol):
         """
         ...
 
-    def next_wake_cycle(self, now: int) -> int | None:
-        """The component's wake contract (event-engine scheduling).
-
-        The earliest future cycle at which this component can do more
-        than bump a stall counter, *absent new input from the rest of
-        the machine*.  ``None`` means the component has no
-        self-scheduled work — only external input (a delivered fetch
-        block, a squash, a fill) can wake it.  The event engine
-        (``sim/events.py``) uses these bounds to tick only components
-        with pending work and to jump provably idle spans analytically;
-        the bound is only consulted in states the stall proof has
-        already pinned (see ``stall_proof`` in ``sim/events.py``).
-        """
-        ...
-
 
 class StatsComponent:
     """Default :class:`Component` wiring over one :class:`StatGroup`.
@@ -109,16 +92,6 @@ class StatsComponent:
     def derived_metrics(self) -> dict[str, float]:
         """Derived ratios worth exporting (recomputable from counters)."""
         return {}
-
-    def next_wake_cycle(self, now: int) -> int | None:
-        """Conservative default wake bound: may have work next cycle.
-
-        Components with a genuinely predictable idle span (a pending
-        fill, a scheduled completion, a timed promotion) override this
-        with their exact bound — or ``None`` when only external input
-        can wake them (see :meth:`Component.next_wake_cycle`).
-        """
-        return now + 1
 
     def reset(self) -> None:
         self.stats.reset()

@@ -12,7 +12,7 @@ from repro.harness.parallel import (
     parallel_sweep,
 )
 from repro.cachekey import cache_key, shard_variant
-from repro.harness.persist import ResultStore, SweepManifest, result_key
+from repro.harness.persist import ResultStore, result_key
 from repro.harness.report import generate_report
 from repro.harness.runner import Runner, default_trace_length, geomean
 from repro.harness.shard_runner import run_sharded, run_sharded_workload
@@ -45,7 +45,6 @@ __all__ = [
     "TaskFailure",
     "run_supervised",
     "ResultStore",
-    "SweepManifest",
     "result_key",
     "cache_key",
     "shard_variant",

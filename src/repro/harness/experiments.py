@@ -794,8 +794,9 @@ def prewarm_main_grid(runner: Runner, processes: int | None = None,
 
     Runs the (workload, technique) grid fault-tolerantly in parallel;
     results land in the runner's in-memory memo (and persistent store,
-    when configured), so the serial experiment functions replay them for
-    free.  Points that fail after retries degrade gracefully: the
+    when configured, which also serves the points it already holds), so
+    the serial experiment functions replay them for free.  Points that
+    fail after retries degrade gracefully: the
     experiment that needs them simply re-simulates inline.  Returns the
     :class:`~repro.harness.parallel.SweepOutcome`.
     """

@@ -10,15 +10,16 @@ exhausts its retries becomes a structured :class:`PointFailure` instead
 of aborting the sweep.
 
 The return value is a :class:`SweepOutcome`.  It behaves as a read-only
-mapping ``{point: SimResult}`` over the *completed* points (so existing
-callers keep working) and additionally carries the failure records and
-execution counters (completed/retried/failed/resumed/...).
+mapping ``{point: SimResult}`` over the *completed* points and
+additionally carries the failure records and execution counters
+(completed/retried/failed/resumed/...).
 
-With a :class:`~repro.harness.persist.ResultStore` and a checkpoint
-path, completed points are persisted as they finish and a
-:class:`~repro.harness.persist.SweepManifest` tracks progress, so an
-interrupted sweep rerun with ``resume=True`` re-simulates only the
-unfinished points.
+With a :class:`~repro.harness.persist.ResultStore`, every point the
+store already holds is served from it (counted as ``resumed``) and
+every simulated point is stored as it finishes, so an interrupted sweep
+rerun over the same store simulates only the unfinished points.  The
+store is the only record of progress: results are deterministic and
+content-addressed, so a stored entry is the point's result.
 
 Workers validate their result against the simulator's structural
 invariants (:func:`repro.sim.guard_invariants`) before returning, so a
@@ -28,14 +29,13 @@ point failure rather than an ``AssertionError`` escaping the pool.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from repro.config import SimConfig
-from repro.harness.persist import ResultStore, SweepManifest, result_key
+from repro.harness.persist import ResultStore, result_key
 from repro.harness.supervise import (
     AttemptRecord,
     RetryPolicy,
@@ -45,7 +45,7 @@ from repro.harness.supervise import (
 # Bound as a module-level name (rather than called through repro.api)
 # so tests can monkeypatch `repro.harness.parallel.simulate`.
 from repro.api import simulate
-from repro.errors import ReproError, RetryExhaustedError
+from repro.errors import RetryExhaustedError
 from repro.obs import events as obs_events
 from repro.sim import SimResult, guard_invariants
 from repro.stats.sweep import merge_counters, summary_line
@@ -166,21 +166,6 @@ def _run_point(workload: str, config: SimConfig, trace_length: int,
     return result
 
 
-def _manifest_path(checkpoint: str | Path, keys: list[str],
-                   trace_length: int, seed: int) -> Path:
-    """Manifest location for this sweep's identity under ``checkpoint``.
-
-    A directory gets a per-sweep file named from the point-set identity;
-    an explicit ``*.json`` path is used as-is.
-    """
-    checkpoint = Path(checkpoint)
-    if checkpoint.suffix == ".json":
-        return checkpoint
-    identity = f"{trace_length}|{seed}|" + "|".join(sorted(keys))
-    digest = hashlib.sha256(identity.encode("utf-8")).hexdigest()[:16]
-    return checkpoint / f"sweep-{digest}.manifest.json"
-
-
 #: Default snapshot cadence (cycles) for machine-checkpointed sweeps.
 DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
@@ -192,8 +177,6 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
                    point_timeout: float | None = None,
                    policy: RetryPolicy | None = None,
                    store: ResultStore | None = None,
-                   checkpoint: str | Path | None = None,
-                   resume: bool = False,
                    machine_checkpoints: str | Path | None = None,
                    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
                    verify_invariants: bool = True) -> SweepOutcome:
@@ -201,16 +184,17 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
 
     With ``processes=1`` (or a single point) everything runs inline —
     useful for tests and debugging (timeouts are not enforced inline).
-    Duplicate points are simulated once.
+    A point without a warm-up runs with ``warmup`` instructions of it
+    (default ``trace_length // 5``), so two points can run the same
+    simulation; each distinct store key is simulated once, every input
+    point maps to its key's result (or failure), and the ``points``
+    counter counts keys.
 
-    ``store`` persists each completed point; ``checkpoint`` (a directory
-    or explicit ``*.json`` path) additionally maintains a
-    :class:`SweepManifest` stamped with this sweep's identity — reusing
-    a checkpoint file across different sweeps raises
-    :class:`~repro.errors.ReproError`.  With ``resume=True``, points
-    already present in the store are loaded instead of re-simulated;
-    resuming without a store is an error (there would be nothing to
-    resume from).
+    With a ``store``, points it already holds are loaded instead of
+    simulated (counted as ``resumed``) and every simulated point is
+    stored as it completes: rerunning an interrupted sweep over the
+    same store simulates only what is missing.  To recompute a point,
+    delete its entry or use a fresh store directory.
 
     ``machine_checkpoints`` turns on *in-run* machine snapshots (see
     :mod:`repro.sim.checkpoint`): each point writes a resumable machine
@@ -222,40 +206,23 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
     ``point_timeout``.  The outcome's counters gain ``snapshots``,
     ``ckpt_resumes``, and ``stalls``.
     """
-    if resume and store is None:
-        raise ReproError(
-            "resume=True requires a persistent result store (pass "
-            "persist_dir / store, or set REPRO_RESULT_CACHE); without "
-            "one there are no saved results to resume from")
     if warmup is None:
         warmup = trace_length // 5
     if policy is None:
         policy = RetryPolicy(max_retries=max_retries,
                              point_timeout=point_timeout)
 
-    unique = list(dict.fromkeys(points))
-    effective = {point: _effective_config(point[1], warmup)
-                 for point in unique}
-    keys = {point: result_key(point[0], effective[point], trace_length,
-                              seed)
-            for point in unique}
-    by_key = {key: point for point, key in keys.items()}
+    keys: dict[SweepPoint, str] = {}
+    runs: dict[str, SweepPoint] = {}    # key -> (workload, run config)
+    for point in points:
+        if point not in keys:
+            config = _effective_config(point[1], warmup)
+            key = result_key(point[0], config, trace_length, seed)
+            keys[point] = key
+            runs.setdefault(key, (point[0], config))
 
-    manifest = None
-    if checkpoint is not None:
-        key_digest = hashlib.sha256(
-            "|".join(sorted(keys.values())).encode("utf-8")
-        ).hexdigest()[:16]
-        manifest = SweepManifest(
-            _manifest_path(checkpoint, list(keys.values()), trace_length,
-                           seed),
-            meta={"trace_length": trace_length, "seed": seed,
-                  "points": len(unique), "keys_digest": key_digest,
-                  "store": str(store.directory) if store else None})
-
-    results: dict[SweepPoint, SimResult] = {}
-    failures: list[PointFailure] = []
-    resumed = 0
+    done: dict[str, SimResult] = {}
+    failed: dict[str, TaskFailure] = {}
     ckpt_counters = {"snapshots": 0, "ckpt_resumes": 0}
 
     def point_dir(key: str) -> Path:
@@ -263,22 +230,16 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
         return Path(machine_checkpoints) / key
 
     todo = []
-    for point in unique:
-        key = keys[point]
-        if resume and store is not None:
-            cached = store.load(point[0], effective[point], trace_length,
-                                seed)
-            if cached is not None:
-                results[point] = cached
-                resumed += 1
-                if manifest is not None and key not in manifest.done:
-                    manifest.mark_done(key)
-                continue
-        args = (point[0], effective[point], trace_length, seed,
-                verify_invariants)
+    for key, (workload, config) in runs.items():
+        cached = store.load_key(key) if store is not None else None
+        if cached is not None:
+            done[key] = cached
+            continue
+        args = (workload, config, trace_length, seed, verify_invariants)
         if machine_checkpoints is not None:
             args += (str(point_dir(key)), checkpoint_interval)
         todo.append((key, args))
+    resumed = len(done)
 
     progress = None
     if machine_checkpoints is not None:
@@ -293,13 +254,9 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
         progress = _heartbeat_progress
 
     def on_success(key: str, result: SimResult) -> None:
-        point = by_key[key]
-        results[point] = result
+        done[key] = result
         if store is not None:
-            store.store(point[0], effective[point], trace_length, seed,
-                        result)
-        if manifest is not None:
-            manifest.mark_done(key)
+            store.store_key(key, result)
         if machine_checkpoints is not None:
             from repro.sim.checkpoint import read_summary
 
@@ -311,26 +268,25 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
                     ckpt_counters["ckpt_resumes"] += 1
 
     def on_failure(key: str, failure: TaskFailure) -> None:
-        point = by_key[key]
-        failures.append(PointFailure(point[0], point[1], key,
-                                     failure.attempts))
-        if manifest is not None:
-            manifest.mark_failed(
-                key, f"{failure.error_type}: {failure.message}")
+        failed[key] = failure
 
     if processes is None and len(todo) <= 1:
         # No parallelism to exploit; skip the pool (the worker is trusted
         # simulator code, so inline execution is safe).
         processes = 1
     obs_events.emit("sweep_start", data={
-        "points": len(unique), "todo": len(todo), "resumed": resumed,
+        "points": len(runs), "todo": len(todo), "resumed": resumed,
         "trace_length": trace_length, "seed": seed})
     supervised = run_supervised(_run_point, todo, processes=processes,
                                 policy=policy, on_success=on_success,
                                 on_failure=on_failure, progress=progress)
 
+    results = {point: done[key] for point, key in keys.items()
+               if key in done}
+    failures = [PointFailure(point[0], point[1], key, failed[key].attempts)
+                for point, key in keys.items() if key in failed]
     counters = merge_counters(supervised.counters,
-                              {"points": len(unique), "resumed": resumed},
+                              {"points": len(runs), "resumed": resumed},
                               ckpt_counters)
     obs_events.emit("sweep_end", data=dict(counters))
     return SweepOutcome(results, failures, counters)

@@ -1,9 +1,12 @@
-"""Persistent simulation-result cache and sweep checkpointing.
+"""Persistent, content-addressed simulation-result store.
 
 Long (``REPRO_FULL=1``) sweeps are expensive; :class:`ResultStore` keeps
 each :class:`SimResult` on disk keyed by everything that determines it —
 the workload/trace identity, the full configuration, and the package
-version (so any model change invalidates old results).
+version (so any model change invalidates old results).  Results are
+deterministic, so a stored entry *is* the point's result: the store is
+also the only record of sweep progress, and a sweep rerun over the same
+store simulates only the points it does not hold.
 
 The store is hardened for concurrent, crash-prone use:
 
@@ -13,10 +16,6 @@ The store is hardened for concurrent, crash-prone use:
 - entries embed a **content checksum**; a truncated or garbled file is
   **quarantined** under ``<dir>/quarantine/`` for post-mortem instead of
   being silently deleted, and the load simply misses.
-
-:class:`SweepManifest` checkpoints sweep progress (which point keys are
-done or failed) in one atomically-rewritten JSON file, so an interrupted
-sweep rerun with ``resume=True`` re-simulates only the unfinished points.
 
 Enable the store for the benchmark suite by setting
 ``REPRO_RESULT_CACHE`` to a directory path.
@@ -36,17 +35,17 @@ from repro.obs import events as obs_events
 from repro.sim import SimResult
 from repro.sim.serialize import result_from_json, result_to_json
 
-__all__ = ["ResultStore", "SweepManifest", "result_key"]
+__all__ = ["ResultStore", "result_key"]
 
 
 def result_key(workload: str, config: SimConfig, trace_length: int,
                seed: int, variant: str = "") -> str:
-    """Stable identity of one simulation point (store/manifest key).
+    """Stable identity of one simulation point (its store key).
 
     A thin alias of :func:`repro.cachekey.cache_key` — the Runner, the
-    sweep manifest, the sharded runner, and the serving layer's
-    content-addressed cache all derive their keys from that one helper,
-    so no two layers can ever disagree about a point's identity.
+    sweep, and the serving layer's content-addressed cache all derive
+    their keys from that one helper, so no two layers can ever disagree
+    about a point's identity.
 
     ``variant`` distinguishes alternative executions of the same point —
     notably sharded runs (``shards=K:overlap=N:warm=M``), whose merged
@@ -54,13 +53,6 @@ def result_key(workload: str, config: SimConfig, trace_length: int,
     must never be served from (or poison) the monolithic cache entry.
     """
     return cache_key(workload, config, trace_length, seed, variant)
-
-
-# Crash-safe write/quarantine primitives now live in repro.fsutil,
-# shared with the machine checkpointer; these aliases keep the module's
-# historical internal surface (tests and older call sites) stable.
-_atomic_write = atomic_write_text
-_quarantine = quarantine
 
 
 class ResultStore:
@@ -99,15 +91,14 @@ class ResultStore:
         except ValueError as exc:
             raise CacheCorruptionError(str(path),
                                        f"not valid JSON ({exc})") from None
-        if isinstance(envelope, dict) and "payload" in envelope:
-            self._check_envelope(path, envelope)
-            payload = envelope["payload"]
-            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            if digest != envelope.get("checksum"):
-                raise CacheCorruptionError(str(path), "checksum mismatch")
-            return result_from_json(payload)
-        # Legacy entry written before checksumming: parse directly.
-        return result_from_json(text)
+        if not isinstance(envelope, dict) or "payload" not in envelope:
+            raise CacheCorruptionError(str(path), "no checksummed payload")
+        self._check_envelope(path, envelope)
+        payload = envelope["payload"]
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        if digest != envelope.get("checksum"):
+            raise CacheCorruptionError(str(path), "checksum mismatch")
+        return result_from_json(payload)
 
     def load_key(self, key: str) -> SimResult | None:
         """Return the result stored under ``key`` or None.
@@ -133,7 +124,7 @@ class ResultStore:
 
     def _quarantine_entry(self, path: Path, reason: str) -> None:
         try:
-            _quarantine(path)
+            quarantine(path)
             self.quarantined += 1
             obs_events.emit("store_quarantine", data={
                 "path": str(path), "reason": reason})
@@ -162,7 +153,7 @@ class ResultStore:
             "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
             "payload": payload,
         })
-        _atomic_write(self.directory, path, json.dumps(fields))
+        atomic_write_text(self.directory, path, json.dumps(fields))
 
     def store(self, workload: str, config: SimConfig, trace_length: int,
               seed: int, result: SimResult, variant: str = "") -> None:
@@ -185,93 +176,3 @@ class ResultStore:
         if not qdir.exists():
             return []
         return sorted(qdir.iterdir())
-
-
-class SweepManifest:
-    """Atomic on-disk checkpoint of one sweep's per-point progress.
-
-    The manifest maps point keys (see :func:`result_key`) to a terminal
-    status (``done`` or ``failed``).  It is rewritten atomically after
-    every state change, so a sweep killed mid-run leaves a consistent
-    file behind; a corrupt manifest is quarantined and treated as empty
-    (resume then falls back on the result store alone).
-
-    ``meta`` records the sweep identity the manifest belongs to (trace
-    length, seed, point count, a digest of the point keys).  Reopening
-    an existing manifest with *different* metadata raises
-    :class:`~repro.errors.ReproError` — previously a checkpoint from
-    one sweep silently steered another (e.g. after changing
-    ``persist_dir`` or the point set between resume runs), skipping
-    points that were never actually computed for the current spec.
-    """
-
-    _VERSION = 2
-
-    def __init__(self, path: str | Path,
-                 meta: dict | None = None):
-        self.path = Path(path)
-        self.done: set[str] = set()
-        self.failed: dict[str, str] = {}
-        self.meta: dict = dict(meta) if meta else {}
-        self._load(expected_meta=dict(meta) if meta else None)
-
-    def _load(self, expected_meta: dict | None = None) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return
-        except OSError:
-            return
-        try:
-            data = json.loads(text)
-            if not isinstance(data, dict) or "done" not in data:
-                raise ValueError("missing keys")
-            done = set(data["done"])
-            failed = dict(data.get("failed", {}))
-            stored_meta = dict(data.get("meta", {}))
-        except (ValueError, TypeError):
-            try:
-                _quarantine(self.path)
-            except OSError:
-                pass
-            return
-        if expected_meta is not None and stored_meta:
-            mismatched = sorted(
-                field for field in expected_meta
-                if field in stored_meta
-                and stored_meta[field] != expected_meta[field])
-            if mismatched:
-                from repro.errors import ReproError
-
-                detail = ", ".join(
-                    f"{field}: checkpoint has "
-                    f"{stored_meta[field]!r}, current sweep has "
-                    f"{expected_meta[field]!r}"
-                    for field in mismatched)
-                raise ReproError(
-                    f"checkpoint {self.path} belongs to a different "
-                    f"sweep ({detail}); point a fresh checkpoint path "
-                    f"at this sweep or delete the stale manifest")
-        self.done = done
-        self.failed = failed
-        if stored_meta and not self.meta:
-            self.meta = stored_meta
-
-    def save(self) -> None:
-        payload = json.dumps({
-            "version": self._VERSION,
-            "meta": self.meta,
-            "done": sorted(self.done),
-            "failed": self.failed,
-        }, indent=1, sort_keys=True)
-        _atomic_write(self.path.parent, self.path, payload)
-
-    def mark_done(self, key: str) -> None:
-        self.done.add(key)
-        self.failed.pop(key, None)
-        self.save()
-
-    def mark_failed(self, key: str, error: str) -> None:
-        self.done.discard(key)
-        self.failed[key] = error
-        self.save()

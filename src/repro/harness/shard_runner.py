@@ -9,9 +9,9 @@ module supplies the execution strategies:
 - :func:`run_sharded_workload` — shard a *synthetic workload* by name.
   Workers rebuild the trace from ``(workload, trace_length, seed)`` and
   slice their own window, so only a few scalars cross the process
-  boundary; this is what :class:`~repro.harness.runner.Runner` uses.
+  boundary; ``repro shard`` and the overlap calibration use it.
 
-Both inherit the PR-1 fault-tolerance machinery via
+Both inherit the sweep's fault-tolerance machinery via
 :func:`~repro.harness.supervise.run_supervised`: per-shard retries with
 deterministic-jitter backoff, wall-clock timeouts, and pool rebuild on
 worker death.  A shard that exhausts its retries aborts the run with
@@ -187,7 +187,8 @@ def run_sharded_workload(workload: str, trace_length: int, seed: int,
     Equivalent to building the trace here and calling
     :func:`run_sharded`, but workers reconstruct their window from the
     ``(workload, trace_length, seed)`` identity instead of receiving
-    pickled records — the cheap path for harness sweeps.
+    pickled records — the cheap pool path (see "Sharded single-trace
+    simulation" in ``docs/performance.md``).
     """
     _check_mode(warm)
     if config.max_instructions is not None:

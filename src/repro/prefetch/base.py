@@ -124,13 +124,6 @@ class Prefetcher(StatsComponent, ABC):
         cycle-by-cycle loop bit for bit.
         """
 
-    def next_wake_cycle(self, now: int) -> int | None:
-        """Wake contract: a quiescent prefetcher is input-driven —
-        demand accesses, fills, and FTQ pushes wake it, none of which
-        happen inside a proven-idle span — so it contributes no bound.
-        (Only consulted while :meth:`quiescent` holds.)"""
-        return None
-
     def squash(self) -> None:
         """Pipeline flush notification (default: nothing to drop)."""
 

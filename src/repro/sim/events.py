@@ -6,9 +6,9 @@ engine drives work by component wake state instead of polling, and is
 bit-identical to the naive loop — the same ``SimResult``, counter for
 counter.  Two mechanisms:
 
-1. **Per-component tick elision.**  Each component's wake contract
-   (:meth:`~repro.component.Component.next_wake_cycle`, plus the
-   architectural state the contract is derived from) tells the loop
+1. **Per-component tick elision.**  The ``next_wake_cycle`` bound of
+   the fetch engine, prediction unit, memory system and backend (plus
+   the architectural state the bound is derived from) tells the loop
    when a tick can only be the component's own stall-counter bump; the
    loop applies the bump directly and skips the call:
 
@@ -108,10 +108,10 @@ def stall_proof(sim: "Simulator", cycle: int):
     stall-counter bump, or None when any of them could do real work
     next cycle.  ``wake`` is the earliest self-scheduled wake bound —
     the first cycle at which anything can change — or None when
-    nothing is scheduled at all.  The bounds are each component's
-    :meth:`~repro.component.Component.next_wake_cycle` (fetch's
-    pending demand fill, a pending L2-FTB promotion, the next memory
-    fill, the next backend completion) and the scheduled branch
+    nothing is scheduled at all.  The bounds are the ``next_wake_cycle``
+    of the fetch engine (its pending demand fill), the prediction unit
+    (a pending L2-FTB promotion), the memory system (the next fill) and
+    the backend (the next completion), plus the scheduled branch
     resolution.
 
     The prefetcher is deliberately excluded: the caller combines the

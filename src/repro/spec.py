@@ -1,16 +1,11 @@
 """Typed experiment point and request specifications.
 
-Sweeps historically took bare ``(workload, SimConfig)`` tuples, which
-left no room for per-point metadata — a display label, or a per-point
-shard count — without growing parallel argument lists.  :class:`Point`
-is the typed replacement; :class:`ExperimentSpec` is an immutable,
-iterable collection of points with a name.
-
-Bare ``(workload, config)`` tuples are no longer accepted:
-:func:`normalize_points` rejects them with a
+A sweep point is a :class:`Point` — a workload, a configuration, and
+a display label; :class:`ExperimentSpec` is an immutable, iterable
+collection of points with a name.  Bare ``(workload, config)`` tuples
+are rejected by :func:`normalize_points` with a
 :class:`~repro.errors.ConfigError` naming the :class:`Point`
-replacement (they were deprecated with a warning for several releases
-first).
+replacement.
 
 :class:`RunRequest` / :class:`RunResponse` are the canonical
 request/response pair of the unified run API: one frozen bundle of
@@ -48,16 +43,12 @@ class Point:
     """One sweep point: a workload simulated under a configuration.
 
     ``label`` names the point in reports (defaults to the workload
-    name); ``shards`` asks the runner to split this point's trace into
-    that many windows and merge the telemetry (see
-    :mod:`repro.sim.sharding`) — ``None`` inherits the runner's
-    sharding policy, ``1`` forces a monolithic run.
+    name).
     """
 
     workload: str
     config: SimConfig
     label: str | None = None
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.workload, str) or not self.workload:
@@ -68,9 +59,6 @@ class Point:
             raise ConfigError(
                 f"Point.config must be a SimConfig, "
                 f"got {type(self.config).__name__}")
-        if self.shards is not None and self.shards < 1:
-            raise ConfigError(
-                f"Point.shards must be >= 1 or None, got {self.shards}")
 
     @property
     def name(self) -> str:

@@ -247,11 +247,6 @@ class StatGroup:
             restored[str(name)] = hist
         self._histograms = restored
 
-    def merged_into(self, flat: dict[str, int]) -> None:
-        """Merge this group's counters into ``flat`` with a name prefix."""
-        for key, value in self._counters.items():
-            flat[f"{self.name}.{key}"] = value
-
     def __repr__(self) -> str:
         return (f"StatGroup({self.name!r}, counters={len(self._counters)}, "
                 f"histograms={len(self._histograms)})")

@@ -3,8 +3,9 @@
 The fault-tolerant sweep executor reports how a batch actually ran —
 completed / retried / failed points, plus the failure-mode breakdown
 (timeouts, worker crashes, pool rebuilds) and how many points were
-resumed from a checkpoint.  This module owns the counter vocabulary and
-its rendering so the harness, report generator, and CLI all agree.
+resumed, i.e. served from the result store.  This module owns the
+counter vocabulary and its rendering so the harness, report generator,
+and CLI all agree.
 """
 
 from __future__ import annotations

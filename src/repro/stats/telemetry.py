@@ -123,12 +123,10 @@ class TelemetryNode:
 
     def flat_counters(self, into: dict[str, int] | None = None,
                       ) -> dict[str, int]:
-        """The classic flat ``group.counter`` namespace.
+        """The flat ``group.counter`` namespace.
 
-        Keys are prefixed with each node's *own* name (not its path) so
-        the result is exactly what :meth:`StatGroup.merged_into` used to
-        build; duplicate sibling names overwrite in traversal order,
-        matching the old merge.
+        Keys are prefixed with each node's *own* name (not its path);
+        duplicate sibling names overwrite in traversal order.
         """
         flat = {} if into is None else into
         for _, node in self.walk():

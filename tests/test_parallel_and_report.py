@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.api import simulate
 from repro.harness import (
+    Point,
     Runner,
     generate_report,
     parallel_sweep,
@@ -29,6 +31,38 @@ class TestParallelSweep:
         results = parallel_sweep([point, point], trace_length=3000,
                                  processes=1)
         assert len(results) == 1
+
+    def test_points_sharing_a_store_key_both_mapped(self, monkeypatch):
+        # The second point spells out the default warm-up the first one
+        # gets, so both run the same simulation: it runs once, and both
+        # points map to its result.
+        calls = []
+
+        def counting(trace, config, name=None):
+            calls.append(name)
+            return simulate(trace, config, name=name)
+
+        monkeypatch.setattr("repro.harness.parallel.simulate", counting)
+        config = technique_config("none")
+        points = [("compress_like", config),
+                  ("compress_like",
+                   config.replace(warmup_instructions=2000 // 5))]
+        outcome = parallel_sweep(points, trace_length=2000, processes=1)
+        assert len(calls) == 1
+        assert set(outcome) == set(points)
+        assert outcome[points[0]] is outcome[points[1]]
+        assert outcome.summary().startswith(
+            "sweep: 1/1 points completed")
+
+    def test_runner_sweep_maps_points_sharing_a_store_key(self):
+        runner = Runner(trace_length=2000)
+        config = technique_config("none")
+        points = [Point("compress_like", config),
+                  Point("compress_like",
+                        config.replace(warmup_instructions=2000 // 5))]
+        outcome = runner.sweep(points, processes=1)
+        assert outcome.ok
+        assert all(point.key in outcome for point in points)
 
     def test_multiprocess_matches_inline(self):
         points = [("compress_like", technique_config("none")),

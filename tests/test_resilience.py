@@ -1,9 +1,9 @@
-"""Fault-tolerant sweep execution: retries, timeouts, checkpoint/resume.
+"""Fault-tolerant sweep execution: retries, timeouts, resume.
 
 Covers the supervised executor (injected flaky / crashing / hanging
-workers), the hardened result store (checksums + quarantine), the sweep
-manifest, resume semantics with run-count assertions, environment
-validation, and the ``repro sweep`` CLI.
+workers), the hardened result store (checksums + quarantine), resume
+from the store with run-count assertions, environment validation, and
+the ``repro sweep`` CLI.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from repro.harness import (
     ResultStore,
     Runner,
     RetryPolicy,
-    SweepManifest,
     parallel_sweep,
+    result_key,
     run_supervised,
     technique_config,
 )
@@ -248,12 +248,17 @@ class TestStoreHardening:
         assert store.load("w", config, 1000, 1) is None
         assert len(store.quarantined_files()) == 1
 
-    def test_legacy_unchecksummed_entry_still_loads(self, tmp_path):
+    def test_unchecksummed_entry_quarantined(self, tmp_path):
+        # A bare payload without the checksum envelope is not trusted:
+        # it is quarantined like any other corrupt entry.
         from repro.sim.serialize import result_to_json
         store, config = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         victim.write_text(result_to_json(_result()))
-        assert store.load("w", config, 1000, 1) is not None
+        assert store.load("w", config, 1000, 1) is None
+        assert not victim.exists()
+        assert [p.name for p in store.quarantined_files()] == [victim.name]
+        assert store.quarantined == 1
 
     def test_unique_tmp_names_no_shared_path(self, tmp_path):
         # The old implementation used path.with_suffix('.tmp'), which
@@ -269,112 +274,6 @@ class TestStoreHardening:
         assert error.path == "/tmp/x.json"
         assert "quarantin" not in error.reason  # reason is the cause
         assert isinstance(error, ReproError)
-
-
-class TestSweepManifest:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "sweep.manifest.json"
-        manifest = SweepManifest(path)
-        manifest.mark_done("k1")
-        manifest.mark_failed("k2", "PointTimeoutError: too slow")
-        reloaded = SweepManifest(path)
-        assert reloaded.done == {"k1"}
-        assert reloaded.failed == {"k2": "PointTimeoutError: too slow"}
-
-    def test_failed_then_done_clears_failure(self, tmp_path):
-        manifest = SweepManifest(tmp_path / "m.json")
-        manifest.mark_failed("k", "boom")
-        manifest.mark_done("k")
-        reloaded = SweepManifest(tmp_path / "m.json")
-        assert reloaded.done == {"k"}
-        assert reloaded.failed == {}
-
-    def test_corrupt_manifest_quarantined_and_reset(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text("{broken")
-        manifest = SweepManifest(path)
-        assert manifest.done == set()
-        assert not path.exists()  # moved to quarantine
-        assert (tmp_path / "quarantine" / "m.json").exists()
-
-
-class TestManifestIdentity:
-    META = {"trace_length": 2000, "seed": 1, "points": 2,
-            "keys_digest": "abc123"}
-
-    def test_meta_round_trips(self, tmp_path):
-        path = tmp_path / "m.json"
-        manifest = SweepManifest(path, meta=self.META)
-        manifest.mark_done("k1")
-        reloaded = SweepManifest(path, meta=self.META)
-        assert reloaded.done == {"k1"}
-        assert reloaded.meta == self.META
-
-    def test_mismatched_meta_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        SweepManifest(path, meta=self.META).mark_done("k1")
-        changed = dict(self.META, trace_length=4000)
-        with pytest.raises(ReproError, match="different sweep"):
-            SweepManifest(path, meta=changed)
-
-    def test_error_names_the_mismatched_field(self, tmp_path):
-        path = tmp_path / "m.json"
-        SweepManifest(path, meta=self.META).mark_done("k1")
-        changed = dict(self.META, seed=9)
-        with pytest.raises(ReproError, match="seed"):
-            SweepManifest(path, meta=changed)
-
-    def test_opening_without_expected_meta_adopts_stored(self, tmp_path):
-        # Inspection tools open the manifest without knowing the sweep.
-        path = tmp_path / "m.json"
-        SweepManifest(path, meta=self.META).mark_done("k1")
-        manifest = SweepManifest(path)
-        assert manifest.done == {"k1"}
-        assert manifest.meta == self.META
-
-    def test_legacy_manifest_without_meta_accepted(self, tmp_path):
-        # Pre-versioning checkpoints carry no meta; they load rather
-        # than abort (nothing to validate against).
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"version": 1, "done": ["k1"],
-                                    "failed": {}}))
-        manifest = SweepManifest(path, meta=self.META)
-        assert manifest.done == {"k1"}
-
-    def test_resume_without_store_rejected(self, tmp_path):
-        with pytest.raises(ReproError, match="result store"):
-            parallel_sweep([("compress_like", technique_config("none"))],
-                           trace_length=2000, processes=1,
-                           checkpoint=str(tmp_path), resume=True)
-
-    def test_resume_with_changed_sweep_rejected(self, tmp_path):
-        # An explicit *.json checkpoint path is reused verbatim across
-        # runs (a directory gets per-sweep file names instead), so a
-        # changed trace length must be caught by the meta check:
-        # previously the stale manifest silently skipped the "done"
-        # points even though the store has no results at this length.
-        store = ResultStore(tmp_path / "results")
-        checkpoint = str(tmp_path / "sweep.manifest.json")
-        points = [("compress_like", technique_config("none"))]
-        parallel_sweep(points, trace_length=2000, processes=1,
-                       store=store, checkpoint=checkpoint)
-        with pytest.raises(ReproError, match="different sweep"):
-            parallel_sweep(points, trace_length=4000, processes=1,
-                           store=store, checkpoint=checkpoint,
-                           resume=True)
-
-    def test_resume_with_changed_store_rejected(self, tmp_path):
-        points = [("compress_like", technique_config("none"))]
-        checkpoint = str(tmp_path / "ckpt")
-        parallel_sweep(points, trace_length=2000, processes=1,
-                       store=ResultStore(tmp_path / "a"),
-                       checkpoint=checkpoint)
-        # Repointing persist_dir while keeping the checkpoint used to
-        # "resume" against results that live somewhere else entirely.
-        with pytest.raises(ReproError, match="store"):
-            parallel_sweep(points, trace_length=2000, processes=1,
-                           store=ResultStore(tmp_path / "b"),
-                           checkpoint=checkpoint, resume=True)
 
 
 class _FlakyOnce:
@@ -469,56 +368,72 @@ class TestCheckpointResume:
                                                   monkeypatch):
         counting = self._count_sims(monkeypatch)
         store = ResultStore(tmp_path / "results")
-        checkpoint = str(tmp_path / "results")
         first = [("compress_like", technique_config("none")),
                  ("compress_like", technique_config("nlp"))]
         outcome = parallel_sweep(first, trace_length=2000, processes=1,
-                                 store=store, checkpoint=checkpoint)
+                                 store=store)
         assert outcome.ok and counting.calls == 2
 
         # "Interrupted" rerun with one extra point: only it simulates.
         extended = first + [("compress_like",
                              technique_config("stream"))]
         resumed = parallel_sweep(extended, trace_length=2000, processes=1,
-                                 store=store, checkpoint=checkpoint,
-                                 resume=True)
+                                 store=store)
         assert resumed.ok
         assert counting.calls == 3          # exactly one new simulation
         assert resumed.counters["resumed"] == 2
         assert len(resumed) == 3
         assert "2 resumed" in resumed.summary()
 
-    def test_without_resume_everything_reruns(self, tmp_path, monkeypatch):
+    def test_second_sweep_on_same_store_simulates_nothing(
+            self, tmp_path, monkeypatch):
         counting = self._count_sims(monkeypatch)
         store = ResultStore(tmp_path / "results")
-        points = [("compress_like", technique_config("none"))]
-        parallel_sweep(points, trace_length=2000, processes=1, store=store)
-        parallel_sweep(points, trace_length=2000, processes=1, store=store)
+        points = [("compress_like", technique_config("none")),
+                  ("compress_like", technique_config("nlp"))]
+        first = parallel_sweep(points, trace_length=2000, processes=1,
+                               store=store)
+        second = parallel_sweep(points, trace_length=2000, processes=1,
+                                store=store)
         assert counting.calls == 2
+        assert second.summary().startswith(
+            "sweep: 2/2 points completed (2 resumed)")
+        assert dict(second) == dict(first)
 
-    def test_manifest_written_as_points_complete(self, tmp_path):
-        checkpoint = tmp_path / "ckpt"
-        outcome = parallel_sweep(
-            [("compress_like", technique_config("none"))],
-            trace_length=2000, processes=1, store=ResultStore(checkpoint),
-            checkpoint=str(checkpoint))
-        assert outcome.ok
-        manifests = list(checkpoint.glob("sweep-*.manifest.json"))
-        assert len(manifests) == 1
-        data = json.loads(manifests[0].read_text())
-        assert len(data["done"]) == 1 and data["failed"] == {}
+    def test_deleted_entry_resimulates_only_that_point(self, tmp_path,
+                                                       monkeypatch):
+        counting = self._count_sims(monkeypatch)
+        store = ResultStore(tmp_path / "results")
+        # Warmed explicitly, so each point's config is its store key's.
+        points = [("compress_like", technique_config(t).replace(
+            warmup_instructions=400)) for t in ("none", "nlp")]
+        first = parallel_sweep(points, trace_length=2000, processes=1,
+                               store=store)
+        victim = result_key("compress_like", points[1][1], 2000, 1)
+        (tmp_path / "results" / f"{victim}.result.json").unlink()
+        second = parallel_sweep(points, trace_length=2000, processes=1,
+                                store=store)
+        assert counting.calls == 3
+        assert second.counters["resumed"] == 1
+        assert dict(second) == dict(first)
+
+    def test_sweep_without_store_simulates_every_point(self, tmp_path,
+                                                       monkeypatch):
+        counting = self._count_sims(monkeypatch)
+        points = [("compress_like", technique_config("none"))]
+        parallel_sweep(points, trace_length=2000, processes=1)
+        outcome = parallel_sweep(points, trace_length=2000, processes=1)
+        assert counting.calls == 2
+        assert outcome.counters["resumed"] == 0
 
     def test_resume_survives_lost_store_entry(self, tmp_path, monkeypatch):
         counting = self._count_sims(monkeypatch)
         store = ResultStore(tmp_path / "results")
         points = [("compress_like", technique_config("none"))]
-        parallel_sweep(points, trace_length=2000, processes=1, store=store,
-                       checkpoint=str(tmp_path / "results"))
-        store.clear()                     # manifest says done, store empty
+        parallel_sweep(points, trace_length=2000, processes=1, store=store)
+        store.clear()                     # the stored result is lost
         resumed = parallel_sweep(points, trace_length=2000, processes=1,
-                                 store=store,
-                                 checkpoint=str(tmp_path / "results"),
-                                 resume=True)
+                                 store=store)
         assert resumed.ok and counting.calls == 2
 
 
@@ -569,6 +484,34 @@ class TestRunnerResilience:
                             counting)
         runner.run("compress_like", technique_config("none"))
         assert counting.calls == 0
+
+    def test_runner_sweep_resumes_from_store(self, tmp_path, monkeypatch):
+        results = str(tmp_path / "results")
+        points = [Point("compress_like", technique_config("none")),
+                  Point("compress_like", technique_config("nlp"))]
+        Runner(trace_length=2000, persist_dir=results).sweep(
+            points, processes=1)
+        counting = _FlakyOnce(0, None)
+        monkeypatch.setattr("repro.harness.parallel.simulate", counting)
+        runner = Runner(trace_length=2000, persist_dir=results)
+        outcome = runner.sweep(points, processes=1)
+        assert counting.calls == 0
+        assert outcome.summary().startswith(
+            "sweep: 2/2 points completed (2 resumed)")
+        assert runner.runs_performed == 2
+
+    def test_api_sweep_resumes_from_result_cache(self, tmp_path,
+                                                 monkeypatch):
+        from repro.api import sweep
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
+        points = [Point("compress_like", technique_config("none"))]
+        sweep(points, trace_length=2000, processes=1)
+        counting = _FlakyOnce(0, None)
+        monkeypatch.setattr("repro.harness.parallel.simulate", counting)
+        outcome = sweep(points, trace_length=2000, processes=1)
+        assert counting.calls == 0
+        assert outcome.summary().startswith(
+            "sweep: 1/1 points completed (1 resumed)")
 
     def test_runner_accumulates_sweep_counters(self, tmp_path):
         runner = Runner(trace_length=2000)
@@ -621,16 +564,10 @@ class TestCliSweep:
                 "--checkpoint-dir", checkpoint]
         assert main(args) == 0
         capsys.readouterr()
-        assert main(args + ["--resume"]) == 0
+        # Rerunning with the same directory serves every stored point.
+        assert main(args) == 0
         out = capsys.readouterr().out
-        assert "(2 resumed)" in out
-
-    def test_resume_without_checkpoint_rejected(self, capsys):
-        from repro.cli import main
-        code = main(["sweep", "-w", "compress_like", "-t", "none",
-                     "--length", "2000", "--resume"])
-        assert code == 2
-        assert "checkpoint" in capsys.readouterr().err
+        assert "sweep: 2/2 points completed (2 resumed)" in out
 
     def test_report_processes_flag_prewarms(self, capsys):
         from repro.cli import main

@@ -280,50 +280,3 @@ class TestSimulateFacade:
 
         with pytest.raises(ConfigError, match="tracer"):
             simulate(small_trace, shards=2, tracer=PipeTracer())
-
-
-class TestRunnerSharding:
-    def test_explicit_shards_engage_below_threshold(self):
-        from repro.harness.runner import Runner
-
-        runner = Runner(trace_length=8_000, seed=3,
-                        warmup_fraction=0.1)
-        mono = runner.run("compress_like", SimConfig())
-        sharded = runner.run("compress_like", SimConfig(), shards=2,
-                            processes=1)
-        assert "sharding" in sharded.telemetry.meta
-        assert "sharding" not in mono.telemetry.meta
-        assert sharded.ipc == pytest.approx(mono.ipc, rel=0.10)
-
-    def test_policy_ignored_below_threshold(self):
-        from repro.harness.runner import Runner
-
-        runner = Runner(trace_length=8_000, seed=3, shards=4)
-        assert runner._effective_shards(None) == 1
-
-    def test_policy_engages_at_threshold(self):
-        from repro.harness.runner import Runner
-
-        runner = Runner(trace_length=8_000, seed=3, shards=4,
-                        shard_threshold=8_000)
-        assert runner._effective_shards(None) == 4
-        # An explicit per-call value always wins over the policy.
-        assert runner._effective_shards(1) == 1
-        assert runner._effective_shards(2) == 2
-
-    def test_sharded_results_cached_under_variant(self, tmp_path):
-        from repro.harness.persist import ResultStore
-        from repro.harness.runner import Runner, shard_variant
-
-        store = ResultStore(tmp_path)
-        runner = Runner(trace_length=8_000, seed=3,
-                        warmup_fraction=0.1, store=store)
-        config = SimConfig()
-        sharded = runner.run("compress_like", config, shards=2,
-                             processes=1)
-        effective = runner._warmed(config)
-        variant = shard_variant(2, None)
-        assert store.load("compress_like", effective, 8_000, 3,
-                          variant=variant) == sharded
-        # The monolithic cache entry stays untouched.
-        assert store.load("compress_like", effective, 8_000, 3) is None

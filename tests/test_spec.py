@@ -15,7 +15,6 @@ class TestPoint:
     def test_defaults(self):
         point = Point("gcc_like", SimConfig())
         assert point.label is None
-        assert point.shards is None
         assert point.name == "gcc_like"
         assert point.key == ("gcc_like", SimConfig())
 
@@ -35,8 +34,6 @@ class TestPoint:
         dict(workload="", config=SimConfig()),
         dict(workload=123, config=SimConfig()),
         dict(workload="gcc_like", config="not-a-config"),
-        dict(workload="gcc_like", config=SimConfig(), shards=0),
-        dict(workload="gcc_like", config=SimConfig(), shards=-1),
     ])
     def test_invalid_points_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -131,15 +128,6 @@ class TestRunnerSweepAcceptsSpecs:
         runner = self._runner()
         with pytest.raises(ConfigError, match="Point"):
             runner.sweep([("compress_like", SimConfig())], processes=1)
-
-    def test_sharded_point_runs_and_counts(self):
-        runner = self._runner()
-        point = Point("compress_like", SimConfig(), shards=2)
-        outcome = runner.sweep([point], processes=1)
-        assert not outcome.failures
-        result = outcome.results[point.key]
-        assert result.telemetry.meta["sharding"]["shards"] == 2
-        assert runner.sweep_counters["sharded_points"] == 1
 
     def test_api_sweep_accepts_spec(self):
         from repro.api import sweep

@@ -47,13 +47,6 @@ class TestStatGroup:
         assert group.get("x") == 0
         assert group.histogram("h").total == 0
 
-    def test_merged_into_prefixes_names(self):
-        group = StatGroup("l1i")
-        group.bump("hits", 7)
-        flat: dict[str, int] = {}
-        group.merged_into(flat)
-        assert flat == {"l1i.hits": 7}
-
     def test_histogram_identity_per_name(self):
         group = StatGroup("g")
         assert group.histogram("h") is group.histogram("h")
