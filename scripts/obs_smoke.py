@@ -4,7 +4,7 @@
 Drives the real CLI end to end and asserts the observability contract:
 
 1. a sweep with ``--log-file``/``--trace-export`` writes an event log
-   in which **every** line validates against ``repro.events/v1`` and
+   in which **every** line validates against ``repro.events/v2`` and
    carries one coherent run id, and a Chrome trace that passes the
    structural checks Perfetto's loader performs;
 2. ``repro profile --json`` emits a ``repro.profile/v1`` document

@@ -1,17 +1,14 @@
 """Post-simulation analysis: stall accounting, prefetch timeliness,
-and shard-accuracy calibration."""
+pipeline tracing and ASCII charts."""
 
 from repro.analysis.chart import bar_chart, histogram_chart
 from repro.analysis.pipetrace import CycleSnapshot, PipeTracer
-from repro.analysis.sharding import ShardAccuracy, overlap_sensitivity
 from repro.analysis.stalls import StallBreakdown, stall_breakdown
 from repro.analysis.timeliness import TimelinessSummary, timeliness_summary
 
 __all__ = [
     "bar_chart",
     "histogram_chart",
-    "ShardAccuracy",
-    "overlap_sensitivity",
     "PipeTracer",
     "CycleSnapshot",
     "StallBreakdown",

@@ -5,8 +5,7 @@ examples, benchmarks, and CLI all go through it.  It intentionally
 exposes a small surface:
 
 - :func:`simulate` — run one (trace, config) point to a
-  :class:`~repro.sim.results.SimResult`, optionally sharded across
-  worker processes (``shards=K``);
+  :class:`~repro.sim.results.SimResult`;
 - :func:`make_runner` — construct the memoizing experiment
   :class:`~repro.harness.runner.Runner`;
 - :func:`sweep` — run many points fault-tolerantly in parallel, where
@@ -31,8 +30,8 @@ Every :class:`~repro.sim.results.SimResult` carries the full
 hierarchical telemetry tree on ``result.telemetry`` (a
 :class:`~repro.stats.telemetry.TelemetrySnapshot`, re-exported here
 along with :class:`~repro.stats.telemetry.TelemetryNode` and
-:func:`~repro.stats.sweep.merge_snapshots` for cross-shard
-aggregation).
+:func:`~repro.stats.sweep.merge_snapshots`, which sums snapshots of
+different runs into suite-wide totals).
 
 Everything here is re-exported from the top-level :mod:`repro`
 package::
@@ -53,7 +52,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.config import SimConfig
-from repro.errors import ConfigError
 from repro.obs.profile import profile_run  # noqa: F401  (re-exported)
 from repro.sim.results import SimResult
 from repro.spec import (  # noqa: F401  (re-exported)
@@ -79,24 +77,23 @@ __all__ = ["simulate", "make_runner", "sweep", "profile_run",
 
 
 def execute(request: RunRequest, *, trace: Trace | None = None,
-            processes: int | None = None, profile: bool = False,
-            tracer=None, engine: str | None = None) -> RunResponse:
+            profile: bool = False, tracer=None,
+            engine: str | None = None) -> RunResponse:
     """Execute one typed request and return its typed response.
 
     The canonical run entry point: the request is normalized through
     :func:`~repro.spec.resolve_request` (the same path every cache key
     derives from), the workload trace is built from the request's
     ``(workload, trace_length, seed)`` identity unless an in-memory
-    ``trace`` is supplied, and execution dispatches on the resolved
-    shard count — monolithic in-process, or fanned out over the
-    supervised pool (``processes`` workers).
+    ``trace`` is supplied, and the whole trace is simulated in this
+    process.
 
     ``profile=True`` turns the cycle-attribution profiler on (the
-    result stays bit-identical; monolithic runs only) and fills the
-    response's ``profile`` field.  ``tracer`` and ``engine`` (one of
+    result stays bit-identical) and fills the response's ``profile``
+    field.  ``tracer`` and ``engine`` (one of
     :data:`~repro.config.ENGINES`) are per-call execution knobs that
     never contribute to the request's identity (both engines are
-    bit-identical); a ``tracer`` does not compose with sharding.
+    bit-identical).
     """
     request = resolve_request(request)
     config = request.config
@@ -105,24 +102,6 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
 
         trace = build_trace(request.workload, request.trace_length,
                             seed=request.seed)
-    assert request.shards is not None
-    if request.shards > 1:
-        if tracer is not None:
-            raise ConfigError(
-                "a pipeline tracer does not compose with sharded "
-                "simulation; run with shards=1 to trace")
-        if profile:
-            raise ConfigError(
-                "the cycle profiler needs a monolithic run; "
-                "run with shards=1 to profile")
-        from repro.harness.shard_runner import run_sharded
-
-        if engine is not None:
-            config = config.replace(engine=engine)
-        result = run_sharded(trace, config, shards=request.shards,
-                             overlap=request.shard_overlap,
-                             name=request.label, processes=processes)
-        return RunResponse(result=result, request=request)
     if profile and not config.profile:
         config = config.replace(profile=True)
     sim = Simulator(trace, config, name=request.label, tracer=tracer,
@@ -134,10 +113,7 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
 
 def simulate(trace: Trace, config: SimConfig | None = None, *,
              name: str | None = None, tracer=None,
-             engine: str | None = None,
-             shards: int | None = None,
-             shard_overlap: int | None = None,
-             processes: int | None = None) -> SimResult:
+             engine: str | None = None) -> SimResult:
     """Simulate ``trace`` under ``config`` and return the result.
 
     A thin shim over :func:`execute`: the trace's identity and the
@@ -150,20 +126,12 @@ def simulate(trace: Trace, config: SimConfig | None = None, *,
     naive cycle loop), and ``engine`` overrides ``config.engine`` for
     this run (one of :data:`~repro.config.ENGINES`; both are
     bit-identical, see ``docs/performance.md``).
-
-    ``shards=K`` splits the trace into ``K`` windows simulated on a
-    supervised process pool (``processes`` workers) and merges the
-    telemetry; ``shard_overlap`` sets each window's timed warm-up
-    prefix (see :mod:`repro.sim.sharding`).  ``shards=1`` (and the
-    default of ``None``) runs monolithically; a ``tracer`` does not
-    compose with sharding.
     """
     request = resolve_request(
         workload=trace.name or "trace", config=config,
-        trace_length=len(trace), seed=trace.seed,
-        shards=shards, shard_overlap=shard_overlap, label=name)
-    return execute(request, trace=trace, processes=processes,
-                   tracer=tracer, engine=engine).result
+        trace_length=len(trace), seed=trace.seed, label=name)
+    return execute(request, trace=trace, tracer=tracer,
+                   engine=engine).result
 
 
 def make_runner(trace_length: int | None = None, seed: int = 1,

@@ -16,11 +16,6 @@ process, or another session matches bit for bit, regardless of dict
 insertion order, and any model or schema change invalidates old
 entries instead of serving stale results.
 
-:func:`shard_variant` renders the execution-variant tag for sharded
-runs (``shards=K:overlap=N:warm=M``): a merged sharded result
-approximates but does not equal the monolithic result and must never
-be served from (or poison) the monolithic entry.
-
 This module sits below the harness and the serving layer on purpose:
 both import it, neither imports the other.
 """
@@ -34,31 +29,15 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.config import SimConfig
 
-__all__ = ["cache_key", "shard_variant"]
+__all__ = ["cache_key"]
 
 #: Hex digest length of a cache key (half a SHA-256, plenty of margin
 #: against collisions at any realistic sweep size).
 KEY_LENGTH = 32
 
 
-def shard_variant(shards: int, overlap: int | None = None,
-                  warm: str = "functional") -> str:
-    """Cache-key variant tag for a sharded execution of a point.
-
-    ``overlap=None`` resolves to the calibrated
-    :data:`~repro.sim.sharding.DEFAULT_SHARD_OVERLAP`, mirroring what
-    the shard planner itself does, so an explicit default and an
-    omitted one produce the same key.
-    """
-    if overlap is None:
-        from repro.sim.sharding import DEFAULT_SHARD_OVERLAP
-
-        overlap = DEFAULT_SHARD_OVERLAP
-    return f"shards={shards}:overlap={overlap}:warm={warm}"
-
-
 def cache_key(workload: str, config: "SimConfig", trace_length: int,
-              seed: int, variant: str = "") -> str:
+              seed: int) -> str:
     """Stable content-addressed identity of one simulation point.
 
     The digest covers everything that determines the result: the
@@ -84,7 +63,10 @@ def cache_key(workload: str, config: "SimConfig", trace_length: int,
         "trace_length": int(trace_length),
         "seed": int(seed),
         "config": config.execution_normalized().to_dict(),
-        "variant": variant,
+        # Every key ever written carries this field (it once tagged
+        # alternative executions of a point); keeping it empty keeps
+        # existing result stores and serve caches valid.
+        "variant": "",
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:KEY_LENGTH]

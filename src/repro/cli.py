@@ -10,7 +10,6 @@ Subcommands::
     python -m repro calibrate                    # workload band checks
     python -m repro report -o report.md          # all experiments -> md
     python -m repro sweep -t none fdip_enqueue   # fault-tolerant sweep
-    python -m repro shard -w gcc_like --shards 4 # sharded single trace
     python -m repro perf                         # engine throughput
     python -m repro profile -w gcc_like          # cycle attribution
     python -m repro serve --port 8357            # simulation service
@@ -19,10 +18,11 @@ Subcommands::
     python -m repro fetch job-000001 --wait 60   # typed result retrieval
 
 Every subcommand accepts ``--length`` (alias ``--trace-length``) and
-``--seed``; the pool-backed subcommands (``sweep``, ``stats``,
-``shard``, ``perf``) share ``--processes``, ``--max-retries``, and
-``--point-timeout`` via one parent parser, so the flags spell and
-behave identically everywhere.
+``--seed`` via one parent parser, so the flags spell and behave
+identically everywhere.  ``sweep``, the one command that runs a
+supervised pool, takes ``--processes``, ``--max-retries``, and
+``--point-timeout``; ``report --processes`` prewarms the main grid
+through the same pool.
 ``run`` prints a metrics table, or JSON with ``--json``.  ``stats``
 dumps the full hierarchical telemetry tree — human table by default,
 the versioned snapshot schema with ``--json``, flat
@@ -30,8 +30,8 @@ the versioned snapshot schema with ``--json``, flat
 series (``--window N``) alongside.
 
 Observability (see ``docs/observability.md``): ``run``, ``stats``,
-``sweep``, ``shard``, and ``profile`` share ``--log-file`` /
-``--log-stderr`` (structured ``repro.events/v1`` JSONL, inherited by
+``sweep``, ``profile``, and ``serve`` share ``--log-file`` /
+``--log-stderr`` (structured ``repro.events/v2`` JSONL, inherited by
 worker processes) and ``--trace-export`` (convert the event log into
 Chrome trace-event JSON loadable in Perfetto).  ``profile`` and
 ``stats --profile`` report the per-component cycle-attribution
@@ -93,18 +93,6 @@ def _trace_flags() -> argparse.ArgumentParser:
     return parent
 
 
-def _pool_flags() -> argparse.ArgumentParser:
-    """Shared supervised-pool parent parser (sweep/stats/shard/perf)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--processes", type=int, default=None,
-                        help="worker processes (1 = inline)")
-    parent.add_argument("--max-retries", type=int, default=2,
-                        help="retries per point after the first attempt")
-    parent.add_argument("--point-timeout", type=float, default=None,
-                        help="wall-clock seconds per point attempt")
-    return parent
-
-
 def _checkpoint_flags() -> argparse.ArgumentParser:
     """Shared in-run checkpoint/watchdog parent parser (run/stats)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -126,10 +114,10 @@ def _checkpoint_flags() -> argparse.ArgumentParser:
 
 
 def _obs_flags() -> argparse.ArgumentParser:
-    """Shared observability parent parser (run/stats/sweep/shard/profile)."""
+    """Shared observability parent parser (run/stats/sweep/profile/serve)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--log-file", default=None, metavar="JSONL",
-                        help="append structured repro.events/v1 events "
+                        help="append structured repro.events/v2 events "
                              "to this JSON-lines file (worker processes "
                              "inherit the sink)")
     parent.add_argument("--log-stderr", action="store_true",
@@ -178,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     trace_flags = _trace_flags()
-    pool_flags = _pool_flags()
     checkpoint_flags = _checkpoint_flags()
     obs_flags = _obs_flags()
 
@@ -213,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser(
         "stats",
-        parents=[trace_flags, pool_flags, checkpoint_flags, obs_flags],
+        parents=[trace_flags, checkpoint_flags, obs_flags],
         help="run one simulation, dump the hierarchical telemetry tree")
     p_stats.add_argument("-w", "--workload", required=True,
                          choices=ALL_WORKLOADS)
@@ -234,16 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--intervals", action="store_true",
                          help="with --csv: emit the interval series "
                               "instead of the counters")
-    p_stats.add_argument("--shards", type=int, default=1,
-                         help="split the trace into this many merged "
-                              "windows (see 'repro shard')")
-    p_stats.add_argument("--shard-overlap", type=int, default=None,
-                         help="timed warm-up overlap per shard "
-                              "(instructions)")
     p_stats.add_argument("--profile", action="store_true",
                          help="also report the per-component "
-                              "cycle-attribution profile (monolithic "
-                              "runs only)")
+                              "cycle-attribution profile")
 
     p_exp = sub.add_parser("experiment", parents=[trace_flags],
                            help="regenerate one experiment")
@@ -259,8 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one profile (default: the whole suite)")
 
     p_sw = sub.add_parser(
-        "sweep", parents=[trace_flags, pool_flags, obs_flags],
+        "sweep", parents=[trace_flags, obs_flags],
         help="fault-tolerant parallel sweep over workloads x techniques")
+    p_sw.add_argument("--processes", type=int, default=None,
+                      help="worker processes (1 = inline)")
+    p_sw.add_argument("--max-retries", type=int, default=2,
+                      help="retries per point after the first attempt")
+    p_sw.add_argument("--point-timeout", type=float, default=None,
+                      help="wall-clock seconds per point attempt")
     p_sw.add_argument("-w", "--workloads", nargs="+", default=None,
                       choices=ALL_WORKLOADS,
                       help="workload subset (default: the whole suite)")
@@ -280,38 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--checkpoint-interval", type=int, default=None,
                       metavar="CYCLES",
                       help="snapshot cadence for --machine-checkpoints")
-
-    p_shard = sub.add_parser(
-        "shard", parents=[trace_flags, pool_flags, obs_flags],
-        help="simulate one trace as K merged windows "
-             "(sharded execution)")
-    p_shard.add_argument("-w", "--workload", required=True,
-                         choices=ALL_WORKLOADS)
-    p_shard.add_argument("-p", "--prefetcher",
-                         default=PrefetcherKind.FDIP,
-                         choices=PrefetcherKind.ALL)
-    p_shard.add_argument("-f", "--filter", default=FilterMode.ENQUEUE,
-                         choices=FilterMode.ALL,
-                         help="cache probe filtering mode (fdip only)")
-    p_shard.add_argument("--warmup", type=int, default=0,
-                         help="run-level warm-up instructions "
-                              "(default: length // 5)")
-    p_shard.add_argument("--shards", type=int, default=4,
-                         help="number of merged windows")
-    p_shard.add_argument("--shard-overlap", type=int, default=None,
-                         help="timed warm-up overlap per shard "
-                              "(instructions)")
-    p_shard.add_argument("--warm", default="functional",
-                         choices=("functional", "overlap"),
-                         help="shard warm-up mode")
-    p_shard.add_argument("--compare", action="store_true",
-                         help="also run monolithically and report the "
-                              "merged-vs-monolithic deltas")
-    p_shard.add_argument("--calibrate", action="store_true",
-                         help="sweep (shards x overlap) and report the "
-                              "accuracy table instead of one run")
-    p_shard.add_argument("--json", action="store_true",
-                         help="emit metrics + shard provenance as JSON")
 
     p_prof = sub.add_parser(
         "profile", parents=[trace_flags, obs_flags],
@@ -333,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the repro.profile/v1 document")
 
     p_perf = sub.add_parser(
-        "perf", parents=[trace_flags, pool_flags],
+        "perf", parents=[trace_flags],
         help="measure simulated-instructions/second across the "
              "cycle engines")
     p_perf.add_argument("--quick", action="store_true",
@@ -380,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=FilterMode.ALL,
                        help="cache probe filtering mode (fdip only)")
     p_sub.add_argument("--warmup", type=int, default=0)
-    p_sub.add_argument("--shards", type=int, default=None,
-                       help="sharded execution (see 'repro shard')")
-    p_sub.add_argument("--shard-overlap", type=int, default=None,
-                       help="timed warm-up overlap per shard")
     p_sub.add_argument("--priority", type=int, default=0,
                        help="queue priority (higher runs sooner)")
     p_sub.add_argument("--wait", type=float, default=0.0, metavar="S",
@@ -414,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="subset of experiment ids (default: all)")
     p_rep.add_argument("--processes", type=int, default=None,
                        help="prewarm the main grid with this many "
-                            "supervised workers before reporting")
+                            "supervised workers before reporting "
+                            "(when a requested experiment reads it)")
 
     return parser
 
@@ -533,10 +484,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.window:
         config = config.replace(telemetry_window=args.window)
     config = _apply_robustness_flags(config, args)
-    if args.profile and args.shards > 1:
-        print("error: --profile needs a monolithic run; drop --shards",
-              file=sys.stderr)
-        return 2
     if args.profile and args.machine_checkpoint_dir:
         print("error: --profile does not compose with "
               "--machine-checkpoint-dir; profile a plain run",
@@ -547,16 +494,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               "human table", file=sys.stderr)
         return 2
     profile = None
-    if args.shards > 1:
-        from repro.harness.shard_runner import run_sharded
-
-        result = run_sharded(trace, config, shards=args.shards,
-                             overlap=args.shard_overlap,
-                             processes=args.processes,
-                             max_retries=args.max_retries,
-                             point_timeout=args.point_timeout,
-                             checkpoint_dir=args.machine_checkpoint_dir)
-    elif args.machine_checkpoint_dir:
+    if args.machine_checkpoint_dir:
         from repro.sim import run_with_checkpoints
 
         run = run_with_checkpoints(trace, config,
@@ -714,99 +652,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else 3
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    length = _length(args)
-    config = technique_config(_technique_name(args), SimConfig())
-    warmup = args.warmup or length // 5
-    config = config.replace(warmup_instructions=warmup)
-
-    if args.calibrate:
-        from repro.analysis.sharding import (
-            ShardAccuracy,
-            overlap_sensitivity,
-        )
-
-        mono, cells = overlap_sensitivity(
-            args.workload, length, args.seed, config, warm=args.warm,
-            processes=args.processes)
-        print(format_table(
-            ShardAccuracy.headers(), [cell.row() for cell in cells],
-            title=f"{args.workload} sharding accuracy vs monolithic "
-                  f"(ipc {mono.ipc:.4f}, l1i mpki {mono.l1i_mpki:.4f}, "
-                  f"{length} instrs, warm={args.warm})"))
-        return 0
-
-    from repro.harness.shard_runner import run_sharded_workload
-
-    result = run_sharded_workload(
-        args.workload, length, args.seed, config, shards=args.shards,
-        overlap=args.shard_overlap, warm=args.warm,
-        processes=args.processes, max_retries=args.max_retries,
-        point_timeout=args.point_timeout)
-    provenance = result.telemetry.meta["sharding"]
-
-    mono = None
-    if args.compare:
-        trace = build_trace(args.workload, length, seed=args.seed)
-        mono = simulate(trace, config, name=args.workload)
-
-    if args.json:
-        payload = {
-            "workload": result.name,
-            "cycles": result.cycles,
-            "instructions": result.instructions,
-            "ipc": result.ipc,
-            "l1i_mpki": result.l1i_mpki,
-            "sharding": provenance,
-        }
-        if mono is not None:
-            payload["monolithic"] = {
-                "cycles": mono.cycles, "ipc": mono.ipc,
-                "l1i_mpki": mono.l1i_mpki,
-                "ipc_error": (result.ipc - mono.ipc) / mono.ipc,
-            }
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    rows = [
-        ["IPC", result.ipc],
-        ["cycles", result.cycles],
-        ["instructions", result.instructions],
-        ["L1-I MPKI", result.l1i_mpki],
-        ["shards", provenance["shards"]],
-        ["overlap", provenance["overlap"]],
-        ["warm mode", provenance["warm"]],
-    ]
-    if mono is not None:
-        rows.append(["monolithic IPC", mono.ipc])
-        rows.append(["IPC error",
-                     f"{(result.ipc - mono.ipc) / mono.ipc * 100:+.3f}%"])
-        rows.append(["monolithic L1-I MPKI", mono.l1i_mpki])
-        rows.append(["MPKI delta",
-                     f"{result.l1i_mpki - mono.l1i_mpki:+.4f}"])
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"{args.workload} sharded x{provenance['shards']} "
-              f"({length} instrs)"))
-    windows = [[w["shard"], w["start"], w["stop"], w["warmup"],
-                w["instructions"],
-                f"{w['cycle_range'][0]}..{w['cycle_range'][1]}"]
-               for w in provenance["windows"]]
-    print()
-    print(format_table(
-        ["shard", "start", "stop", "warmup", "instrs", "cycle range"],
-        windows, title="shard windows"))
-    return 0
-
-
 def _cmd_perf(args: argparse.Namespace) -> int:
     import os
 
     from repro import perf
 
-    if args.processes not in (None, 1):
-        print("note: perf times each point inline; --processes is "
-              "ignored to keep timings honest", file=sys.stderr)
     length = args.length
     if length is None:
         length = perf.QUICK_LENGTH if args.quick else perf.DEFAULT_LENGTH
@@ -880,9 +730,7 @@ def _serve_request(args: argparse.Namespace) -> "RunRequest":
     if args.warmup:
         config = config.replace(warmup_instructions=args.warmup)
     return RunRequest(workload=args.workload, config=config,
-                      trace_length=_length(args), seed=args.seed,
-                      shards=args.shards,
-                      shard_overlap=args.shard_overlap)
+                      trace_length=_length(args), seed=args.seed)
 
 
 def _print_response(job_id: str, response, *, json_out: bool) -> int:
@@ -959,8 +807,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_calibrate(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "shard":
-        return _cmd_shard(args)
     if args.command == "profile":
         return _cmd_profile(args)
     if args.command == "perf":

@@ -315,9 +315,9 @@ class SimConfig:
     round-tripped through plain dicts — :meth:`to_dict` /
     :meth:`from_dict` — and rewritten with nested-aware
     :meth:`with_overrides`.  That round trip is the canonical
-    serialization: shard workers, sweep checkpoints, and the CLI all
-    exchange configs as dicts rather than pickles, so a config written
-    by one process always validates on the way back in.
+    serialization: serve requests and cache keys carry configs as
+    dicts rather than pickles, so a config written by one process
+    always validates on the way back in.
     """
 
     core: CoreConfig = field(default_factory=CoreConfig)

@@ -11,11 +11,10 @@ from repro.harness.parallel import (
     SweepPoint,
     parallel_sweep,
 )
-from repro.cachekey import cache_key, shard_variant
+from repro.cachekey import cache_key
 from repro.harness.persist import ResultStore, result_key
 from repro.harness.report import generate_report
 from repro.harness.runner import Runner, default_trace_length, geomean
-from repro.harness.shard_runner import run_sharded, run_sharded_workload
 from repro.spec import ExperimentSpec, Point, normalize_points
 from repro.harness.supervise import (
     AttemptRecord,
@@ -34,8 +33,6 @@ __all__ = [
     "Point",
     "ExperimentSpec",
     "normalize_points",
-    "run_sharded",
-    "run_sharded_workload",
     "parallel_sweep",
     "SweepPoint",
     "SweepOutcome",
@@ -47,7 +44,6 @@ __all__ = [
     "ResultStore",
     "result_key",
     "cache_key",
-    "shard_variant",
     "generate_report",
     "default_trace_length",
     "geomean",

@@ -26,7 +26,8 @@ from repro.workloads import (
 )
 
 __all__ = ["ExperimentTable", "EXPERIMENTS", "run_experiment",
-           "main_grid_points", "prewarm_main_grid"]
+           "MAIN_GRID_EXPERIMENTS", "main_grid_points",
+           "prewarm_main_grid"]
 
 # Subsets used by parameter sweeps to keep run counts manageable.
 SERVER_SUBSET = ("perl_like", "vortex_like")
@@ -773,12 +774,17 @@ def experiment_e22(runner: Runner) -> ExperimentTable:
               "bottleneck, covering misses is all that is left")
 
 
+#: The experiments that read the main grid: each runs the whole
+#: suite under grid techniques, so only they gain from prewarming it.
+MAIN_GRID_EXPERIMENTS = frozenset({"E2", "E3", "E4", "E5", "E12", "E17"})
+
+
 def main_grid_points() -> "list[Point]":
     """Every (workload, technique) point of the main comparison.
 
-    This is the grid E2..E5 and E17 share; prewarming it covers the bulk
-    of a default report's simulation time.  Each point is labeled
-    ``workload/technique`` for reports.
+    This is the grid the :data:`MAIN_GRID_EXPERIMENTS` share;
+    prewarming it covers the bulk of a default report's simulation
+    time.  Each point is labeled ``workload/technique`` for reports.
     """
     from repro.spec import Point
 

@@ -39,20 +39,15 @@ __all__ = ["ResultStore", "result_key"]
 
 
 def result_key(workload: str, config: SimConfig, trace_length: int,
-               seed: int, variant: str = "") -> str:
+               seed: int) -> str:
     """Stable identity of one simulation point (its store key).
 
     A thin alias of :func:`repro.cachekey.cache_key` — the Runner, the
     sweep, and the serving layer's content-addressed cache all derive
     their keys from that one helper, so no two layers can ever disagree
     about a point's identity.
-
-    ``variant`` distinguishes alternative executions of the same point —
-    notably sharded runs (``shards=K:overlap=N:warm=M``), whose merged
-    telemetry approximates but does not equal the monolithic result and
-    must never be served from (or poison) the monolithic cache entry.
     """
-    return cache_key(workload, config, trace_length, seed, variant)
+    return cache_key(workload, config, trace_length, seed)
 
 
 class ResultStore:
@@ -70,10 +65,6 @@ class ResultStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.quarantined = 0
-
-    def _key(self, workload: str, config: SimConfig, trace_length: int,
-             seed: int, variant: str = "") -> str:
-        return result_key(workload, config, trace_length, seed, variant)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.result.json"
@@ -132,10 +123,10 @@ class ResultStore:
             pass
 
     def load(self, workload: str, config: SimConfig, trace_length: int,
-             seed: int, variant: str = "") -> SimResult | None:
+             seed: int) -> SimResult | None:
         """Return a stored result or None; corrupt files are quarantined."""
-        return self.load_key(self._key(workload, config, trace_length,
-                                       seed, variant))
+        return self.load_key(result_key(workload, config, trace_length,
+                                        seed))
 
     def store_key(self, key: str, result: SimResult,
                   meta: dict | None = None) -> None:
@@ -156,9 +147,9 @@ class ResultStore:
         atomic_write_text(self.directory, path, json.dumps(fields))
 
     def store(self, workload: str, config: SimConfig, trace_length: int,
-              seed: int, result: SimResult, variant: str = "") -> None:
-        self.store_key(self._key(workload, config, trace_length, seed,
-                                 variant), result)
+              seed: int, result: SimResult) -> None:
+        self.store_key(result_key(workload, config, trace_length, seed),
+                       result)
 
     def clear(self) -> int:
         """Delete all stored results; returns the number removed."""

@@ -26,12 +26,18 @@ def generate_report(runner: Runner | None = None,
     """Run experiments and render one markdown document.
 
     ``experiment_ids`` defaults to every registered experiment, in
-    numeric order.  With ``processes`` > 1 the shared main-comparison
-    grid is prewarmed through the fault-tolerant parallel sweep first;
-    any point that fails there is transparently re-simulated inline by
-    the experiment that needs it.
+    numeric order.  With ``processes`` given, and when a requested
+    experiment reads the shared main-comparison grid (see
+    :data:`~repro.harness.experiments.MAIN_GRID_EXPERIMENTS`), the grid
+    is prewarmed through the fault-tolerant parallel sweep first; any
+    point that fails there is transparently re-simulated inline by the
+    experiment that needs it.
     """
-    from repro.harness.experiments import EXPERIMENTS, prewarm_main_grid
+    from repro.harness.experiments import (
+        EXPERIMENTS,
+        MAIN_GRID_EXPERIMENTS,
+        prewarm_main_grid,
+    )
 
     if runner is None:
         runner = Runner()
@@ -42,7 +48,8 @@ def generate_report(runner: Runner | None = None,
     if unknown:
         raise KeyError(f"unknown experiment ids: {', '.join(unknown)}")
 
-    if processes is not None:
+    if processes is not None \
+            and MAIN_GRID_EXPERIMENTS.intersection(experiment_ids):
         prewarm_main_grid(runner, processes)
 
     sections = [_HEADER.format(length=runner.trace_length,

@@ -4,9 +4,9 @@ Zero-dependency observability spine for the whole stack (see
 ``docs/observability.md``):
 
 - :mod:`repro.obs.events` — typed, versioned JSON-lines events with
-  monotonic timestamps and run/point/shard/attempt correlation ids,
-  emitted by the simulator, the supervised pool, the shard runner, and
-  the result store; sinks (file / stderr / none) configured via the
+  monotonic timestamps and run/point/attempt correlation ids,
+  emitted by the simulator, the supervised pool, the sweep, the result
+  store, and the simulation service; sinks (file / stderr / none) configured via the
   CLI, :func:`configure_logging`, or ``REPRO_LOG_*`` env vars;
 - :mod:`repro.obs.spans` — nested spans reconstructed from the event
   log (or recorded directly with :class:`SpanRecorder`), exported as

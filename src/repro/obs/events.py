@@ -1,10 +1,10 @@
-"""Structured JSON-lines event log (schema ``repro.events/v1``).
+"""Structured JSON-lines event log (schema ``repro.events/v2``).
 
 One event is one JSON object on one line::
 
-    {"schema": "repro.events/v1", "kind": "task_retry", "ts": 12.034,
+    {"schema": "repro.events/v2", "kind": "task_retry", "ts": 12.034,
      "wall": 1754550123.4, "pid": 4242, "seq": 17,
-     "run": "a3f9c2e1b4d0", "point": "8c2f...", "shard": null,
+     "run": "a3f9c2e1b4d0", "point": "8c2f...",
      "attempt": 2, "data": {"error_type": "WorkerCrashError", ...}}
 
 Required fields:
@@ -15,11 +15,11 @@ Required fields:
   a process); ``wall`` — epoch seconds (alignment *across* processes);
 - ``pid`` / ``seq`` — emitting process and its per-process sequence
   number (``(pid, seq)`` is a total order per process);
-- ``run`` / ``point`` / ``shard`` / ``attempt`` — correlation ids
-  (``None`` when not applicable).  ``run`` identifies one top-level
-  invocation and is inherited by pool workers through the environment;
-  ``point`` is the supervised task key (sweep-point hash, ``shardN``,
-  or a workload name); ``attempt`` counts from 1.
+- ``run`` / ``point`` / ``attempt`` — correlation ids (``None`` when
+  not applicable).  ``run`` identifies one top-level invocation and is
+  inherited by pool workers through the environment; ``point`` is the
+  supervised task key (sweep-point hash or a workload name) or a serve
+  request's cache key; ``attempt`` counts from 1.
 - ``data`` — kind-specific payload (JSON-compatible scalars only).
 
 Sinks are pluggable and process-global: a JSONL file (opened with
@@ -61,7 +61,7 @@ __all__ = [
     "read_events",
 ]
 
-SCHEMA = "repro.events/v1"
+SCHEMA = "repro.events/v2"
 
 #: Closed set of event kinds.  Growing it is a schema revision (bump
 #: :data:`SCHEMA` when an existing kind's payload changes meaning).
@@ -73,8 +73,8 @@ KINDS = frozenset({
     # supervised pool
     "task_spawn", "task_done", "task_retry", "task_failed",
     "task_timeout", "task_stall", "worker_crash", "pool_rebuild",
-    # sweep / shard orchestration
-    "sweep_start", "sweep_end", "shard_start", "shard_end",
+    # sweep orchestration
+    "sweep_start", "sweep_end",
     # result store
     "store_quarantine",
     # simulation service (daemon lifecycle + request lifecycle)
@@ -87,7 +87,7 @@ _ENV_FILE = "REPRO_LOG_FILE"
 _ENV_STDERR = "REPRO_LOG_STDERR"
 _ENV_RUN_ID = "REPRO_LOG_RUN_ID"
 
-_CORRELATION_FIELDS = ("run", "point", "shard", "attempt")
+_CORRELATION_FIELDS = ("run", "point", "attempt")
 
 # ----------------------------------------------------------------------
 # Correlation context
@@ -99,8 +99,8 @@ _context: contextvars.ContextVar[dict] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def obs_context(**ids: Any) -> Iterator[None]:
-    """Bind correlation ids (``run``/``point``/``shard``/``attempt``)
-    to every event emitted inside the ``with`` block.
+    """Bind correlation ids (``run``/``point``/``attempt``) to every
+    event emitted inside the ``with`` block.
 
     Contexts nest: inner bindings shadow outer ones field by field and
     are restored on exit.  Unknown fields raise
@@ -301,7 +301,7 @@ def emit(kind: str, *, data: dict | None = None, **ids: Any) -> None:
 # ----------------------------------------------------------------------
 
 def validate_event(event: dict) -> dict:
-    """Check one decoded event against the v1 schema; returns it.
+    """Check one decoded event against the v2 schema; returns it.
 
     Raises :class:`~repro.errors.ObservabilityError` naming the first
     defect (wrong schema tag, unknown kind, missing or mistyped field).

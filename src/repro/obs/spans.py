@@ -9,9 +9,9 @@ Perfetto and ``chrome://tracing`` load):
 - :func:`spans_from_events` / :func:`export_chrome_trace` reconstruct
   the span tree of a whole run from its structured event log (see
   :mod:`repro.obs.events`): sweep → point attempt → simulation →
-  warmup/measure phases, with shard simulations appearing under their
-  worker process ids.  Timestamps use the events' wall clock, so spans
-  from different processes align on one timeline.
+  warmup/measure phases, with pool workers' simulations appearing
+  under their own process ids.  Timestamps use the events' wall clock,
+  so spans from different processes align on one timeline.
 
 The export is the minimal stable subset of the trace-event format:
 complete spans (``"ph": "X"``, microsecond ``ts``/``dur``) plus
@@ -29,7 +29,11 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.errors import ObservabilityError
-from repro.obs.events import read_events, validate_event
+from repro.obs.events import (
+    _CORRELATION_FIELDS,
+    read_events,
+    validate_event,
+)
 
 __all__ = [
     "Span",
@@ -133,13 +137,8 @@ _INSTANT_KINDS = ("checkpoint_written", "checkpoint_resumed",
 
 def _label(event: dict) -> str:
     point = event.get("point")
-    shard = event.get("shard")
-    if point and shard is not None:
-        return f"{point}/shard{shard}"
     if point:
         return str(point)
-    if shard is not None:
-        return f"shard{shard}"
     return str(event.get("data", {}).get("name", "") or "run")
 
 
@@ -154,8 +153,7 @@ def spans_from_events(events: list[dict]) -> list[Span]:
       ``task_timeout``), keyed by ``(point, attempt)``;
     - ``sim <label>`` — ``run_start`` → ``run_end`` within one
       process, with ``warmup``/``measure`` child phases when a
-      ``warmup_end`` was logged in between;
-    - ``shard <k>`` — ``shard_start`` → ``shard_end``.
+      ``warmup_end`` was logged in between.
 
     Unclosed opens (a crashed worker's ``run_start``) are dropped —
     a crash is visible through its ``worker_crash`` instant instead.
@@ -163,7 +161,6 @@ def spans_from_events(events: list[dict]) -> list[Span]:
     spans: list[Span] = []
     open_attempts: dict[tuple, dict] = {}
     open_sims: dict[tuple, list[dict]] = {}
-    open_shards: dict[tuple, dict] = {}
     sweep_open: dict | None = None
     tids: dict[tuple, int] = {}
 
@@ -177,7 +174,7 @@ def spans_from_events(events: list[dict]) -> list[Span]:
         args.update(closed.get("data", {}))
         if extra:
             args.update(extra)
-        for key in ("run", "point", "shard", "attempt"):
+        for key in _CORRELATION_FIELDS:
             if opened.get(key) is not None:
                 args.setdefault(key, opened[key])
         spans.append(Span(
@@ -220,12 +217,6 @@ def spans_from_events(events: list[dict]) -> list[Span]:
                     boundary = stack[1]
                     close("warmup", started, boundary)
                     close("measure", boundary, event)
-        elif kind == "shard_start":
-            open_shards[(pid, event.get("shard"))] = event
-        elif kind == "shard_end":
-            opened = open_shards.pop((pid, event.get("shard")), None)
-            if opened is not None:
-                close(f"shard {event.get('shard')}", opened, event)
     return spans
 
 
@@ -244,7 +235,7 @@ def trace_from_events(events: list[dict]) -> dict:
     for event in events:
         if event["kind"] in _INSTANT_KINDS:
             args = dict(event.get("data", {}))
-            for key in ("run", "point", "shard", "attempt"):
+            for key in _CORRELATION_FIELDS:
                 if event.get(key) is not None:
                     args[key] = event[key]
             trace_events.append({

@@ -226,28 +226,9 @@ def compare_to_baseline(report: dict, baseline: dict,
 
 
 def write_report(report: dict, path: str) -> None:
-    """Write ``report`` as JSON, keeping foreign sections of ``path``.
-
-    The baseline file carries sections owned by other benches (the
-    sharding reference lives under ``"shard"``, written by
-    ``benchmarks/bench_shard.py``); overwriting an existing file keeps
-    any top-level key this report does not produce, so regenerating the
-    engine matrix never discards the shard numbers.
-    """
-    import os
-
-    merged = dict(report)
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                previous = json.load(fh)
-        except (OSError, ValueError):
-            previous = {}
-        for key, value in previous.items():
-            if key not in merged:
-                merged[key] = value
+    """Write ``report`` to ``path`` as sorted, indented JSON."""
     with open(path, "w", encoding="utf-8") as out:
-        json.dump(merged, out, indent=2, sort_keys=True)
+        json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")
 
 

@@ -19,7 +19,7 @@ process:
 - :class:`~repro.serve.client.Client` — the blocking typed client
   (``repro submit`` / ``status`` / ``fetch``).
 
-Every request transition is emitted to the ``repro.events/v1`` log
+Every request transition is emitted to the ``repro.events/v2`` log
 (``serve_enqueued`` → ``serve_coalesced`` / ``serve_cache_hit`` /
 ``serve_scheduled`` → ``serve_running`` → ``serve_done`` /
 ``serve_failed`` / ``serve_rejected``), correlated by job id and the

@@ -7,10 +7,10 @@ atomic writes, an embedded SHA-256 content checksum, and quarantine
 (never deletion) of corrupt entries.  On top of that it:
 
 - keys every entry by :meth:`~repro.spec.RunRequest.cache_key` — the
-  same digest the memoizing runner and the sharded runner use, derived
-  in one place (:mod:`repro.cachekey`), covering the canonical
-  ``SimConfig.to_dict()``, the workload/trace identity, the execution
-  variant, and the result schema version;
+  same digest the memoizing runner and the sweep's result store use,
+  derived in one place (:mod:`repro.cachekey`), covering the canonical
+  ``SimConfig.to_dict()``, the workload/trace identity, the package
+  version, and the result schema version;
 - records the originating request and this build's result schema
   version in the entry envelope, and **refuses** (quarantines) entries
   whose recorded ``schema_version`` does not match — a cache written

@@ -16,15 +16,15 @@ daemon (and is usable directly as a library object):
   :class:`~repro.serve.cache.ResultCache` completes at submit time
   without touching the queue;
 - **typed lifecycle** — every transition is emitted to the
-  ``repro.events/v1`` log (``serve_enqueued`` → ``serve_coalesced`` /
+  ``repro.events/v2`` log (``serve_enqueued`` → ``serve_coalesced`` /
   ``serve_cache_hit`` / ``serve_scheduled`` → ``serve_running`` →
   ``serve_done`` / ``serve_failed`` / ``serve_rejected``), with the
   job id in the payload and the cache key as the ``point``
   correlation id.
 
 Execution itself is :func:`repro.api.execute` — the same unified path
-every other entry point uses — so sharded requests fan out over the
-supervised process pool exactly as they do in a sweep.
+every other entry point uses — so a served result is bit-identical to
+the same request run through the library.
 """
 
 from __future__ import annotations

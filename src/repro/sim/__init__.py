@@ -7,14 +7,6 @@ from repro.sim.invariants import (
     guard_invariants,
 )
 from repro.sim.results import SimResult
-from repro.sim.sharding import (
-    DEFAULT_SHARD_OVERLAP,
-    ShardPlan,
-    ShardSpec,
-    merge_shard_snapshots,
-    plan_shards,
-    sharded_result,
-)
 from repro.sim.serialize import (
     result_from_dict,
     result_from_json,
@@ -38,12 +30,6 @@ __all__ = [
     "run_with_checkpoints",
     "snapshot_meta",
     "read_heartbeat",
-    "DEFAULT_SHARD_OVERLAP",
-    "ShardPlan",
-    "ShardSpec",
-    "plan_shards",
-    "merge_shard_snapshots",
-    "sharded_result",
     "check_invariants",
     "guard_invariants",
     "assert_invariants",

@@ -10,7 +10,7 @@ replacement.
 :class:`RunRequest` / :class:`RunResponse` are the canonical
 request/response pair of the unified run API: one frozen bundle of
 everything that identifies a simulation — workload, configuration,
-trace length, seed, sharding — with a wire form (:meth:`RunRequest.
+trace length, seed — with a wire form (:meth:`RunRequest.
 to_dict`) and a content-addressed identity (:meth:`RunRequest.
 cache_key`).  :func:`resolve_request` is the single normalization
 path: :func:`repro.api.simulate`, :func:`repro.api.profile_run`,
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from repro.cachekey import cache_key, shard_variant
+from repro.cachekey import cache_key
 from repro.config import SimConfig
 from repro.errors import ConfigError
 
@@ -35,7 +35,7 @@ __all__ = ["Point", "ExperimentSpec", "normalize_points",
            "RunRequest", "RunResponse", "resolve_request"]
 
 #: Wire-format tag of one serialized :class:`RunRequest`.
-REQUEST_SCHEMA = "repro.request/v1"
+REQUEST_SCHEMA = "repro.request/v2"
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,12 @@ class RunRequest:
     """Everything that identifies one simulation run.
 
     A request bundles the workload/trace identity ``(workload,
-    trace_length, seed)``, the full :class:`~repro.config.SimConfig`,
-    and the execution variant (``shards``/``shard_overlap``); ``label``
-    names the run in reports and never contributes to identity.
+    trace_length, seed)`` and the full :class:`~repro.config.SimConfig`;
+    ``label`` names the run in reports and never contributes to
+    identity.
 
-    ``trace_length=None`` and ``shards=None`` mean "use the default" —
-    :func:`resolve_request` pins them down.  Only a *resolved* request
+    ``trace_length=None`` means "use the default" —
+    :func:`resolve_request` pins it down.  Only a *resolved* request
     (:attr:`resolved` true) has a :meth:`cache_key`; every cache in the
     system keys on that digest.
     """
@@ -169,8 +169,6 @@ class RunRequest:
     config: SimConfig = field(default_factory=SimConfig)
     trace_length: int | None = None
     seed: int = 1
-    shards: int | None = None
-    shard_overlap: int | None = None
     label: str | None = None
 
     def __post_init__(self) -> None:
@@ -186,14 +184,6 @@ class RunRequest:
             raise ConfigError(
                 f"RunRequest.trace_length must be >= 1 or None, "
                 f"got {self.trace_length}")
-        if self.shards is not None and self.shards < 1:
-            raise ConfigError(
-                f"RunRequest.shards must be >= 1 or None, "
-                f"got {self.shards}")
-        if self.shard_overlap is not None and self.shard_overlap < 0:
-            raise ConfigError(
-                f"RunRequest.shard_overlap must be >= 0 or None, "
-                f"got {self.shard_overlap}")
 
     @property
     def name(self) -> str:
@@ -202,14 +192,9 @@ class RunRequest:
 
     @property
     def resolved(self) -> bool:
-        """Whether every identity-bearing default has been pinned down."""
-        return self.trace_length is not None and self.shards is not None
-
-    def variant(self) -> str:
-        """Execution-variant tag ('' monolithic, else the shard tag)."""
-        if self.shards is None or self.shards <= 1:
-            return ""
-        return shard_variant(self.shards, self.shard_overlap)
+        """Whether ``trace_length``, the one defaulted identity field,
+        has been pinned down."""
+        return self.trace_length is not None
 
     def cache_key(self) -> str:
         """Content-addressed identity digest (resolved requests only).
@@ -220,11 +205,11 @@ class RunRequest:
         """
         if not self.resolved:
             raise ConfigError(
-                "cache_key needs a resolved request (trace_length and "
-                "shards pinned); pass it through resolve_request first")
+                "cache_key needs a resolved request (trace_length "
+                "pinned); pass it through resolve_request first")
         assert self.trace_length is not None
         return cache_key(self.workload, self.config, self.trace_length,
-                         self.seed, self.variant())
+                         self.seed)
 
     def to_dict(self) -> dict:
         """JSON-compatible wire form (the daemon's request body)."""
@@ -234,8 +219,6 @@ class RunRequest:
             "config": self.config.to_dict(),
             "trace_length": self.trace_length,
             "seed": self.seed,
-            "shards": self.shards,
-            "shard_overlap": self.shard_overlap,
             "label": self.label,
         }
 
@@ -252,7 +235,7 @@ class RunRequest:
                 f"unsupported request schema {schema!r} "
                 f"(this build reads {REQUEST_SCHEMA!r})")
         known = {"schema", "workload", "config", "trace_length", "seed",
-                 "shards", "shard_overlap", "label"}
+                 "label"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(
@@ -265,8 +248,6 @@ class RunRequest:
                     if isinstance(config, dict) else SimConfig()),
             trace_length=data.get("trace_length"),
             seed=data.get("seed", 1),
-            shards=data.get("shards"),
-            shard_overlap=data.get("shard_overlap"),
             label=data.get("label"),
         )
 
@@ -301,20 +282,15 @@ def resolve_request(request: RunRequest | None = None, *,
                     config: SimConfig | None = None,
                     trace_length: int | None = None,
                     seed: int | None = None,
-                    shards: int | None = None,
-                    shard_overlap: int | None = None,
                     label: str | None = None) -> RunRequest:
     """Normalize a request (or kwargs) into one resolved RunRequest.
 
     This is the single normalization path of the run API: defaults are
     applied exactly once, here — ``config`` to a stock
-    :class:`~repro.config.SimConfig`, ``trace_length`` to the
-    environment-controlled experiment default, ``shards`` to 1
-    (monolithic), and ``shard_overlap`` to the calibrated default when
-    sharding is on (and ``None`` when it is off, so a monolithic
-    request can never encode a meaningless overlap into its identity).
-    Explicit keyword arguments override the corresponding fields of a
-    given ``request``.
+    :class:`~repro.config.SimConfig` and ``trace_length`` to the
+    environment-controlled experiment default.  Explicit keyword
+    arguments override the corresponding fields of a given
+    ``request``.
     """
     if request is not None and not isinstance(request, RunRequest):
         raise ConfigError(
@@ -328,7 +304,6 @@ def resolve_request(request: RunRequest | None = None, *,
                              config=config or SimConfig(),
                              trace_length=trace_length,
                              seed=seed if seed is not None else 1,
-                             shards=shards, shard_overlap=shard_overlap,
                              label=label)
     else:
         overrides: dict[str, Any] = {}
@@ -340,29 +315,13 @@ def resolve_request(request: RunRequest | None = None, *,
             overrides["trace_length"] = trace_length
         if seed is not None:
             overrides["seed"] = seed
-        if shards is not None:
-            overrides["shards"] = shards
-        if shard_overlap is not None:
-            overrides["shard_overlap"] = shard_overlap
         if label is not None:
             overrides["label"] = label
         if overrides:
             request = replace(request, **overrides)
 
-    resolved_length = request.trace_length
-    if resolved_length is None:
-        from repro.harness.runner import default_trace_length
+    if request.trace_length is not None:
+        return request
+    from repro.harness.runner import default_trace_length
 
-        resolved_length = default_trace_length()
-    nshards = request.shards if request.shards is not None else 1
-    nshards = max(1, min(nshards, resolved_length))
-    overlap = request.shard_overlap
-    if nshards > 1:
-        if overlap is None:
-            from repro.sim.sharding import DEFAULT_SHARD_OVERLAP
-
-            overlap = DEFAULT_SHARD_OVERLAP
-    else:
-        overlap = None
-    return replace(request, trace_length=resolved_length,
-                   shards=nshards, shard_overlap=overlap)
+    return replace(request, trace_length=default_trace_length())

@@ -42,12 +42,13 @@ def merge_counters(*sources: dict[str, int]) -> dict[str, int]:
 
 def merge_snapshots(snapshots: "list[TelemetrySnapshot]",
                     ) -> TelemetrySnapshot:
-    """Aggregate per-shard telemetry snapshots into one.
+    """Aggregate telemetry snapshots of several runs into one.
 
-    The substrate for cross-shard metric aggregation: counter trees add
-    node-by-node (see :func:`repro.stats.telemetry.merge_nodes`),
+    The report's merged-telemetry appendix sums the per-workload
+    snapshots of a technique this way: counter trees add node-by-node
+    (see :func:`repro.stats.telemetry.merge_nodes`),
     ``cycles``/``instructions`` metadata sums, and interval series
-    concatenate in input order when every shard used the same window
+    concatenate in input order when every run used the same window
     (they are dropped otherwise — splicing differently-windowed series
     would fabricate data).
     """

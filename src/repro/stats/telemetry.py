@@ -168,7 +168,7 @@ class TelemetryNode:
 
 
 def merge_nodes(nodes: "list[TelemetryNode]") -> TelemetryNode:
-    """Sum same-shaped telemetry trees (cross-shard aggregation).
+    """Sum same-shaped telemetry trees (cross-run aggregation).
 
     Counters and histogram weights add; derived ratios are *dropped*
     (a ratio of sums is not the sum of ratios — recompute downstream);

@@ -49,6 +49,13 @@ class TestFacade:
         with pytest.raises(TypeError):
             Simulator(tiny_trace, SimConfig(), "a-name")
 
+    @pytest.mark.parametrize("knob", ["shards", "shard_overlap",
+                                      "processes"])
+    def test_removed_execution_knobs_raise_type_error(self, tiny_trace,
+                                                      knob):
+        with pytest.raises(TypeError, match=knob):
+            simulate(tiny_trace, **{knob: 2})
+
 
 class TestRemovedAlias:
     """``run_simulation`` is gone; every import site gets a hint."""

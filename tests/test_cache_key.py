@@ -6,7 +6,7 @@ import json
 import subprocess
 import sys
 
-from repro.cachekey import KEY_LENGTH, cache_key, shard_variant
+from repro.cachekey import KEY_LENGTH, cache_key
 from repro.config import PrefetchConfig, SimConfig
 from repro.harness.persist import result_key
 from repro.spec import RunRequest
@@ -28,9 +28,6 @@ class TestCacheKey:
         assert cache_key("perl_like", SimConfig(), 60_000, 1) != base
         assert cache_key("gcc_like", SimConfig(), 60_001, 1) != base
         assert cache_key("gcc_like", SimConfig(), 60_000, 2) != base
-        assert cache_key("gcc_like", SimConfig(), 60_000, 1,
-                         variant="shards=4:overlap=2000:warm=functional"
-                         ) != base
         nopf = SimConfig(prefetch=PrefetchConfig(kind="none"))
         assert cache_key("gcc_like", nopf, 60_000, 1) != base
 
@@ -78,34 +75,14 @@ class TestCacheKey:
 
     def test_result_key_is_an_alias(self):
         config = SimConfig()
-        assert result_key("gcc_like", config, 60_000, 1, "v") == \
-            cache_key("gcc_like", config, 60_000, 1, "v")
+        assert result_key("gcc_like", config, 60_000, 1) == \
+            cache_key("gcc_like", config, 60_000, 1)
 
     def test_request_cache_key_matches_helper(self):
         request = RunRequest("gcc_like", SimConfig(),
-                             trace_length=60_000, seed=1, shards=1)
+                             trace_length=60_000, seed=1)
         assert request.cache_key() == \
             cache_key("gcc_like", SimConfig(), 60_000, 1)
-
-
-class TestShardVariant:
-    def test_tag_format(self):
-        assert shard_variant(4, 2000) == \
-            "shards=4:overlap=2000:warm=functional"
-        assert shard_variant(2, 500, warm="overlap") == \
-            "shards=2:overlap=500:warm=overlap"
-
-    def test_default_overlap_resolves(self):
-        from repro.sim.sharding import DEFAULT_SHARD_OVERLAP
-
-        assert shard_variant(4) == \
-            f"shards=4:overlap={DEFAULT_SHARD_OVERLAP}:warm=functional"
-
-    def test_sharded_and_monolithic_keys_differ(self):
-        config = SimConfig()
-        assert cache_key("gcc_like", config, 200_000, 1,
-                         variant=shard_variant(4)) != \
-            cache_key("gcc_like", config, 200_000, 1)
 
 
 class TestVersionBinding:

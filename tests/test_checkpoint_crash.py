@@ -14,9 +14,7 @@ import pytest
 
 from repro.config import PrefetchConfig, PrefetcherKind, SimConfig
 from repro.harness.parallel import parallel_sweep
-from repro.harness.shard_runner import run_sharded
 from repro.sim.checkpoint import KILL_AFTER_ENV
-from repro.workloads import build_trace
 
 LENGTH = 2500
 
@@ -49,19 +47,3 @@ def test_sweep_survives_sigkill_with_identical_results(tmp_path,
     assert drilled.counters["ckpt_resumes"] >= 1
     assert drilled.counters["snapshots"] > 0
 
-
-@pytest.mark.slow
-def test_sharded_run_survives_sigkill(tmp_path, monkeypatch):
-    trace = build_trace("gcc_like", LENGTH, seed=5)
-    config = _config(checkpoint_interval=400)
-
-    clean = run_sharded(trace, config, shards=3, processes=1)
-
-    monkeypatch.setenv(KILL_AFTER_ENV, "1")
-    drilled = run_sharded(trace, config, shards=3, processes=2,
-                          max_retries=2,
-                          checkpoint_dir=str(tmp_path / "shards"))
-    assert drilled == clean
-    # Each shard directory ran its own crash drill.
-    markers = list((tmp_path / "shards").glob("shard*/crash-drill.done"))
-    assert len(markers) == 3

@@ -25,6 +25,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E99"])
 
+    @pytest.mark.parametrize("argv", [
+        ["shard", "-w", "compress_like"],
+        ["stats", "-w", "compress_like", "--shards", "2"],
+        ["stats", "-w", "compress_like", "--processes", "2"],
+        ["submit", "-w", "compress_like", "--shards", "2"],
+        ["perf", "--processes", "2"],
+    ])
+    def test_removed_command_and_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+
 
 class TestListCommand:
     def test_lists_everything(self, capsys):
@@ -192,57 +204,12 @@ class TestStatsCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(self.ARGS + ["--json", "--csv"])
 
-    def test_sharded_stats(self, capsys):
-        code = main(["stats", "-w", "compress_like", "--length", "6000",
-                     "--shards", "2", "--shard-overlap", "500",
-                     "--processes", "1"])
-        assert code == 0
-        assert "sim/mem/l1i" in capsys.readouterr().out
-
-
-class TestShardCommand:
-    BASE = ["shard", "-w", "compress_like", "--length", "6000",
-            "--shards", "2", "--shard-overlap", "500",
-            "--processes", "1"]
-
-    def test_table_output(self, capsys):
-        assert main(self.BASE) == 0
-        out = capsys.readouterr().out
-        assert "IPC" in out
-        assert "shard" in out  # provenance table
-
-    def test_json_output(self, capsys):
-        assert main(self.BASE + ["--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sharding"]["shards"] == 2
-        assert payload["sharding"]["overlap"] == 500
-        assert len(payload["sharding"]["windows"]) == 2
-        assert payload["ipc"] > 0
-
-    def test_compare_reports_deltas(self, capsys):
-        assert main(self.BASE + ["--compare"]) == 0
-        out = capsys.readouterr().out
-        assert "monolithic" in out
-
-    def test_calibrate_prints_accuracy_table(self, capsys):
-        code = main(["shard", "-w", "compress_like", "--length", "6000",
-                     "--processes", "1", "--calibrate"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ipc err" in out
-
-    def test_warm_mode_validated_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(self.BASE + ["--warm", "cold"])
-
 
 class TestSharedFlags:
-    """The trace/pool parent parsers behave uniformly across commands."""
+    """The trace parent parser behaves uniformly across commands; the
+    pool flags belong to sweep, the one command that runs a pool."""
 
-    @pytest.mark.parametrize("command", [
-        ["sweep"], ["stats", "-w", "compress_like"],
-        ["shard", "-w", "compress_like"], ["perf"],
-    ])
+    @pytest.mark.parametrize("command", [["sweep"]])
     def test_trace_and_pool_flags_accepted(self, command):
         args = build_parser().parse_args(
             command + ["--length", "5000", "--seed", "3",
@@ -302,12 +269,11 @@ class TestServeParsers:
     def test_submit_request_flags(self):
         args = build_parser().parse_args(
             ["submit", "-w", "compress_like", "--length", "6000",
-             "--seed", "2", "--shards", "4", "--priority", "3",
+             "--seed", "2", "--priority", "3",
              "--wait", "30", "--json"])
         assert args.workload == "compress_like"
         assert args.length == 6000
         assert args.seed == 2
-        assert args.shards == 4
         assert args.priority == 3
         assert args.wait == 30.0
         assert args.json is True

@@ -127,12 +127,19 @@ class TestEventLog:
             parse_event_line(json.dumps({"schema": "other/v9"}))
         good = {"schema": EVENT_SCHEMA, "kind": "run_start", "ts": 1.0,
                 "wall": 1.0, "pid": 1, "seq": 1, "run": None,
-                "point": None, "shard": None, "attempt": None,
-                "data": {}}
+                "point": None, "attempt": None, "data": {}}
         assert parse_event_line(json.dumps(good))["kind"] == "run_start"
         bad = dict(good, attempt="first")
         with pytest.raises(ObservabilityError, match="attempt"):
             validate_event(bad)
+        # v1 lines (which carried a shard field) and the removed shard
+        # kinds no longer validate.
+        v1 = dict(good, schema="repro.events/v1", shard=None)
+        with pytest.raises(ObservabilityError, match="schema"):
+            parse_event_line(json.dumps(v1))
+        for kind in ("shard_start", "shard_end"):
+            with pytest.raises(ObservabilityError, match="kind"):
+                parse_event_line(json.dumps(dict(good, kind=kind)))
 
     def test_configure_propagates_through_environment(self, tmp_path):
         path = str(tmp_path / "e.jsonl")

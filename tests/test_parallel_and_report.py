@@ -98,3 +98,15 @@ class TestReport:
         runner = Runner(trace_length=2000)
         text = generate_report(runner, experiment_ids=["E1"])
         assert "Total simulation points" in text
+
+    def test_no_prewarm_when_no_experiment_reads_the_grid(self):
+        # E1 is the config table: a pool must not simulate the grid.
+        runner = Runner(trace_length=500)
+        text = generate_report(runner, experiment_ids=["E1"], processes=2)
+        assert "Total simulation points: 0" in text
+        assert "Sweep execution:" not in text
+
+    def test_grid_experiment_is_prewarmed(self):
+        runner = Runner(trace_length=500)
+        text = generate_report(runner, experiment_ids=["E3"], processes=2)
+        assert "Sweep execution:" in text

@@ -35,10 +35,6 @@ class TestRunRequestValidation:
         with pytest.raises(ConfigError, match="trace_length"):
             RunRequest("gcc_like", trace_length=0)
 
-    def test_bad_shards_rejected(self):
-        with pytest.raises(ConfigError, match="shards"):
-            RunRequest("gcc_like", shards=0)
-
     def test_name_prefers_label(self):
         assert RunRequest("gcc_like").name == "gcc_like"
         assert RunRequest("gcc_like", label="exp3").name == "exp3"
@@ -53,8 +49,6 @@ class TestResolveRequest:
         request = resolve_request(workload="gcc_like")
         assert request.resolved
         assert request.trace_length is not None
-        assert request.shards == 1
-        assert request.shard_overlap is None
         request.cache_key()   # resolvable now
 
     def test_kwargs_override_request_fields(self):
@@ -63,26 +57,6 @@ class TestResolveRequest:
         assert overridden.seed == 7
         assert overridden.label == "alt"
         assert overridden.workload == "gcc_like"
-
-    def test_monolithic_never_encodes_overlap(self):
-        request = resolve_request(workload="gcc_like",
-                                  trace_length=LENGTH,
-                                  shards=1, shard_overlap=2_000)
-        assert request.shard_overlap is None
-        assert request.variant() == ""
-
-    def test_sharded_gets_default_overlap(self):
-        from repro.sim.sharding import DEFAULT_SHARD_OVERLAP
-
-        request = resolve_request(workload="gcc_like",
-                                  trace_length=200_000, shards=4)
-        assert request.shard_overlap == DEFAULT_SHARD_OVERLAP
-        assert request.variant().startswith("shards=4:")
-
-    def test_shards_clamped_to_trace_length(self):
-        request = resolve_request(workload="gcc_like",
-                                  trace_length=2, shards=100)
-        assert request.shards == 2
 
     def test_needs_a_workload(self):
         with pytest.raises(ConfigError, match="workload"):
@@ -118,9 +92,12 @@ class TestWireForm:
 
     def test_wrong_schema_rejected(self):
         payload = RunRequest("gcc_like").to_dict()
-        payload["schema"] = "repro.request/v99"
-        with pytest.raises(ConfigError, match="schema"):
-            RunRequest.from_dict(payload)
+        # A v1 body also carried the two keys of sharded execution.
+        v1 = dict(payload, schema="repro.request/v1", shards=1,
+                  shard_overlap=None)
+        for body in (dict(payload, schema="repro.request/v99"), v1):
+            with pytest.raises(ConfigError, match="schema"):
+                RunRequest.from_dict(body)
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
@@ -146,12 +123,6 @@ class TestExecute:
         rebuilt = execute(request)
         assert result_to_json(via_trace.result) == \
             result_to_json(rebuilt.result)
-
-    def test_profile_on_sharded_request_rejected(self):
-        request = resolve_request(workload="compress_like",
-                                  trace_length=200_000, shards=4)
-        with pytest.raises(ConfigError, match="monolithic"):
-            execute(request, profile=True)
 
 
 class TestRunResponse:

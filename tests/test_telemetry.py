@@ -1,5 +1,5 @@
 """The hierarchical telemetry spine: nodes, snapshots, interval
-sampling, and cross-shard merging."""
+sampling, and cross-run merging."""
 
 from __future__ import annotations
 
@@ -194,7 +194,7 @@ class TestTelemetrySnapshot:
 
 
 class TestMergeSnapshots:
-    def shard(self, cycles, window=None):
+    def run(self, cycles, window=None):
         intervals = None
         if window is not None:
             sampler = IntervalSampler(window)
@@ -207,21 +207,21 @@ class TestMergeSnapshots:
             intervals=intervals)
 
     def test_meta_totals_add(self):
-        merged = merge_snapshots([self.shard(10), self.shard(30)])
+        merged = merge_snapshots([self.run(10), self.run(30)])
         assert merged.meta["cycles"] == 40
         assert merged.meta["instructions"] == 80
         assert merged.meta["prefetcher"] == "fdip"
         assert merged.root.child("mem").get("demand_misses") == 8
 
     def test_interval_series_concatenate_when_windows_match(self):
-        merged = merge_snapshots([self.shard(10, window=10),
-                                  self.shard(20, window=10)])
+        merged = merge_snapshots([self.run(10, window=10),
+                                  self.run(20, window=10)])
         assert merged.intervals is not None
         assert len(merged.intervals.samples) == 3
 
     def test_interval_series_dropped_on_window_mismatch(self):
-        merged = merge_snapshots([self.shard(10, window=10),
-                                  self.shard(20, window=5)])
+        merged = merge_snapshots([self.run(10, window=10),
+                                  self.run(20, window=5)])
         assert merged.intervals is None
 
     def test_empty_input_rejected(self):
