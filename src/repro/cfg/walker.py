@@ -16,6 +16,12 @@ Branch outcomes:
 
 Everything is seeded, so the same (program, seed) pair always yields the
 identical trace.
+
+The walker pays per visited block.  A block is compiled the first time
+the walk enters it; the records of its non-terminator instructions do
+not depend on the path taken, so they are built once, as one tuple that
+every visit shares, and only the terminator's record is built per visit.
+Records are immutable, so the sharing is invisible to their readers.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.cfg.model import BasicBlock, Program
+from repro.cfg.model import Program
 from repro.errors import SimulationError
 from repro.isa import INSTRUCTION_BYTES, InstrKind
 from repro.trace.records import TraceRecord
@@ -37,12 +43,17 @@ MAX_CALL_DEPTH = 128
 """Hard cap on dynamic call depth; exceeding it indicates a generator bug."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _CompiledBlock:
-    """A basic block pre-flattened for the walker's hot loop."""
+    """A basic block pre-flattened for the walker's hot loop.
 
-    pcs: tuple[int, ...]
-    kinds: tuple[InstrKind, ...]
+    ``body`` holds the shared records of every instruction before the
+    terminator; ``term_kind`` is None when the block falls through.
+    """
+
+    body: tuple[TraceRecord, ...]
+    term_pc: int
+    term_kind: InstrKind | None
     term_target: int | None
     fallthrough: int | None
     taken_bias: float
@@ -58,25 +69,38 @@ class TraceWalker:
         self.program = program
         self.seed = seed
         self._rng = random.Random(seed)
-        self._blocks = {
-            block.start: self._compile(block)
-            for function in program.functions
-            for block in function.blocks
-        }
+        self._blocks: dict[int, _CompiledBlock] = {}
         self._pc = program.entry
         self._stack: list[int] = []
         self._loop_counts: dict[int, int] = {}
+        # Records of the last walked block that the caller has not
+        # received yet; they open the next call's output.
+        self._carry: list[TraceRecord] = []
 
-    @staticmethod
-    def _compile(block: BasicBlock) -> _CompiledBlock:
+    def _compile(self, pc: int) -> _CompiledBlock:
+        """Compile (and remember) the block starting at ``pc``."""
+        block = self.program.block_at(pc)
+        if block is None or block.start != pc:
+            raise SimulationError(
+                f"walker jumped to {pc:#x}, which is not a block start")
         term = block.terminator
+        body = block.instrs[:-1] if term is not None else block.instrs
+        for instr in body:
+            if instr.kind.is_control:
+                raise SimulationError(
+                    f"control instruction mid-block at {instr.pc:#x}")
+        if term is None and block.fallthrough is None:
+            raise SimulationError(f"block at {pc:#x} fell off the end")
         cumweights: tuple[float, ...] = ()
         if block.indirect_targets:
             cumweights = tuple(
                 itertools.accumulate(block.indirect_weights))
-        return _CompiledBlock(
-            pcs=tuple(i.pc for i in block.instrs),
-            kinds=tuple(i.kind for i in block.instrs),
+        compiled = _CompiledBlock(
+            body=tuple(TraceRecord(i.pc, i.kind, False,
+                                   i.pc + INSTRUCTION_BYTES)
+                       for i in body),
+            term_pc=block.instrs[-1].pc,
+            term_kind=term.kind if term is not None else None,
             term_target=term.target if term is not None else None,
             fallthrough=block.fallthrough,
             taken_bias=block.taken_bias,
@@ -84,47 +108,53 @@ class TraceWalker:
             indirect_targets=block.indirect_targets,
             indirect_cumweights=cumweights,
         )
+        self._blocks[pc] = compiled
+        return compiled
 
     def records(self) -> Iterator[TraceRecord]:
-        """Yield committed trace records forever (restarting main)."""
-        rng = self._rng
-        blocks = self._blocks
+        """Yield committed trace records forever (restarting main).
+
+        The generator shares the walker's position with :meth:`walk`: a
+        record taken from it is never emitted again.
+        """
         while True:
-            block = blocks.get(self._pc)
-            if block is None or block.pcs[0] != self._pc:
-                raise SimulationError(
-                    f"walker jumped to {self._pc:#x}, which is not a block "
-                    f"start")
-            last = len(block.pcs) - 1
-            for i, (pc, kind) in enumerate(zip(block.pcs, block.kinds)):
-                if not kind.is_control:
-                    yield TraceRecord(pc, kind, False,
-                                      pc + INSTRUCTION_BYTES)
-                    continue
-                if i != last:
-                    raise SimulationError(
-                        f"control instruction mid-block at {pc:#x}")
-                next_pc, taken = self._resolve(block, pc, kind, rng)
-                yield TraceRecord(pc, kind, taken, next_pc)
-                self._pc = next_pc
-                break
-            else:
-                if block.fallthrough is None:
-                    raise SimulationError(
-                        f"block at {block.pcs[0]:#x} fell off the end")
-                self._pc = block.fallthrough
+            yield from self.walk(1)
 
     def walk(self, n: int) -> list[TraceRecord]:
-        """Return the next ``n`` committed records."""
-        return list(itertools.islice(self.records(), n))
+        """Return the next ``n`` committed records.
 
-    def _resolve(self, block: _CompiledBlock, pc: int, kind: InstrKind,
-                 rng: random.Random) -> tuple[int, bool]:
-        """Compute (next_pc, taken) for the terminator at ``pc``."""
+        The walk appends whole blocks; records of the last block beyond
+        ``n`` carry over to the next call, so consecutive calls continue
+        one stream.
+        """
+        if n < 0:
+            raise ValueError(f"cannot walk {n} records")
+        out = self._carry[:n]
+        del self._carry[:n]
+        blocks = self._blocks
+        while len(out) < n:
+            pc = self._pc
+            block = blocks.get(pc) or self._compile(pc)
+            out += block.body
+            kind = block.term_kind
+            if kind is None:
+                self._pc = block.fallthrough
+                continue
+            next_pc, taken = self._resolve(block, kind)
+            out.append(TraceRecord(block.term_pc, kind, taken, next_pc))
+            self._pc = next_pc
+        if len(out) > n:
+            self._carry = out[n:]
+            del out[n:]
+        return out
+
+    def _resolve(self, block: _CompiledBlock,
+                 kind: InstrKind) -> tuple[int, bool]:
+        """Compute (next_pc, taken) for ``block``'s terminator."""
+        pc = block.term_pc
         sequential = pc + INSTRUCTION_BYTES
         if kind == InstrKind.BRANCH_COND:
-            taken = self._cond_outcome(block, pc, rng)
-            if taken:
+            if self._cond_outcome(block, pc):
                 return block.term_target, True
             return sequential, False
         if kind == InstrKind.JUMP_DIRECT:
@@ -134,17 +164,16 @@ class TraceWalker:
             return block.term_target, True
         if kind == InstrKind.CALL_INDIRECT:
             self._push(sequential)
-            return self._pick_indirect(block, rng), True
+            return self._pick_indirect(block), True
         if kind == InstrKind.JUMP_INDIRECT:
-            return self._pick_indirect(block, rng), True
+            return self._pick_indirect(block), True
         if kind == InstrKind.RETURN:
             if self._stack:
                 return self._stack.pop(), True
             return self.program.entry, True  # main returned: restart
         raise SimulationError(f"unhandled control kind {kind!r} at {pc:#x}")
 
-    def _cond_outcome(self, block: _CompiledBlock, pc: int,
-                      rng: random.Random) -> bool:
+    def _cond_outcome(self, block: _CompiledBlock, pc: int) -> bool:
         trips = block.loop_trips
         if trips is not None:
             count = self._loop_counts.get(pc, 0) + 1
@@ -153,12 +182,11 @@ class TraceWalker:
                 return True
             self._loop_counts[pc] = 0
             return False
-        return rng.random() < block.taken_bias
+        return self._rng.random() < block.taken_bias
 
-    def _pick_indirect(self, block: _CompiledBlock,
-                       rng: random.Random) -> int:
+    def _pick_indirect(self, block: _CompiledBlock) -> int:
         index = bisect.bisect_left(block.indirect_cumweights,
-                                   rng.random() *
+                                   self._rng.random() *
                                    block.indirect_cumweights[-1])
         index = min(index, len(block.indirect_targets) - 1)
         return block.indirect_targets[index]

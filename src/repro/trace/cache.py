@@ -1,9 +1,11 @@
 """On-disk trace cache.
 
-Walking a synthetic program for millions of instructions takes seconds;
-benchmark sweeps re-use the same traces dozens of times.  The cache stores
-traces under a key derived from how they were built, so any change to the
-build parameters produces a different file.
+Walking a synthetic program emits about 1.5 million instructions per
+second once the program is generated (a million-instruction ``gcc_like``
+walk takes 0.65 s under CPython 3.11 on a two-CPU container); benchmark
+sweeps re-use the same traces dozens of times.  The cache stores traces
+under a key derived from how they were built, so any change to the build
+parameters produces a different file.
 
 The cache directory defaults to ``.trace_cache`` in the current working
 directory and can be overridden with the ``REPRO_TRACE_CACHE`` environment

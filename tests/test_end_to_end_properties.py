@@ -14,6 +14,7 @@ from repro.cfg import ProgramShape, TraceWalker, generate_program
 from repro.ftb import FetchTargetBuffer, FTBEntry
 from repro.isa import InstrKind
 from repro.trace import Trace
+from tests._reference_walker import ReferenceWalker
 
 _shapes = st.builds(
     ProgramShape,
@@ -44,6 +45,16 @@ def test_walker_chain_consistency_on_random_programs(shape, seed):
     for previous, current in zip(records, records[1:]):
         assert previous.next_pc == current.pc
         assert program.instr_at(current.pc) is not None
+
+
+@given(_shapes, st.integers(0, 2 ** 16), st.integers(0, 1500))
+@settings(max_examples=10, deadline=None)
+def test_block_walker_matches_per_instruction_reference(shape, seed, split):
+    program = generate_program(shape, seed=seed)
+    expected = ReferenceWalker(program, seed=seed).walk(1500)
+    assert TraceWalker(program, seed=seed).walk(1500) == expected
+    walker = TraceWalker(program, seed=seed)
+    assert walker.walk(split) + walker.walk(1500 - split) == expected
 
 
 @given(_shapes, st.integers(0, 2 ** 10),

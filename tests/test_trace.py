@@ -1,6 +1,8 @@
 """Trace records, containers, IO, characterization, and caching."""
 
 import gzip
+import json
+import struct
 
 import pytest
 
@@ -155,14 +157,37 @@ class TestTraceIO:
     def test_rejects_corrupt_record_payload(self, tmp_path, small_trace):
         path = tmp_path / "t.trace.gz"
         write_trace(small_trace, path)
-        payload = bytearray(gzip.decompress(path.read_bytes()))
-        # Overwrite the first record's kind byte with a non-kind value.
-        kind_at = payload.index(b"\n") + 1 + 8
-        payload[kind_at] = 0xEE
-        with gzip.open(path, "wb") as out:
-            out.write(bytes(payload))
-        with pytest.raises(TraceError, match="corrupt record payload"):
-            read_trace(path)
+        clean = gzip.decompress(path.read_bytes())
+        kind_at = clean.index(b"\n") + 1 + 8
+        # Overwrite the first record's kind byte with a non-kind value:
+        # one past the last kind, an arbitrary one and the largest.
+        for bad in (max(InstrKind) + 1, 0xEE, 0xFF):
+            payload = bytearray(clean)
+            payload[kind_at] = bad
+            with gzip.open(path, "wb") as out:
+                out.write(bytes(payload))
+            with pytest.raises(TraceError, match="corrupt record payload"):
+                read_trace(path)
+
+    def test_reads_file_written_record_by_record(self, tmp_path,
+                                                 small_trace):
+        # Cache files already on disk were written with one gzip write
+        # per record at compression level 9; they must stay readable.
+        path = tmp_path / "t.trace.gz"
+        header = {"magic": "repro-trace", "version": 1,
+                  "name": small_trace.name, "seed": small_trace.seed,
+                  "count": len(small_trace)}
+        record = struct.Struct("<QBBQ")
+        with gzip.open(path, "wb", compresslevel=9) as out:
+            out.write(json.dumps(header).encode("utf-8"))
+            out.write(b"\n")
+            for r in small_trace:
+                out.write(record.pack(r.pc, int(r.kind), int(r.taken),
+                                      r.next_pc))
+        loaded = read_trace(path)
+        assert loaded.records == small_trace.records
+        assert (loaded.name, loaded.seed) == (small_trace.name,
+                                              small_trace.seed)
 
 
 class TestCharacterize:
