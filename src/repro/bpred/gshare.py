@@ -39,9 +39,3 @@ class GsharePredictor(DirectionPredictor):
     def update(self, pc: int, history: int, taken: bool) -> None:
         index = self._index(pc, history)
         self._table[index] = counter_update(self._table[index], taken)
-
-    def _extra_state(self) -> dict:
-        return {"table": list(self._table)}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._table = [int(c) for c in state["table"]]

@@ -63,16 +63,3 @@ class HybridPredictor(DirectionPredictor):
                                                gshare_correct)
         self.bimodal.update(pc, history, taken)
         self.gshare.update(pc, history, taken)
-
-    def _extra_state(self) -> dict:
-        # The component predictors are owned directly (they are not
-        # sub_components — their stats fold into the hybrid's node), so
-        # their full state nests here.
-        return {"meta": list(self._meta),
-                "bimodal": self.bimodal.state_dict(),
-                "gshare": self.gshare.state_dict()}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._meta = [int(c) for c in state["meta"]]
-        self.bimodal.load_state_dict(state["bimodal"])
-        self.gshare.load_state_dict(state["gshare"])

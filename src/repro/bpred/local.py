@@ -56,10 +56,3 @@ class LocalPredictor(DirectionPredictor):
         pht_index = local & self._pht_mask
         self._pht[pht_index] = counter_update(self._pht[pht_index], taken)
         self._bht[index] = ((local << 1) | int(taken)) & self._history_mask
-
-    def _extra_state(self) -> dict:
-        return {"bht": list(self._bht), "pht": list(self._pht)}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._bht = [int(h) for h in state["bht"]]
-        self._pht = [int(c) for c in state["pht"]]

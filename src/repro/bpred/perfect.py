@@ -28,9 +28,3 @@ class PerfectPredictor(DirectionPredictor):
 
     def update(self, pc: int, history: int, taken: bool) -> None:
         """Nothing to train."""
-
-    def _extra_state(self) -> dict:
-        return {"next_outcome": self._next_outcome}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._next_outcome = bool(state["next_outcome"])

@@ -77,12 +77,3 @@ class ReturnAddressStack(StatsComponent):
         self._top = snap.top
         self._count = snap.count
         self.stats.bump("restores")
-
-    def _extra_state(self) -> dict:
-        return {"entries": list(self._entries), "top": self._top,
-                "count": self._count}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._entries = [int(pc) for pc in state["entries"]]
-        self._top = int(state["top"])
-        self._count = int(state["count"])

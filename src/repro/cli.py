@@ -416,8 +416,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         manager = CheckpointManager(Path(args.resume_from).parent,
                                     meta=meta)
         state = manager.load(args.resume_from)
-        sim = Simulator(trace, config, engine=args.engine)
-        sim.load_state_dict(state)
+        sim = Simulator.restore(trace, config, state["machine"],
+                                engine=args.engine)
         if args.machine_checkpoint_dir and config.checkpoint_interval > 0:
             sink = CheckpointManager(args.machine_checkpoint_dir,
                                      meta=meta)

@@ -18,6 +18,12 @@ and recurses resets.
 ``reset()`` clears *statistics only* — architectural state (cache
 contents, predictor tables, queue occupancy) survives, which is exactly
 what end-of-warm-up needs.
+
+Checkpointing asks nothing of a component: a snapshot pickles the
+whole simulator (see :mod:`repro.sim.checkpoint`), so every field is
+captured and an object two components share stays shared on restore.
+A component's fields must therefore stay picklable — no lambdas, open
+files, or generators.
 """
 
 from __future__ import annotations
@@ -45,25 +51,6 @@ class Component(Protocol):
 
     def telemetry(self) -> TelemetryNode:
         """Snapshot current statistics as one telemetry (sub)tree."""
-        ...
-
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the component's *full* state.
-
-        Unlike :meth:`telemetry` this captures architectural state too
-        (queue contents, predictor tables, cache tags, in-flight
-        events), so that :meth:`load_state_dict` can resume a run
-        mid-flight with bit-identical results.
-        """
-        ...
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the state captured by :meth:`state_dict`.
-
-        Implementations mutate existing objects in place rather than
-        rebinding them, so cross-component references (the memory
-        system's sidecar, a prefetcher's buffer) stay intact.
-        """
         ...
 
 
@@ -104,40 +91,3 @@ class StatsComponent:
             derived=self.derived_metrics(),
             children=[c.telemetry() for c in self.sub_components()],
         )
-
-    # -- checkpointing ---------------------------------------------------
-
-    def _extra_state(self) -> dict:
-        """Subclass hook: architectural state beyond stats/children."""
-        return {}
-
-    def _load_extra_state(self, state: dict) -> None:
-        """Subclass hook: inverse of :meth:`_extra_state`."""
-        if state:
-            raise ValueError(
-                f"component {self.name!r} cannot restore extra state "
-                f"{sorted(state)}")
-
-    def state_dict(self) -> dict:
-        """Default capture: stats group + sub-components + extra state."""
-        return {
-            "stats": self.stats.state_dict(),
-            # Positional, not name-keyed: sibling names may collide
-            # (a two-level FTB's levels both report as "ftb") while
-            # sub_components() order is part of the component contract.
-            "components": [c.state_dict() for c in self.sub_components()],
-            "extra": self._extra_state(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Default restore, mirroring :meth:`state_dict`."""
-        self.stats.load_state_dict(state["stats"])
-        children = state["components"]
-        subs = tuple(self.sub_components())
-        if len(children) != len(subs):
-            raise ValueError(
-                f"component {self.name!r} expects {len(subs)} "
-                f"sub-component states, snapshot holds {len(children)}")
-        for component, payload in zip(subs, children):
-            component.load_state_dict(payload)
-        self._load_extra_state(state["extra"])

@@ -103,13 +103,3 @@ class Backend(StatsComponent):
         oldest instruction completes; an empty window retires nothing
         until fetch delivers (external input)."""
         return self._window[0] if self._window else None
-
-    def _extra_state(self) -> dict:
-        return {"window": list(self._window),
-                "wrong_path_occupancy": self._wrong_path_occupancy,
-                "retired": self.retired}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._window = deque(int(c) for c in state["window"])
-        self._wrong_path_occupancy = int(state["wrong_path_occupancy"])
-        self.retired = int(state["retired"])

@@ -168,10 +168,3 @@ class FetchEngine(StatsComponent):
     def squash(self) -> None:
         """Pipeline flush: abandon any in-progress (wrong-path) fetch."""
         self._waiting_until = None
-
-    def _extra_state(self) -> dict:
-        return {"waiting_until": self._waiting_until}
-
-    def _load_extra_state(self, state: dict) -> None:
-        waiting = state["waiting_until"]
-        self._waiting_until = int(waiting) if waiting is not None else None

@@ -71,63 +71,6 @@ class FTQEntry:
         return (f"FTQEntry#{self.seq}[{tag}] {self.start:#x}..{self.end:#x} "
                 f"-> {self.predicted_next:#x}")
 
-    def to_state(self) -> dict:
-        """JSON-compatible snapshot of this entry (for checkpoints)."""
-        return {
-            "seq": self.seq,
-            "start": self.start,
-            "end": self.end,
-            "predicted_next": self.predicted_next,
-            "wrong_path": self.wrong_path,
-            "first_index": self.first_index,
-            "n_records": self.n_records,
-            "mispredict": self.mispredict,
-            "true_next": self.true_next,
-            "resume_cursor": self.resume_cursor,
-            "terminal_pc": self.terminal_pc,
-            "terminal_kind": (int(self.terminal_kind)
-                              if self.terminal_kind is not None else None),
-            "terminal_taken": self.terminal_taken,
-            "ckpt_history": self.ckpt_history,
-            "ckpt_ras": (
-                {"entries": list(self.ckpt_ras.entries),
-                 "top": self.ckpt_ras.top, "count": self.ckpt_ras.count}
-                if self.ckpt_ras is not None else None),
-            "predicted_cond": self.predicted_cond,
-            "fetch_offset": self.fetch_offset,
-            "prefetch_scanned": self.prefetch_scanned,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "FTQEntry":
-        """Rebuild an entry captured by :meth:`to_state`."""
-        kind = state["terminal_kind"]
-        ras = state["ckpt_ras"]
-        return cls(
-            seq=int(state["seq"]),
-            start=int(state["start"]),
-            end=int(state["end"]),
-            predicted_next=int(state["predicted_next"]),
-            wrong_path=bool(state["wrong_path"]),
-            first_index=int(state["first_index"]),
-            n_records=int(state["n_records"]),
-            mispredict=bool(state["mispredict"]),
-            true_next=(int(state["true_next"])
-                       if state["true_next"] is not None else None),
-            resume_cursor=int(state["resume_cursor"]),
-            terminal_pc=(int(state["terminal_pc"])
-                         if state["terminal_pc"] is not None else None),
-            terminal_kind=InstrKind(kind) if kind is not None else None,
-            terminal_taken=bool(state["terminal_taken"]),
-            ckpt_history=int(state["ckpt_history"]),
-            ckpt_ras=(RasSnapshot(tuple(int(pc) for pc in ras["entries"]),
-                                  int(ras["top"]), int(ras["count"]))
-                      if ras is not None else None),
-            predicted_cond=bool(state["predicted_cond"]),
-            fetch_offset=int(state["fetch_offset"]),
-            prefetch_scanned=bool(state["prefetch_scanned"]),
-        )
-
 
 class FetchTargetQueue(StatsComponent):
     """Bounded FIFO of :class:`FTQEntry`."""
@@ -223,23 +166,3 @@ class FetchTargetQueue(StatsComponent):
 
     def __iter__(self) -> Iterator[FTQEntry]:
         return iter(self._entries)
-
-    def _extra_state(self) -> dict:
-        return {"entries": [entry.to_state() for entry in self._entries]}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._entries = [FTQEntry.from_state(payload)
-                         for payload in state["entries"]]
-
-    def entry_by_seq(self, seq: int) -> FTQEntry | None:
-        """The queued entry with sequence id ``seq`` (None when absent).
-
-        Used by checkpoint restore to re-establish identity aliases:
-        the prediction unit's pending-mispredict entry and the
-        simulator's resolve entry must be the *same object* as the one
-        queued here.
-        """
-        for entry in self._entries:
-            if entry.seq == seq:
-                return entry
-        return None

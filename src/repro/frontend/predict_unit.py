@@ -53,13 +53,15 @@ class PredictUnit(StatsComponent):
     def __init__(self, trace: Trace, ftb: FetchTargetBuffer,
                  predictor: DirectionPredictor, ras: ReturnAddressStack,
                  config: FrontEndConfig):
+        # Records are read through the trace, never kept in an alias:
+        # a snapshot stores the trace by reference but would pickle an
+        # alias of its record list by value.
         self.trace = trace
         self.ftb = ftb
         self.predictor = predictor
         self.ras = ras
         self.config = config
         self.stats = StatGroup("predict")
-        self._records = trace.records
         self._cursor = 0                     # next unpredicted trace index
         self._history = 0
         self._history_mask = (1 << config.predictor.history_bits) - 1
@@ -76,7 +78,7 @@ class PredictUnit(StatsComponent):
     @property
     def done(self) -> bool:
         """True when every trace record has been predicted and validated."""
-        return (self._cursor >= len(self._records)
+        return (self._cursor >= len(self.trace)
                 and self._pending_mispredict is None)
 
     @property
@@ -97,7 +99,7 @@ class PredictUnit(StatsComponent):
     @property
     def out_of_records(self) -> bool:
         """Every correct-path trace record has been consumed."""
-        return self._cursor >= len(self._records)
+        return self._cursor >= len(self.trace)
 
     def tick(self, now: int, ftq: FetchTargetQueue) -> FTQEntry | None:
         """Produce at most one fetch block into ``ftq``."""
@@ -116,10 +118,10 @@ class PredictUnit(StatsComponent):
                 self.stats.bump("mispredict_stall_cycles")
                 return None
             start = self._wrong_pc
-        elif self._cursor >= len(self._records):
+        elif self._cursor >= len(self.trace):
             return None
         else:
-            start = self._records[self._cursor].pc
+            start = self.trace.records[self._cursor].pc
 
         level, ftb_entry = self.ftb.probe(start)
         if level == "l2":
@@ -163,58 +165,12 @@ class PredictUnit(StatsComponent):
         self.stats.bump("resolutions")
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    @property
-    def pending_mispredict(self) -> FTQEntry | None:
-        """The unresolved mispredicted block (None when on-path)."""
-        return self._pending_mispredict
-
-    def _extra_state(self) -> dict:
-        return {
-            "cursor": self._cursor,
-            "history": self._history,
-            "seq": self._seq,
-            "pending_mispredict": (self._pending_mispredict.to_state()
-                                   if self._pending_mispredict is not None
-                                   else None),
-            "wrong_pc": self._wrong_pc,
-            "ftb_wait_until": self._ftb_wait_until,
-        }
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._cursor = int(state["cursor"])
-        self._history = int(state["history"])
-        self._seq = int(state["seq"])
-        pending = state["pending_mispredict"]
-        self._pending_mispredict = (FTQEntry.from_state(pending)
-                                    if pending is not None else None)
-        self._wrong_pc = int(state["wrong_pc"])
-        wait = state["ftb_wait_until"]
-        self._ftb_wait_until = int(wait) if wait is not None else None
-
-    def relink_pending(self, ftq: FetchTargetQueue) -> None:
-        """Re-establish the pending entry's identity with its FTQ twin.
-
-        :meth:`on_resolve` enforces *object identity* between the
-        resolved entry and the pending misprediction; after a restore
-        the deserialized pending entry must therefore be replaced by
-        the equal entry still queued in the FTQ (when it has not been
-        popped by the fetch engine yet).
-        """
-        if self._pending_mispredict is not None:
-            queued = ftq.entry_by_seq(self._pending_mispredict.seq)
-            if queued is not None:
-                self._pending_mispredict = queued
-
-    # ------------------------------------------------------------------
     # Correct-path production and validation
     # ------------------------------------------------------------------
 
     def _produce_correct_block(self, ftb_entry: FTBEntry | None,
                                ) -> FTQEntry:
-        records = self._records
+        records = self.trace.records
         cursor = self._cursor
         start = records[cursor].pc
 
@@ -331,8 +287,8 @@ class PredictUnit(StatsComponent):
         if self.config.perfect_direction and oracle_index is not None:
             offset = (entry.terminator_pc - start) // INSTRUCTION_BYTES
             index = oracle_index + offset
-            if index < len(self._records):
-                record = self._records[index]
+            if index < len(self.trace):
+                record = self.trace.records[index]
                 if record.pc == entry.terminator_pc:
                     return record.taken
         return self.predictor.predict(entry.terminator_pc, self._history)

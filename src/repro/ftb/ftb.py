@@ -116,28 +116,6 @@ class FetchTargetBuffer(StatsComponent):
     def resident_entries(self) -> int:
         return sum(len(entry_set) for entry_set in self._table)
 
-    def _extra_state(self) -> dict:
-        # Per-set entry lists in LRU order (dict iteration order), so a
-        # restore reproduces replacement decisions exactly.
-        return {"sets": [
-            [[e.start, e.fallthrough, e.target, int(e.kind)]
-             for e in entry_set.values()]
-            for entry_set in self._table]}
-
-    def _load_extra_state(self, state: dict) -> None:
-        sets = state["sets"]
-        if len(sets) != self.sets:
-            raise ValueError(
-                f"FTB snapshot has {len(sets)} sets, geometry has "
-                f"{self.sets}")
-        self._table = [
-            {int(start): FTBEntry(
-                start=int(start), fallthrough=int(fallthrough),
-                target=int(target) if target is not None else None,
-                kind=InstrKind(kind))
-             for start, fallthrough, target, kind in entry_set}
-            for entry_set in sets]
-
     def __repr__(self) -> str:
         return (f"FetchTargetBuffer({self.sets}x{self.ways}, "
                 f"resident={self.resident_entries()})")

@@ -62,12 +62,6 @@ class Bus(StatsComponent):
         self.stats.bump("busy_cycles", self.transfer_cycles)
         return now
 
-    def _extra_state(self) -> dict:
-        return {"busy_until": self._busy_until}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._busy_until = int(state["busy_until"])
-
     def utilization(self, elapsed_cycles: int) -> float:
         """Fraction of ``elapsed_cycles`` the bus spent transferring."""
         if elapsed_cycles <= 0:

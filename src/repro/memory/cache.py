@@ -97,19 +97,6 @@ class SetAssociativeCache(StatsComponent):
         for entry_set in self._sets:
             entry_set.clear()
 
-    def _extra_state(self) -> dict:
-        # Per-set block lists, LRU first, so replacement is preserved.
-        return {"sets": [list(entry_set) for entry_set in self._sets]}
-
-    def _load_extra_state(self, state: dict) -> None:
-        sets = state["sets"]
-        if len(sets) != self._num_sets:
-            raise ValueError(
-                f"cache snapshot has {len(sets)} sets, geometry has "
-                f"{self._num_sets}")
-        self._sets = [[int(bid) for bid in entry_set]
-                      for entry_set in sets]
-
     def __repr__(self) -> str:
         return (f"SetAssociativeCache({self.name!r}, "
                 f"{self.geometry.size_bytes // 1024}KB, "

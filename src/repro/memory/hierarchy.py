@@ -251,24 +251,6 @@ class MemorySystem(StatsComponent):
         return self.l1i.contains(bid)
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def _extra_state(self) -> dict:
-        # The sidecar is prefetcher-owned state; it checkpoints under
-        # the prefetcher's node, not here.
-        return {"events": [list(event) for event in self._events],
-                "ports_used": self._ports_used,
-                "now": self._now}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._events = [(int(ready), int(bid))
-                        for ready, bid in state["events"]]
-        heapq.heapify(self._events)
-        self._ports_used = int(state["ports_used"])
-        self._now = int(state["now"])
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 

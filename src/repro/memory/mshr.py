@@ -87,18 +87,3 @@ class MshrFile(StatsComponent):
     def outstanding(self) -> list[MshrEntry]:
         """All in-flight entries (ordering unspecified)."""
         return list(self._entries.values())
-
-    def _extra_state(self) -> dict:
-        return {"entries": [
-            [e.bid, e.ready_cycle, e.is_prefetch, e.demand_merged,
-             e.wrong_path]
-            for e in self._entries.values()]}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._entries = {
-            int(bid): MshrEntry(
-                bid=int(bid), ready_cycle=int(ready),
-                is_prefetch=bool(is_prefetch),
-                demand_merged=bool(merged), wrong_path=bool(wrong))
-            for bid, ready, is_prefetch, merged, wrong
-            in state["entries"]}

@@ -85,13 +85,3 @@ class PrefetchBuffer(StatsComponent):
     def resident(self) -> list[int]:
         """Block ids currently buffered, oldest first."""
         return list(self._blocks)
-
-    def _extra_state(self) -> dict:
-        # FIFO order preserved: oldest first.
-        return {"blocks": [[bid, wrong, cycle] for bid, (wrong, cycle)
-                           in self._blocks.items()]}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._blocks.clear()
-        for bid, wrong, cycle in state["blocks"]:
-            self._blocks[int(bid)] = (bool(wrong), int(cycle))

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ObservabilityError
-
 if TYPE_CHECKING:
     from repro.config import SimConfig
     from repro.sim.results import SimResult  # noqa: F401
@@ -121,21 +119,6 @@ class CycleProfiler:
         """Zero the accounting (measurement-region boundary)."""
         for name in self.counts:
             self.counts[name] = 0
-
-    # ------------------------------------------------------------------
-    # Checkpoint round trip
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return dict(self.counts)
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = sorted(set(state) - set(self.counts))
-        if unknown:
-            raise ObservabilityError(
-                f"profile snapshot has unknown bucket {unknown[0]!r}")
-        for name in self.counts:
-            self.counts[name] = int(state.get(name, 0))
 
     # ------------------------------------------------------------------
     # Reporting

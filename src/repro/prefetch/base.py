@@ -67,32 +67,6 @@ class Prefetcher(StatsComponent, ABC):
         return TelemetryNode.from_stat_group(self.stats,
                                              children=children)
 
-    def state_dict(self) -> dict:
-        """Checkpoint capture over :meth:`extra_stat_groups`.
-
-        Mirrors how :meth:`reset` and :meth:`telemetry` are wired for
-        prefetchers; architectural state (PIQ, request queues, buffer
-        contents) comes from the ``_extra_state`` hook.  Subclasses with
-        hidden state beyond their stat groups *must* implement
-        ``_extra_state``/``_load_extra_state`` to be checkpointable.
-        """
-        return {
-            "stat_groups": [group.state_dict()
-                            for group in self.extra_stat_groups()],
-            "extra": self._extra_state(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        groups = list(self.extra_stat_groups())
-        payloads = state["stat_groups"]
-        if len(payloads) != len(groups):
-            raise ValueError(
-                f"prefetcher {self.name!r} expects {len(groups)} stat "
-                f"groups, snapshot holds {len(payloads)}")
-        for group, payload in zip(groups, payloads):
-            group.load_state_dict(payload)
-        self._load_extra_state(state["extra"])
-
     @property
     @abstractmethod
     def sidecar(self) -> Sidecar | None:

@@ -114,17 +114,5 @@ class CombinedPrefetcher(Prefetcher):
     def extra_stat_groups(self):
         return [self.stats, self.fdip.stats, self.buffer.stats]
 
-    def _extra_state(self) -> dict:
-        return {"fdip": self.fdip.state_dict(),
-                "tags": sorted(self._tags),
-                "nlp_requests": list(self._nlp_requests)}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self.fdip.load_state_dict(state["fdip"])
-        self._tags.clear()
-        self._tags.update(int(bid) for bid in state["tags"])
-        self._nlp_requests = deque(int(bid)
-                                   for bid in state["nlp_requests"])
-
     def lead_histogram(self) -> dict[int, int]:
         return self.buffer.stats.histogram("lead_cycles").as_dict()

@@ -197,16 +197,6 @@ class FdipPrefetcher(Prefetcher):
     def extra_stat_groups(self):
         return [self.stats, self.buffer.stats]
 
-    def _extra_state(self) -> dict:
-        return {"piq": [[bid, wrong] for bid, wrong in self._piq.items()],
-                "buffer": self.buffer.state_dict()}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._piq.clear()
-        for bid, wrong in state["piq"]:
-            self._piq[int(bid)] = bool(wrong)
-        self.buffer.load_state_dict(state["buffer"])
-
     def lead_histogram(self) -> dict[int, int]:
         return self.buffer.stats.histogram("lead_cycles").as_dict()
 

@@ -104,18 +104,6 @@ class NlpPrefetcher(Prefetcher):
     def extra_stat_groups(self):
         return [self.stats, self.buffer.stats]
 
-    def _extra_state(self) -> dict:
-        return {"tags": sorted(self._tags),
-                "requests": list(self._requests),
-                "buffer": self.buffer.state_dict()}
-
-    def _load_extra_state(self, state: dict) -> None:
-        # Clear in place: the sidecar shares this set by reference.
-        self._tags.clear()
-        self._tags.update(int(bid) for bid in state["tags"])
-        self._requests = deque(int(bid) for bid in state["requests"])
-        self.buffer.load_state_dict(state["buffer"])
-
     def lead_histogram(self) -> dict[int, int]:
         return self.buffer.stats.histogram("lead_cycles").as_dict()
 

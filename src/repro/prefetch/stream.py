@@ -172,46 +172,6 @@ class StreamBufferPrefetcher(Prefetcher):
         # LRU timestamps taken before our next tick are identical.
         self._now = last_cycle
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def _extra_state(self) -> dict:
-        # ``_pending`` is not serialized: it aliases exactly the
-        # not-yet-arrived slots of the buffers (the unpend paths remove
-        # a slot from buffer and pending together), so restore rebuilds
-        # it by scanning the deserialized buffers.
-        return {
-            "buffers": [{"slots": [[s.bid, s.arrived] for s in b.slots],
-                         "next_bid": b.next_bid,
-                         "last_touch": b.last_touch}
-                        for b in self.buffers],
-            "last_miss_bid": self._last_miss_bid,
-            "now": self._now,
-        }
-
-    def _load_extra_state(self, state: dict) -> None:
-        payloads = state["buffers"]
-        if len(payloads) != len(self.buffers):
-            raise ValueError(
-                f"stream snapshot has {len(payloads)} buffers, config "
-                f"has {len(self.buffers)}")
-        self._pending = {}
-        for buffer, payload in zip(self.buffers, payloads):
-            buffer.slots = deque(_Slot(int(bid), bool(arrived))
-                                 for bid, arrived in payload["slots"])
-            next_bid = payload["next_bid"]
-            buffer.next_bid = (int(next_bid)
-                               if next_bid is not None else None)
-            buffer.last_touch = int(payload["last_touch"])
-            for slot in buffer.slots:
-                if not slot.arrived:
-                    self._pending.setdefault(slot.bid, []).append(slot)
-        last_miss = state["last_miss_bid"]
-        self._last_miss_bid = (int(last_miss)
-                               if last_miss is not None else None)
-        self._now = int(state["now"])
-
     def tick(self, now: int, ftq: FetchTargetQueue) -> None:
         self._now = now
         issued = 0

@@ -1,26 +1,34 @@
 """In-run machine checkpoints: versioned snapshots, resume, heartbeats.
 
-:class:`~repro.sim.simulator.Simulator` can hand its full machine state
-(:meth:`~repro.sim.simulator.Simulator.state_dict`) to a checkpoint sink
-every ``SimConfig.checkpoint_interval`` cycles.  This module owns what
-happens to those snapshots:
+:class:`~repro.sim.simulator.Simulator` can hand a checkpoint sink a
+snapshot every ``SimConfig.checkpoint_interval`` cycles:
+``{"cycle", "retired", "machine"}``, where ``machine`` is one pickle of
+the whole simulator (trace stored by reference) that
+:meth:`~repro.sim.simulator.Simulator.restore` turns back into a
+runnable machine.  This module owns what happens to those snapshots:
 
-- :class:`CheckpointManager` writes each one as a versioned,
-  SHA-256-checksummed envelope via a **durable** atomic write (contents
+- :class:`CheckpointManager` pickles each one into a versioned,
+  SHA-256-checksummed JSON envelope (payload base64-encoded) and
+  writes it via a **durable** atomic write (contents
   and directory entry fsynced — a snapshot must survive a machine
   crash, not just a process kill), rotates old snapshots away, and
   maintains a small *heartbeat* file (cycle / retired instructions) the
   supervised pool reads to tell a slow worker from a stuck one;
 - :meth:`CheckpointManager.latest` returns the newest **valid**
-  snapshot: corrupt files (bad JSON, checksum mismatch, missing keys)
+  snapshot: corrupt files (bad JSON, checksum mismatch, a payload that
+  does not unpickle, missing keys)
   are quarantined under ``<dir>/quarantine/`` and skipped, while a
   snapshot whose identity metadata does not match the current run
   raises :class:`~repro.errors.CheckpointError` — silently resuming
   another run's machine state would corrupt results;
 - :func:`run_with_checkpoints` is the one-call resumable run: build the
-  simulator, resume from the latest valid snapshot when one exists,
-  attach the sink, run to completion, leave a summary file for the
-  supervising process, and drop the now-useless snapshots.
+  simulator, or restore it from the latest valid snapshot when one
+  exists, attach the sink, run to completion, leave a summary file for
+  the supervising process, and drop the now-useless snapshots.
+
+Snapshots are trusted input: unpickling a crafted file runs arbitrary
+code, and the checksum detects corruption, not tampering.  Resume only
+from directories this user's own runs wrote.
 
 Identity metadata (:func:`snapshot_meta`) binds snapshots to the
 (trace, config, package version) that produced them.  The config
@@ -40,9 +48,11 @@ kill-and-resume path end to end.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
+import pickle
 import signal
 import time
 from dataclasses import dataclass
@@ -71,7 +81,7 @@ __all__ = [
 ]
 
 SCHEMA = "repro.checkpoint"
-VERSION = 1
+VERSION = 2
 
 HEARTBEAT_NAME = "heartbeat.json"
 SUMMARY_NAME = "ckpt-summary.json"
@@ -141,7 +151,9 @@ class CheckpointManager:
 
     def write(self, state: dict) -> Path:
         """Persist one machine snapshot durably; rotate old ones."""
-        payload = json.dumps(state, separators=(",", ":"))
+        payload = base64.b64encode(
+            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)) \
+            .decode("ascii")
         envelope = json.dumps({
             "schema": SCHEMA,
             "version": VERSION,
@@ -238,10 +250,13 @@ class CheckpointManager:
                     f"run at a fresh checkpoint directory or delete the "
                     f"stale snapshots")
         try:
-            state = json.loads(payload)
-        except ValueError as exc:
+            state = pickle.loads(base64.b64decode(payload, validate=True))
+        except Exception as exc:
+            # Unpickling raises no single error type (UnpicklingError,
+            # EOFError, ValueError, ...); whichever it is, a checksummed
+            # payload that does not load is as corrupt as a garbled file.
             raise _CorruptSnapshot(
-                f"payload not valid JSON ({exc})") from None
+                f"payload does not unpickle ({exc!r})") from None
         if not isinstance(state, dict) or "cycle" not in state:
             raise _CorruptSnapshot("payload is not a machine snapshot")
         return state
@@ -348,17 +363,20 @@ def run_with_checkpoints(trace: Trace, config: SimConfig, *,
     """
     manager = CheckpointManager(directory, meta=snapshot_meta(trace, config),
                                 keep=keep)
-    sim = Simulator(trace, config, name=name, engine=engine)
-    resumed_from = None
-    if resume:
-        state = manager.latest()
-        if state is not None:
-            sim.load_state_dict(state)
-            resumed_from = int(state["cycle"])
-            obs_events.emit("checkpoint_resumed", data={
-                "cycle": resumed_from,
-                "retired": int(state.get("retired", 0)),
-                "name": sim.name})
+    state = manager.latest() if resume else None
+    if state is None:
+        sim = Simulator(trace, config, name=name, engine=engine)
+        resumed_from = None
+    else:
+        sim = Simulator.restore(trace, config, state["machine"],
+                                engine=engine)
+        if name is not None:
+            sim.name = name
+        resumed_from = int(state["cycle"])
+        obs_events.emit("checkpoint_resumed", data={
+            "cycle": resumed_from,
+            "retired": int(state.get("retired", 0)),
+            "name": sim.name})
     if config.checkpoint_interval > 0:
         sim.checkpoint_sink = manager.write
     result = sim.run()

@@ -211,9 +211,8 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
 
     # Hot-loop locals.  The underlying containers are mutated in place
     # everywhere during a run (squash clears, heap pushes/pops), never
-    # rebound — load_state_dict, which does rebind, only runs between
-    # runs.  ``stall_proof`` is deliberately not hoisted: it is looked
-    # up as a module global so instrumentation can wrap it.
+    # rebound.  ``stall_proof`` is deliberately not hoisted: it is
+    # looked up as a module global so instrumentation can wrap it.
     mem_events = memory._events
     ftq_entries = ftq._entries
     ftq_depth = ftq.depth

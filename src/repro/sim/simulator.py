@@ -18,6 +18,8 @@ stay warm).
 
 from __future__ import annotations
 
+import io
+import pickle
 from typing import Callable
 
 from repro.bpred import ReturnAddressStack, make_direction_predictor
@@ -43,6 +45,67 @@ __all__ = ["Simulator"]
 _DEFAULT_CYCLE_CAP_PER_INSTR = 200
 
 
+def _split_trace(trace: Trace, config: SimConfig) -> tuple[list, Trace]:
+    """Cut ``trace`` as ``config`` asks: (fast-forward records, the rest)."""
+    if config.max_instructions is not None \
+            and config.max_instructions < len(trace):
+        trace = trace.slice(0, config.max_instructions)
+    if config.fast_forward_instructions <= 0:
+        return [], trace
+    cut = min(config.fast_forward_instructions, len(trace) - 1)
+    return trace.records[:cut], trace.slice(cut, len(trace))
+
+
+def _check_engine(engine: str | None, config: SimConfig) -> str:
+    if engine is None:
+        return config.engine
+    if engine not in ENGINES:
+        raise ConfigError(
+            f"unknown engine {engine!r}; expected one of "
+            f"{', '.join(ENGINES)}")
+    return engine
+
+
+def _run_trace() -> Trace:
+    """What a machine snapshot stores in place of the run's trace.
+
+    :meth:`Simulator.restore` resolves it to the resuming run's trace;
+    reaching this body means the snapshot was unpickled some other way.
+    """
+    raise SimulationError("machine snapshots load through Simulator.restore")
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Pickles a machine, storing its trace by reference.
+
+    ``reducer_override`` runs only for objects pickle has no built-in
+    handling for, far fewer than ``persistent_id``'s every object.
+    """
+
+    def __init__(self, file, trace: Trace):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._trace = trace
+
+    def reducer_override(self, obj):
+        if obj is self._trace:
+            return _run_trace, ()
+        return NotImplemented
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Unpickles a machine against the resuming run's trace."""
+
+    def __init__(self, file, trace: Trace):
+        super().__init__(file)
+        self._trace = trace
+
+    def find_class(self, module: str, name: str):
+        if module == __name__ and name == _run_trace.__name__:
+            trace = self._trace
+            return lambda: trace
+        return super().find_class(module, name)
+
+
 class Simulator:
     """One configured machine, ready to run one trace.
 
@@ -54,19 +117,14 @@ class Simulator:
     - ``engine`` overrides ``config.engine`` for this run: ``"naive"``
       or ``"event"``.  Both are bit-identical (see
       ``docs/performance.md``, "Engine selection").
+
+    :meth:`restore` rebuilds a machine from a checkpoint snapshot.
     """
 
     def __init__(self, trace: Trace, config: SimConfig, *,
                  name: str | None = None, tracer=None,
                  engine: str | None = None):
-        if config.max_instructions is not None \
-                and config.max_instructions < len(trace):
-            trace = trace.slice(0, config.max_instructions)
-        self._warm_records = []
-        if config.fast_forward_instructions > 0:
-            cut = min(config.fast_forward_instructions, len(trace) - 1)
-            self._warm_records = trace.records[:cut]
-            trace = trace.slice(cut, len(trace))
+        warm_records, trace = _split_trace(trace, config)
         self.trace = trace
         self.config = config
         self.name = name or trace.name
@@ -98,13 +156,7 @@ class Simulator:
 
         self.cycle = 0
         self.tracer = tracer
-        if engine is None:
-            engine = config.engine
-        elif engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINES)}")
-        self.engine = engine
+        self.engine = _check_engine(engine, config)
         self.skipped_cycles = 0   # diagnostics only; not a statistic
         # Opt-in cycle-attribution profiler (see repro/obs/profile.py).
         # It lives outside the telemetry tree on purpose: SimResult
@@ -119,14 +171,51 @@ class Simulator:
         # config.checkpoint_interval > 0, run() hands it a machine
         # snapshot every interval cycles (see sim/checkpoint.py).
         self.checkpoint_sink: Callable[[dict], None] | None = None
-        self._resume_sampler: dict | None = None
-        self._resume_occupancy: dict | None = None
-        if self._warm_records:
-            self._fast_forward()
+        # The occupancy observer and interval sampler a restored
+        # machine's run continues with (see restore()).
+        self._resumed: tuple[RunLengthObserver,
+                             IntervalSampler | None] | None = None
+        if warm_records:
+            self._fast_forward(warm_records)
+
+    @classmethod
+    def restore(cls, trace: Trace, config: SimConfig, machine: bytes, *,
+                engine: str | None = None) -> "Simulator":
+        """Rebuild the machine a checkpoint snapshot captured.
+
+        ``machine`` is the ``"machine"`` entry of a snapshot handed to
+        :attr:`checkpoint_sink`; ``trace`` and ``config`` must be the
+        ones that produced it (the checkpoint manager enforces this via
+        identity metadata).  The next :meth:`run` continues from the
+        captured cycle and returns a bit-identical :class:`SimResult`.
+
+        What identity leaves out comes from this call: the engine
+        (``engine``, else ``config.engine``), checkpoint cadence,
+        watchdog, event log, and profiling — a profiling resume of a
+        snapshot taken without a profiler starts a fresh one.
+        """
+        _, trace = _split_trace(trace, config)
+        sim, occupancy, sampler = _SnapshotUnpickler(
+            io.BytesIO(machine), trace).load()
+        sim.config = config
+        sim.engine = _check_engine(engine, config)
+        if not config.profile:
+            sim.profiler = None
+        elif sim.profiler is None:
+            sim.profiler = CycleProfiler()
+        sim._resumed = occupancy, sampler
+        return sim
+
+    def __getstate__(self) -> dict:
+        # A snapshot holds the machine, not where its run reports to.
+        state = self.__dict__.copy()
+        state["checkpoint_sink"] = None
+        state["tracer"] = None
+        return state
 
     # ------------------------------------------------------------------
 
-    def _fast_forward(self) -> None:
+    def _fast_forward(self, records: list) -> None:
         """Functionally warm caches, FTB, and predictor (no timing).
 
         Approximates what a timed warm-up would leave behind: every
@@ -147,9 +236,9 @@ class Simulator:
                         .history_bits) - 1
         l1i, l2 = self.memory.l1i, self.memory.l2
         predictor, ftb = self.predictor, self.ftb
-        block_start = self._warm_records[0].pc
+        block_start = records[0].pc
 
-        for record in self._warm_records:
+        for record in records:
             bid = record.pc // block_bytes
             if not l1i.contains(bid):
                 l1i.fill(bid)
@@ -170,7 +259,7 @@ class Simulator:
                 block_start = record.next_pc
 
         self._reset_stats()
-        self.stats.bump("fast_forwarded", len(self._warm_records))
+        self.stats.bump("fast_forwarded", len(records))
 
     def _schedule_resolution(self, entry: FTQEntry, resolve_at: int) -> None:
         if self._resolve_entry is not None:
@@ -214,19 +303,17 @@ class Simulator:
         ftq = self.ftq
 
         window = self.config.telemetry_window
-        if self._resume_sampler is not None:
+        if self._resumed is not None:
             # Resuming from a checkpoint: continue the in-progress
-            # series instead of anchoring a fresh one mid-run.
-            sampler = IntervalSampler.from_state_dict(self._resume_sampler)
-            self._resume_sampler = None
+            # occupancy run and series instead of anchoring fresh ones.
+            occupancy, sampler = self._resumed
+            self._resumed = None
         else:
+            occupancy = RunLengthObserver(
+                self.stats.histogram("ftq_occupancy"))
             sampler = IntervalSampler(window, origin=self.cycle,
                                       base_retired=backend.retired) \
                 if window > 0 else None
-        occupancy = RunLengthObserver(self.stats.histogram("ftq_occupancy"))
-        if self._resume_occupancy is not None:
-            occupancy.load_state_dict(self._resume_occupancy)
-            self._resume_occupancy = None
 
         interval = self.config.checkpoint_interval
         next_ckpt = (self.cycle + interval
@@ -345,12 +432,20 @@ class Simulator:
                     sampler: IntervalSampler | None) -> int:
         """Hand the checkpoint sink an end-of-cycle snapshot.
 
-        Returns the cycle the next snapshot is due.  A loop takes one at
-        the first end-of-cycle at or past that cycle (``>=``, not
-        ``==``), because an analytic jump may cross the boundary.
+        The snapshot is ``{"cycle", "retired", "machine"}``: ``machine``
+        pickles this simulator with the loop's occupancy observer and
+        interval sampler, the trace stored by reference (see
+        :meth:`restore`).  Returns the cycle the next snapshot is due.
+        A loop takes one at the first end-of-cycle at or past that cycle
+        (``>=``, not ``==``), because an analytic jump may cross the
+        boundary.
         """
-        self.checkpoint_sink(
-            self.state_dict(occupancy=occupancy, sampler=sampler))
+        machine = io.BytesIO()
+        _SnapshotPickler(machine, self.trace).dump(
+            (self, occupancy, sampler))
+        self.checkpoint_sink({"cycle": self.cycle,
+                              "retired": self.backend.retired,
+                              "machine": machine.getvalue()})
         return self.cycle + self.config.checkpoint_interval
 
     def _finish(self, occupancy: RunLengthObserver,
@@ -414,87 +509,6 @@ class Simulator:
             "in_flight_blocks": self.memory.in_flight_blocks(),
             "predict_done": self.predict_unit.done,
         }
-
-    # ------------------------------------------------------------------
-    # Checkpoint / restore
-    # ------------------------------------------------------------------
-
-    def state_dict(self, *, occupancy: RunLengthObserver | None = None,
-                   sampler: IntervalSampler | None = None) -> dict:
-        """JSON-compatible snapshot of the whole machine.
-
-        ``occupancy``/``sampler`` are ``run()``'s loop-local telemetry
-        accumulators; the in-run checkpoint hook passes them so a
-        resumed run reproduces the interval series and the occupancy
-        histogram bit for bit.  Snapshots taken between runs may omit
-        them.
-        """
-        return {
-            "cycle": self.cycle,
-            # Convenience copy for heartbeats/diagnostics; restore reads
-            # the authoritative value from the backend component state.
-            "retired": self.backend.retired,
-            "skipped_cycles": self.skipped_cycles,
-            "resolve_at": self._resolve_at,
-            "has_resolve_entry": self._resolve_entry is not None,
-            "warmed": self._warmed,
-            "measure_start_cycle": self._measure_start_cycle,
-            "measure_start_retired": self._measure_start_retired,
-            "stats": self.stats.state_dict(),
-            # Positional, matching components() order.
-            "components": [component.state_dict()
-                           for component in self.components()],
-            "occupancy": (occupancy.state_dict()
-                          if occupancy is not None else None),
-            "sampler": sampler.state_dict() if sampler is not None else None,
-            "profile": (self.profiler.state_dict()
-                        if self.profiler is not None else None),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a machine snapshot captured by :meth:`state_dict`.
-
-        The simulator must have been constructed with the same trace
-        and config as the one that produced the snapshot (the
-        checkpoint manager enforces this via identity metadata); the
-        next :meth:`run` call then continues from the captured cycle
-        and produces a bit-identical :class:`SimResult`.
-        """
-        self.cycle = int(state["cycle"])
-        self.skipped_cycles = int(state["skipped_cycles"])
-        resolve_at = state["resolve_at"]
-        self._resolve_at = int(resolve_at) if resolve_at is not None else None
-        self._warmed = bool(state["warmed"])
-        self._measure_start_cycle = int(state["measure_start_cycle"])
-        self._measure_start_retired = int(state["measure_start_retired"])
-        self.stats.load_state_dict(state["stats"])
-        components = self.components()
-        payloads = state["components"]
-        if len(payloads) != len(components):
-            raise SimulationError(
-                f"snapshot holds {len(payloads)} component states, "
-                f"machine has {len(components)}")
-        for component, payload in zip(components, payloads):
-            component.load_state_dict(payload)
-        # Re-establish object-identity aliases that serialization by
-        # value necessarily broke: the pending mispredicted entry is
-        # the same object in the FTQ (when still queued) and as the
-        # simulator's resolve entry (when already delivered).
-        self.predict_unit.relink_pending(self.ftq)
-        if state["has_resolve_entry"]:
-            entry = self.predict_unit.pending_mispredict
-            if entry is None:
-                raise SimulationError(
-                    "snapshot has a scheduled resolution but no pending "
-                    "misprediction")
-            self._resolve_entry = entry
-        else:
-            self._resolve_entry = None
-        self._resume_occupancy = state.get("occupancy")
-        self._resume_sampler = state.get("sampler")
-        profile_state = state.get("profile")
-        if self.profiler is not None and profile_state is not None:
-            self.profiler.load_state_dict(profile_state)
 
     # ------------------------------------------------------------------
     # Telemetry

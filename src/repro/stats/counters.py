@@ -87,23 +87,6 @@ class Histogram:
         """Return a plain dict copy of the histogram contents."""
         return dict(self._counts)
 
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the histogram contents.
-
-        Buckets are serialized as ``[value, count]`` pairs so integer
-        keys survive a JSON round trip intact.
-        """
-        return {"counts": [[value, self._counts[value]]
-                           for value in sorted(self._counts)]}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the contents captured by :meth:`state_dict`."""
-        self._counts = _Counter(
-            {int(value): int(count) for value, count in state["counts"]})
-        self._total = sum(self._counts.values())
-        self._sum = sum(value * count
-                        for value, count in self._counts.items())
-
     def __len__(self) -> int:
         return len(self._counts)
 
@@ -151,15 +134,6 @@ class RunLengthObserver:
         if self._weight:
             self._histogram.observe(self._value, self._weight)
             self._weight = 0
-
-    def state_dict(self) -> dict:
-        """Snapshot the buffered run (the histogram is owned elsewhere)."""
-        return {"value": self._value, "weight": self._weight}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the buffered run captured by :meth:`state_dict`."""
-        self._value = int(state["value"])
-        self._weight = int(state["weight"])
 
 
 class StatGroup:
@@ -220,32 +194,6 @@ class StatGroup:
         """
         self._counters.clear()
         self._histograms.clear()
-
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of every counter and histogram."""
-        return {
-            "counters": dict(self._counters),
-            "histograms": {name: hist.state_dict()
-                           for name, hist in self._histograms.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the contents captured by :meth:`state_dict`.
-
-        Replaces this group's counters and histograms wholesale; the
-        group object itself (and therefore every component reference to
-        it) is preserved.
-        """
-        self._counters = {str(name): int(value)
-                          for name, value in state["counters"].items()}
-        restored: dict[str, Histogram] = {}
-        for name, payload in state["histograms"].items():
-            # Reuse the existing object when one exists so that live
-            # references (e.g. a RunLengthObserver feeding it) survive.
-            hist = self._histograms.get(str(name), Histogram())
-            hist.load_state_dict(payload)
-            restored[str(name)] = hist
-        self._histograms = restored
 
     def __repr__(self) -> str:
         return (f"StatGroup({self.name!r}, counters={len(self._counters)}, "

@@ -326,32 +326,6 @@ class IntervalSampler:
         self._occ_sum += occupancy * (cycle - self._pos)
         self._pos = cycle
 
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the in-progress series."""
-        return {
-            "window": self.window,
-            "origin": self._origin,
-            "base_retired": self._base_retired,
-            "base_misses": self._base_misses,
-            "pos": self._pos,
-            "next_boundary": self._next_boundary,
-            "occ_sum": self._occ_sum,
-            "marks": [list(mark) for mark in self._marks],
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "IntervalSampler":
-        """Rebuild a sampler mid-series from :meth:`state_dict` output."""
-        sampler = cls(int(state["window"]), origin=int(state["origin"]),
-                      base_retired=int(state["base_retired"]),
-                      base_misses=int(state["base_misses"]))
-        sampler._pos = int(state["pos"])
-        sampler._next_boundary = int(state["next_boundary"])
-        sampler._occ_sum = int(state["occ_sum"])
-        sampler._marks = [(int(m[0]), int(m[1]), int(m[2]), int(m[3]))
-                          for m in state["marks"]]
-        return sampler
-
     def finalize(self, cycle: int, retired: int,
                  misses: int) -> IntervalSeries:
         """Close the series at ``cycle`` (emits a partial tail window)."""

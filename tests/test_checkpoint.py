@@ -4,14 +4,17 @@ The load-bearing property is at the top: a simulation resumed from ANY
 snapshot produces a bit-identical :class:`~repro.sim.SimResult` —
 including interval telemetry — to the uninterrupted run, for every
 prefetcher variant, under every cycle engine, and across engine switches.
-Snapshots round-trip through JSON in these tests exactly as they do on
-disk, so object-identity bugs (shared sidecars, live histogram
-references) cannot hide behind in-process aliasing.
+Every resume unpickles a snapshot's machine bytes into a new object
+graph, exactly as a resume from disk does, so no live object of the
+reference run can leak into the resumed one.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -42,19 +45,50 @@ def _config(kind: str = PrefetcherKind.FDIP, **changes) -> SimConfig:
     return config.replace(**changes) if changes else config
 
 
-def _reference(config: SimConfig, engine: str = "event"):
-    """Uninterrupted run; returns (result, JSON-round-tripped snapshots)."""
+def _recording(config: SimConfig, engine: str = "event"):
+    """A simulator whose snapshots land in the returned list."""
     sim = Simulator(_TRACE, config, engine=engine)
     states: list[dict] = []
-    sim.checkpoint_sink = lambda s: states.append(json.loads(json.dumps(s)))
+    sim.checkpoint_sink = states.append
+    return sim, states
+
+
+def _reference(config: SimConfig, engine: str = "event"):
+    """Uninterrupted run; returns (result, snapshots)."""
+    sim, states = _recording(config, engine)
     return sim.run(), states
 
 
-def _resume(config: SimConfig, state: dict, engine: str = "event"):
-    sim = Simulator(_TRACE, config, engine=engine)
-    sim.load_state_dict(json.loads(json.dumps(state)))
-    return sim.run()
+def _restored(config: SimConfig, state: dict, engine: str = "event"):
+    return Simulator.restore(_TRACE, config, state["machine"],
+                             engine=engine)
 
+
+def _resume(config: SimConfig, state: dict, engine: str = "event"):
+    return _restored(config, state, engine).run()
+
+
+# Config settings the prefetcher-kind fuzz below leaves at their
+# defaults; each variant gets one cross-engine resume.
+_CONFIG_VARIANTS = [
+    ("two_level_ftb", {"frontend.predictor.ftb_sets": 32,
+                       "frontend.predictor.ftb_l2_sets": 256}),
+    ("no_wrong_path", {"frontend.model_wrong_path": False}),
+    ("wrong_path_in_window", {"core.wrong_path_in_window": True}),
+    ("two_fetch_accesses", {"core.fetch_accesses_per_cycle": 2}),
+    ("perfect_direction", {"frontend.perfect_direction": True}),
+    ("tiny_queues", {"frontend.ftq_depth": 2, "memory.mshr_entries": 1,
+                     "core.window_size": 8}),
+    ("max_lookahead", {"prefetch.max_lookahead": 4}),
+    ("stream_probe_depth", {"prefetch.kind": PrefetcherKind.STREAM,
+                            "prefetch.stream_probe_depth": 3,
+                            "prefetch.allocation_filter": False}),
+    ("fast_forward_warmup", {"fast_forward_instructions": 800,
+                             "warmup_instructions": 400}),
+    ("max_instructions", {"max_instructions": 1800}),
+    ("local_direction", {"frontend.predictor.direction": "local"}),
+    ("profile", {"profile": True}),
+]
 
 # Per-engine fuzz seed bases, pinned so each engine keeps drawing the
 # same cadences and resume points when the engine list changes.
@@ -95,6 +129,26 @@ class TestResumeBitIdentity:
                     assert _resume(config, mid, target) == ref, \
                         (source, target)
 
+    @pytest.mark.parametrize("source, target, overrides", [
+        pytest.param(source, target, overrides, id=name)
+        for (name, overrides), (source, target) in zip(
+            _CONFIG_VARIANTS,
+            [("naive", "event"), ("event", "naive")] * 6)])
+    def test_config_variant_resumes_across_engines(self, source, target,
+                                                   overrides):
+        """Settings off the default path: a mid-run snapshot taken
+        under one engine resumes under the other, bit for bit."""
+        config = _config(checkpoint_interval=300).with_overrides(
+            **overrides)
+        sim, states = _recording(config, source)
+        ref = sim.run()
+        assert len(states) >= 2, "trace too short to snapshot mid-run"
+        resumed = _restored(config, states[len(states) // 2], target)
+        assert resumed.run() == ref
+        if config.profile:
+            assert resumed.profile_report()["buckets"] \
+                == sim.profile_report()["buckets"]
+
     def test_resume_inside_warmup_region(self):
         """Snapshots before the measurement reset still resume exactly."""
         config = _config(checkpoint_interval=250,
@@ -102,6 +156,40 @@ class TestResumeBitIdentity:
         ref, states = _reference(config)
         assert _resume(config, states[0]) == ref
         assert _resume(config, states[-1]) == ref
+
+
+class _Enough(Exception):
+    """Stops a run once it has handed over the snapshots a test needs."""
+
+
+class TestSnapshotContents:
+
+    def test_snapshot_never_carries_the_trace(self):
+        """The trace is pickled by reference: no record reaches a
+        snapshot, so its size does not grow with the trace."""
+        config = _config(checkpoint_interval=400,
+                         fast_forward_instructions=2500)
+        sizes = {}
+        for length in (5000, 20_000):
+            # An explicit name: a fast-forward slice is named after its
+            # bounds, which differ between the two lengths.
+            sim = Simulator(build_trace("gcc_like", length, seed=1),
+                            config, name="gcc_like")
+            states: list[dict] = []
+
+            def sink(state, states=states):
+                states.append(state)
+                if len(states) == 3:
+                    raise _Enough
+
+            sim.checkpoint_sink = sink
+            with pytest.raises(_Enough):
+                sim.run()
+            for state in states:
+                assert b"TraceRecord" not in state["machine"]
+            sizes[length] = [(s["cycle"], len(s["machine"]))
+                             for s in states]
+        assert sizes[5000] == sizes[20_000]
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +245,26 @@ class TestCheckpointManager:
         assert manager.latest() is None
         assert manager.quarantined == 1
 
+    def test_payload_that_does_not_unpickle_is_corruption(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        manager.write(_state(10))
+        newest = manager.write(_state(20))
+        envelope = json.loads(newest.read_text())
+        truncated = pickle.dumps(_state(20))[:-5]
+        for payload in (base64.b64encode(b"not a pickle").decode(),
+                        base64.b64encode(truncated).decode(),
+                        "{not base64}"):
+            # The checksum matches: only unpickling can tell.
+            envelope["payload"] = payload
+            envelope["checksum"] = hashlib.sha256(
+                payload.encode()).hexdigest()
+            newest.write_text(json.dumps(envelope))
+            with pytest.raises(CheckpointError, match="unpickle"):
+                manager.load(newest)
+        assert manager.latest() == _state(10)
+        assert manager.quarantined == 1
+        assert (tmp_path / QUARANTINE_DIR / newest.name).exists()
+
     def test_version_mismatch_raises(self, tmp_path):
         manager = CheckpointManager(tmp_path)
         path = manager.write(_state(10))
@@ -164,6 +272,16 @@ class TestCheckpointManager:
         envelope["version"] = 99
         path.write_text(json.dumps(envelope))
         with pytest.raises(CheckpointError, match="version"):
+            manager.latest()
+        # A version-1 envelope, whose payload was JSON, is refused by
+        # its version before anything reads the payload.
+        payload = json.dumps(_state(10))
+        path.write_text(json.dumps({
+            "schema": "repro.checkpoint", "version": 1, "meta": {},
+            "checksum": hashlib.sha256(payload.encode()).hexdigest(),
+            "payload": payload}))
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1"):
             manager.latest()
 
     def test_identity_mismatch_raises_not_resumes(self, tmp_path):

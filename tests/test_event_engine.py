@@ -10,7 +10,6 @@ mid-jump.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -163,8 +162,7 @@ class TestCheckpointMidJump:
                                telemetry_window=64)
         sim = Simulator(_TRACE, config, engine="event")
         states: list[dict] = []
-        sim.checkpoint_sink = \
-            lambda s: states.append(json.loads(json.dumps(s)))
+        sim.checkpoint_sink = states.append
         ref = sim.run()
         assert sim.skipped_cycles > 0
         # A snapshot whose cycle is off the interval grid proves the
@@ -173,10 +171,10 @@ class TestCheckpointMidJump:
         off_grid = [s for s in states if s["cycle"] % 64 != 0]
         assert off_grid, "no checkpoint ever landed mid-jump"
         for state in (off_grid[0], off_grid[-1]):
-            resumed = Simulator(_TRACE, config, engine="event")
-            resumed.load_state_dict(json.loads(json.dumps(state)))
+            resumed = Simulator.restore(_TRACE, config, state["machine"],
+                                        engine="event")
             assert resumed.run() == ref
         # ... and the same snapshot resumes under the naive loop.
-        resumed = Simulator(_TRACE, config, engine="naive")
-        resumed.load_state_dict(json.loads(json.dumps(off_grid[0])))
+        resumed = Simulator.restore(_TRACE, config, off_grid[0]["machine"],
+                                    engine="naive")
         assert resumed.run() == ref

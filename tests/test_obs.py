@@ -15,7 +15,6 @@ from repro.obs import (
     KINDS,
     PROFILE_CATEGORIES,
     PROFILE_SCHEMA,
-    CycleProfiler,
     SpanRecorder,
     configure_logging,
     current_context,
@@ -326,13 +325,12 @@ class TestCycleProfiler:
         config = _fdip().replace(profile=True, checkpoint_interval=400)
         sim = Simulator(small_trace, config)
         states: list[dict] = []
-        sim.checkpoint_sink = \
-            lambda s: states.append(json.loads(json.dumps(s)))
+        sim.checkpoint_sink = states.append
         reference = sim.run()
         expected = sim.profile_report()
         assert states, "trace too short to ever snapshot"
-        resumed = Simulator(small_trace, config)
-        resumed.load_state_dict(states[len(states) // 2])
+        resumed = Simulator.restore(small_trace, config,
+                                    states[len(states) // 2]["machine"])
         assert resumed.run() == reference
         assert resumed.profile_report()["buckets"] == expected["buckets"]
 
@@ -350,11 +348,6 @@ class TestCycleProfiler:
             tiny_trace, _fdip().replace(profile=True,
                                         event_log="events.jsonl"))
         assert decorated == base
-
-    def test_load_state_dict_rejects_unknown_bucket(self):
-        profiler = CycleProfiler()
-        with pytest.raises(ObservabilityError, match="unknown bucket"):
-            profiler.load_state_dict({"warp_drive": 3})
 
 
 # ----------------------------------------------------------------------
