@@ -13,7 +13,10 @@ contract:
 3. a repeat of the same request after completion is a pure cache hit
    (zero additional simulations) and the served result is
    **bit-identical** to a direct in-process ``api.simulate()`` run;
-4. ``POST /v1/shutdown`` drains the service and the daemon exits 0,
+4. the wire form is checked: a body whose ``config`` names
+   ``event_log`` (a run option, not part of the machine) and a body
+   tagged ``repro.request/v2`` are both refused with HTTP 400;
+5. ``POST /v1/shutdown`` drains the service and the daemon exits 0,
    emitting ``serve_stop``.
 
 Exits non-zero on the first violation.  Pure standard library, a few
@@ -22,6 +25,8 @@ seconds of wall clock — cheap enough for every CI run.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
 import subprocess
@@ -38,6 +43,19 @@ DUPLICATES = 4
 
 def _fail(message: str) -> None:
     raise SystemExit(f"serve-smoke: {message}")
+
+
+def _submit_status(host: str, port: int, body: dict) -> int:
+    """HTTP status of one raw ``POST /v1/submit``."""
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("POST", "/v1/submit", body=json.dumps(body),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        response.read()
+        return response.status
+    finally:
+        connection.close()
 
 
 def main() -> int:
@@ -108,6 +126,23 @@ def main() -> int:
                           "direct api.simulate() run")
             print("serve-smoke: served results bit-identical to a "
                   "direct run")
+
+            # -- the wire form refuses run options and old schemas ---
+            wire = request.to_dict()
+            bodies = {
+                "a config naming event_log": dict(wire, config=dict(
+                    wire["config"],
+                    event_log=os.path.join(work, "wire.jsonl"))),
+                "a repro.request/v2 body": dict(
+                    wire, schema="repro.request/v2"),
+            }
+            for what, body in bodies.items():
+                status = _submit_status(match.group(1),
+                                        int(match.group(2)),
+                                        {"request": body})
+                if status != 400:
+                    _fail(f"{what} got HTTP {status}, expected 400")
+            print("serve-smoke: malformed wire forms refused with 400")
 
             # -- clean shutdown --------------------------------------
             client.shutdown()

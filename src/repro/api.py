@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.config import SimConfig
+from repro.config import DEFAULT_ENGINE, SimConfig
 from repro.obs.profile import profile_run  # noqa: F401  (re-exported)
 from repro.sim.results import SimResult
 from repro.spec import (  # noqa: F401  (re-exported)
@@ -78,7 +78,7 @@ __all__ = ["simulate", "make_runner", "sweep", "profile_run",
 
 def execute(request: RunRequest, *, trace: Trace | None = None,
             profile: bool = False, tracer=None,
-            engine: str | None = None) -> RunResponse:
+            engine: str = DEFAULT_ENGINE) -> RunResponse:
     """Execute one typed request and return its typed response.
 
     The canonical run entry point: the request is normalized through
@@ -96,16 +96,13 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
     bit-identical).
     """
     request = resolve_request(request)
-    config = request.config
     if trace is None:
         from repro.workloads import build_trace
 
         trace = build_trace(request.workload, request.trace_length,
                             seed=request.seed)
-    if profile and not config.profile:
-        config = config.replace(profile=True)
-    sim = Simulator(trace, config, name=request.label, tracer=tracer,
-                    engine=engine)
+    sim = Simulator(trace, request.config, name=request.label,
+                    tracer=tracer, engine=engine, profile=profile)
     result = sim.run()
     return RunResponse(result=result, request=request,
                        profile=sim.profile_report() if profile else None)
@@ -113,7 +110,7 @@ def execute(request: RunRequest, *, trace: Trace | None = None,
 
 def simulate(trace: Trace, config: SimConfig | None = None, *,
              name: str | None = None, tracer=None,
-             engine: str | None = None) -> SimResult:
+             engine: str = DEFAULT_ENGINE) -> SimResult:
     """Simulate ``trace`` under ``config`` and return the result.
 
     A thin shim over :func:`execute`: the trace's identity and the
@@ -123,8 +120,8 @@ def simulate(trace: Trace, config: SimConfig | None = None, *,
     ``config`` defaults to a stock :class:`~repro.config.SimConfig`.
     ``name`` labels the result (defaults to the trace's name),
     ``tracer`` attaches a per-cycle pipeline tracer (which forces the
-    naive cycle loop), and ``engine`` overrides ``config.engine`` for
-    this run (one of :data:`~repro.config.ENGINES`; both are
+    naive cycle loop), and ``engine`` picks the cycle loop (one of
+    :data:`~repro.config.ENGINES`, default ``"event"``; both are
     bit-identical, see ``docs/performance.md``).
     """
     request = resolve_request(

@@ -47,11 +47,9 @@ def cache_key(workload: str, config: "SimConfig", trace_length: int,
     those inputs agree on the key; any disagreement (model change,
     schema bump, different seed) yields a disjoint key space.
 
-    Execution-detail knobs (cycle engine, checkpoint/watchdog cadence,
-    profiling, event logging) are normalized out first
-    (:meth:`~repro.config.SimConfig.execution_normalized`): every
-    engine is bit-identical, so a result computed under one serves a
-    request made under any other.
+    How a run executes (cycle engine, checkpoint cadence, watchdog,
+    profiling) is not part of the config, so a result computed under
+    any engine serves a request run under any other.
     """
     import repro
     from repro.sim.serialize import SCHEMA_VERSION
@@ -62,10 +60,9 @@ def cache_key(workload: str, config: "SimConfig", trace_length: int,
         "workload": workload,
         "trace_length": int(trace_length),
         "seed": int(seed),
-        "config": config.execution_normalized().to_dict(),
-        # Every key ever written carries this field (it once tagged
-        # alternative executions of a point); keeping it empty keeps
-        # existing result stores and serve caches valid.
+        "config": config.to_dict(),
+        # Always empty: the field once tagged alternative executions
+        # of a point, and every key ever written carries it.
         "variant": "",
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))

@@ -51,7 +51,8 @@ import sys
 from typing import Sequence
 
 from repro import env
-from repro.config import ENGINES, FilterMode, PrefetcherKind, SimConfig
+from repro.config import DEFAULT_ENGINE, ENGINES, FilterMode, \
+    PrefetcherKind, SimConfig
 from repro.errors import ReproError
 from repro.harness import (
     EXPERIMENTS,
@@ -61,11 +62,12 @@ from repro.harness import (
     parallel_sweep,
     technique_config,
 )
-from repro.api import profile_run, simulate
+from repro.api import profile_run
 from repro.harness.report import generate_report
 from repro.obs import events as obs_events
 from repro.obs.profile import CATEGORIES as PROFILE_CATEGORIES
 from repro.obs.spans import export_chrome_trace
+from repro.sim import Simulator
 from repro.stats import IntervalSeries, format_table, rows_to_csv, \
     telemetry_table
 from repro.trace import characterize
@@ -93,10 +95,18 @@ def _trace_flags() -> argparse.ArgumentParser:
     return parent
 
 
+def _cycles(text: str) -> int:
+    """argparse type of a cycle count (an int >= 0)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _checkpoint_flags() -> argparse.ArgumentParser:
     """Shared in-run checkpoint/watchdog parent parser (run/stats)."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--checkpoint-interval", type=int, default=0,
+    parent.add_argument("--checkpoint-interval", type=_cycles, default=0,
                         metavar="CYCLES",
                         help="write a resumable machine snapshot every "
                              "N cycles (0 = off; needs --machine-"
@@ -106,7 +116,7 @@ def _checkpoint_flags() -> argparse.ArgumentParser:
                         help="directory for in-run machine snapshots; "
                              "an existing valid snapshot of this exact "
                              "run is resumed automatically")
-    parent.add_argument("--watchdog-interval", type=int, default=0,
+    parent.add_argument("--watchdog-interval", type=_cycles, default=0,
                         metavar="CYCLES",
                         help="abort with a state dump if no instruction "
                              "retires for N cycles (0 = off)")
@@ -147,17 +157,6 @@ def _length(args: argparse.Namespace,
     return args.length if args.length is not None else fallback
 
 
-def _apply_robustness_flags(config: SimConfig,
-                            args: argparse.Namespace) -> SimConfig:
-    """Fold the checkpoint/watchdog flags into the run's config."""
-    if getattr(args, "checkpoint_interval", 0):
-        config = config.replace(
-            checkpoint_interval=args.checkpoint_interval)
-    if getattr(args, "watchdog_interval", 0):
-        config = config.replace(watchdog_interval=args.watchdog_interval)
-    return config
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -190,10 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--warmup", type=int, default=0)
     p_run.add_argument("--json", action="store_true",
                        help="emit metrics as JSON")
-    p_run.add_argument("--engine", default=None, choices=ENGINES,
-                       help="cycle engine (default: config default, "
-                            "'event'; results are identical under "
-                            "either engine)")
+    p_run.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
+                       help="cycle engine (default: 'event'; results "
+                            "are identical under either engine)")
     p_run.add_argument("--resume-from", default=None, metavar="SNAPSHOT",
                        help="resume from one explicit snapshot file "
                             "(written under --machine-checkpoint-dir)")
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="in-run machine snapshot directory: killed or "
                            "hung workers resume their point mid-run "
                            "instead of restarting it")
-    p_sw.add_argument("--checkpoint-interval", type=int, default=None,
+    p_sw.add_argument("--checkpoint-interval", type=_cycles, default=None,
                       metavar="CYCLES",
                       help="snapshot cadence for --machine-checkpoints")
 
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=FilterMode.ALL,
                         help="cache probe filtering mode (fdip only)")
     p_prof.add_argument("--warmup", type=int, default=0)
-    p_prof.add_argument("--engine", default=None, choices=ENGINES,
+    p_prof.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
                         help="cycle engine to profile under (the "
                              "profile is identical under either engine)")
     p_prof.add_argument("--json", action="store_true",
@@ -404,34 +402,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = technique_config(_technique_name(args), config)
     if args.warmup:
         config = config.replace(warmup_instructions=args.warmup)
-    config = _apply_robustness_flags(config, args)
 
     footer = None
     if args.resume_from:
         from pathlib import Path
 
-        from repro.sim import CheckpointManager, Simulator, snapshot_meta
+        from repro.sim import CheckpointManager, snapshot_meta
 
         meta = snapshot_meta(trace, config)
         manager = CheckpointManager(Path(args.resume_from).parent,
                                     meta=meta)
         state = manager.load(args.resume_from)
         sim = Simulator.restore(trace, config, state["machine"],
-                                engine=args.engine)
-        if args.machine_checkpoint_dir and config.checkpoint_interval > 0:
+                                engine=args.engine,
+                                watchdog_interval=args.watchdog_interval)
+        if args.machine_checkpoint_dir and args.checkpoint_interval > 0:
             sink = CheckpointManager(args.machine_checkpoint_dir,
                                      meta=meta)
-            sim.checkpoint_sink = sink.write
+            sim.checkpoint_every(args.checkpoint_interval, sink.write)
         result = sim.run()
         footer = (f"checkpointing: resumed from {args.resume_from} "
                   f"(cycle {state['cycle']})")
     elif args.machine_checkpoint_dir:
         from repro.sim import run_with_checkpoints
 
-        run = run_with_checkpoints(trace, config,
-                                   directory=args.machine_checkpoint_dir,
-                                   name=args.workload,
-                                   engine=args.engine)
+        run = run_with_checkpoints(
+            trace, config, directory=args.machine_checkpoint_dir,
+            checkpoint_interval=args.checkpoint_interval,
+            name=args.workload, engine=args.engine,
+            watchdog_interval=args.watchdog_interval)
         result = run.result
         footer = (f"checkpointing: {run.snapshots_written} snapshots "
                   f"written to {args.machine_checkpoint_dir}")
@@ -440,7 +439,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if run.quarantined:
             footer += f", {run.quarantined} corrupt snapshots quarantined"
     else:
-        result = simulate(trace, config, engine=args.engine)
+        result = Simulator(trace, config, engine=args.engine,
+                           watchdog_interval=args.watchdog_interval).run()
     if footer is not None:
         print(footer, file=sys.stderr)
     if args.json:
@@ -483,7 +483,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         config = config.replace(warmup_instructions=args.warmup)
     if args.window:
         config = config.replace(telemetry_window=args.window)
-    config = _apply_robustness_flags(config, args)
     if args.profile and args.machine_checkpoint_dir:
         print("error: --profile does not compose with "
               "--machine-checkpoint-dir; profile a plain run",
@@ -497,19 +496,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.machine_checkpoint_dir:
         from repro.sim import run_with_checkpoints
 
-        run = run_with_checkpoints(trace, config,
-                                   directory=args.machine_checkpoint_dir,
-                                   name=args.workload)
+        run = run_with_checkpoints(
+            trace, config, directory=args.machine_checkpoint_dir,
+            checkpoint_interval=args.checkpoint_interval,
+            name=args.workload, watchdog_interval=args.watchdog_interval)
         result = run.result
         print(f"checkpointing: {run.snapshots_written} snapshots written"
               + (f", resumed from cycle {run.resumed_from_cycle}"
                  if run.resumed_from_cycle is not None else ""),
               file=sys.stderr)
-    elif args.profile:
-        response = profile_run(trace, config, name=args.workload)
-        result, profile = response.result, response.profile
     else:
-        result = simulate(trace, config)
+        sim = Simulator(trace, config, profile=args.profile,
+                        watchdog_interval=args.watchdog_interval)
+        result = sim.run()
+        if args.profile:
+            profile = sim.profile_report()
     snapshot = result.telemetry
     assert snapshot is not None   # live runs always carry a snapshot
 

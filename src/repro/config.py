@@ -30,6 +30,7 @@ __all__ = [
     "PrefetcherKind",
     "PrefetchConfig",
     "ENGINES",
+    "DEFAULT_ENGINE",
     "SimConfig",
     "config_to_dict",
     "config_from_dict",
@@ -301,15 +302,26 @@ class PrefetchConfig:
         _require(self.nlp_degree >= 1, "nlp_degree must be >= 1")
 
 
-#: Cycle-engine names accepted by :attr:`SimConfig.engine` (and the
+#: Cycle-engine names a run accepts (the ``engine`` keyword of
+#: :func:`repro.api.simulate` and the other run entry points, and the
 #: CLI ``--engine`` flag).  Both are bit-identical; see
 #: ``docs/performance.md``, "Engine selection".
 ENGINES = ("naive", "event")
 
+#: The engine every run entry point and ``--engine`` default to.
+DEFAULT_ENGINE = "event"
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Top-level simulator configuration.
+    """Top-level simulator configuration: the modelled machine.
+
+    Every field describes the machine or the measured part of the
+    trace, so cache keys and snapshot identity digest the whole config.
+    How a run executes — cycle engine, profiling, checkpoint cadence,
+    watchdog — is chosen where the run starts (see
+    :class:`~repro.sim.simulator.Simulator`), and where its events go
+    by :func:`repro.obs.configure_logging`.
 
     Besides :meth:`replace` (shallow, field-by-field), a config can be
     round-tripped through plain dicts — :meth:`to_dict` /
@@ -331,16 +343,6 @@ class SimConfig:
     # cycle-accurately.  Much cheaper than timed warm-up for long traces.
     fast_forward_instructions: int = 0
     max_cycles: int | None = None
-    # Cycle-engine selection (see docs/performance.md, "Engine
-    # selection").  Both engines are bit-identical; they differ only
-    # in wall-clock cost:
-    #
-    # - "naive": tick every component every cycle.  The reference loop.
-    # - "event": wake scheduling (sim/events.py) — components are
-    #            ticked only when their wake contract says they can do
-    #            real work, and provably idle spans are jumped in one
-    #            step.  The default.
-    engine: str = "event"
     # Interval telemetry: record a per-window time series (cycles,
     # retired instructions, demand misses, FTQ occupancy mass) every
     # this-many cycles.  0 disables the series; the counter tree is
@@ -348,29 +350,8 @@ class SimConfig:
     # between the event engine and the naive loop (see
     # docs/telemetry.md).
     telemetry_window: int = 0
-    # In-run checkpointing: snapshot the full machine state every
-    # this-many cycles (0 disables).  Snapshots are consistent
-    # end-of-cycle states; a run resumed from any of them is
-    # bit-identical to an uninterrupted run (see docs/robustness.md).
-    checkpoint_interval: int = 0
-    # No-progress watchdog: if no instruction retires for this many
-    # consecutive cycles, raise WatchdogStallError with a state dump
-    # instead of spinning until the cycle cap (0 disables).
-    watchdog_interval: int = 0
-    # Cycle-attribution profiling: classify every simulated cycle into
-    # a per-component stall bucket (see repro.obs.profile).  The
-    # profile lives outside the telemetry snapshot, so the SimResult
-    # is bit-identical with profiling on or off, under either engine.
-    profile: bool = False
-    # Structured event log: append this run's lifecycle events
-    # (run start/end, warmup boundary, watchdog stalls, checkpoints)
-    # to the given JSONL file (see repro.obs.events; None disables).
-    event_log: str | None = None
 
     def __post_init__(self) -> None:
-        _require(self.engine in ENGINES,
-                 f"unknown engine {self.engine!r}; expected one of "
-                 f"{', '.join(ENGINES)}")
         if self.max_instructions is not None:
             _require(self.max_instructions >= 1,
                      "max_instructions must be >= 1 when given")
@@ -380,33 +361,8 @@ class SimConfig:
                  "fast_forward_instructions must be >= 0")
         _require(self.telemetry_window >= 0,
                  "telemetry_window must be >= 0")
-        _require(self.checkpoint_interval >= 0,
-                 "checkpoint_interval must be >= 0")
-        _require(self.watchdog_interval >= 0,
-                 "watchdog_interval must be >= 0")
-        _require(isinstance(self.profile, bool),
-                 "profile must be a bool")
-        if self.event_log is not None:
-            _require(isinstance(self.event_log, str)
-                     and bool(self.event_log),
-                     "event_log must be a non-empty path or None")
         if self.max_cycles is not None:
             _require(self.max_cycles >= 1, "max_cycles must be >= 1")
-
-    def execution_normalized(self) -> "SimConfig":
-        """A copy with execution-detail knobs pinned to their defaults.
-
-        ``engine``, ``checkpoint_interval``, ``watchdog_interval``,
-        ``profile``, and ``event_log`` select *how* a run executes or
-        what it logs, never what it computes — both engines are
-        bit-identical and observability never perturbs the result.
-        Identity digests (cache keys, checkpoint snapshot metadata)
-        hash this normalized form so results and snapshots stay
-        shareable across engine, cadence, and logging choices.
-        """
-        return self.replace(engine="event", checkpoint_interval=0,
-                            watchdog_interval=0, profile=False,
-                            event_log=None)
 
     def replace(self, **changes: object) -> "SimConfig":
         """Return a copy of this config with ``changes`` applied."""

@@ -138,25 +138,19 @@ def _run_point(workload: str, config: SimConfig, trace_length: int,
     """Worker: simulate one (workload, config) point and validate it.
 
     With ``checkpoint_dir`` the point runs through the machine
-    checkpointer: snapshots every ``checkpoint_interval`` cycles (when
-    the config does not already set its own), heartbeats for the
-    supervisor's stall probe, and resume from the latest snapshot when
-    this attempt follows a killed one.  The result is bit-identical to
-    an uncheckpointed run, so the cadence stays out of the point's
-    cache/store identity (the caller keys results by ``config``, not by
-    the run config used here).
+    checkpointer: snapshots every ``checkpoint_interval`` cycles,
+    heartbeats for the supervisor's stall probe, and resume from the
+    latest snapshot when this attempt follows a killed one.  The result
+    is bit-identical to an uncheckpointed run.
     """
     trace = build_trace(workload, trace_length, seed=seed)
     if checkpoint_dir is not None:
         from repro.sim.checkpoint import run_with_checkpoints
 
-        run_config = config
-        if checkpoint_interval > 0 and config.checkpoint_interval == 0:
-            run_config = config.replace(
-                checkpoint_interval=checkpoint_interval)
-        result = run_with_checkpoints(trace, run_config,
-                                      directory=checkpoint_dir,
-                                      name=workload).result
+        result = run_with_checkpoints(
+            trace, config, directory=checkpoint_dir,
+            checkpoint_interval=checkpoint_interval,
+            name=workload).result
     else:
         result = simulate(trace, config, name=workload)
     if verify_invariants:

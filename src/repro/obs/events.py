@@ -49,7 +49,6 @@ __all__ = [
     "SCHEMA",
     "KINDS",
     "configure_logging",
-    "attach_log_file",
     "reset_logging",
     "logging_active",
     "current_run_id",
@@ -201,24 +200,6 @@ def configure_logging(*, file: str | None = None, stderr: bool = False,
                 os.environ.pop(_ENV_FILE, None)
             os.environ[_ENV_STDERR] = "1" if stderr else "0"
             os.environ[_ENV_RUN_ID] = _state.run_id
-        return _state.run_id
-
-
-def attach_log_file(path: str) -> str:
-    """Ensure events append to ``path`` when no file sink exists yet.
-
-    This is the ``SimConfig.event_log`` hook: idempotent, and an
-    already-installed file sink (CLI/env configuration is
-    process-global) takes precedence over the per-run config field.
-    Returns the effective run id.
-    """
-    _ensure_configured()
-    with _state.lock:
-        if _state.file_fd is None:
-            _state.file_path = path
-            _state.file_fd = _open_append(path)
-        if _state.run_id is None:
-            _state.run_id = _make_run_id()
         return _state.run_id
 
 

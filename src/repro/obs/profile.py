@@ -1,6 +1,6 @@
 """Cycle-attribution profiler: which component ate each cycle?
 
-:class:`CycleProfiler` is an opt-in (``SimConfig(profile=True)``)
+:class:`CycleProfiler` is an opt-in (``Simulator(..., profile=True)``)
 observer the simulator consults once per simulated cycle.  It
 classifies the cycle into exactly one cause bucket, attributed to the
 component responsible, so the buckets **sum to the measured cycle
@@ -38,6 +38,8 @@ bus's own cycle counter rather than sampled.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from repro.config import DEFAULT_ENGINE
 
 if TYPE_CHECKING:
     from repro.config import SimConfig
@@ -165,7 +167,7 @@ class CycleProfiler:
 
 def profile_run(trace: "Trace", config: "SimConfig | None" = None, *,
                 name: str | None = None,
-                engine: str | None = None,
+                engine: str = DEFAULT_ENGINE,
                 ) -> "RunResponse":
     """Simulate ``trace`` with profiling on; return a typed response.
 

@@ -47,7 +47,8 @@ from typing import Iterable
 
 from repro.api import simulate
 from repro.cfg import ProgramShape, generate_program
-from repro.config import ENGINES, PrefetchConfig, SimConfig
+from repro.config import DEFAULT_ENGINE, ENGINES, PrefetchConfig, \
+    SimConfig
 from repro.sim.results import SimResult
 from repro.trace import Trace
 
@@ -129,17 +130,15 @@ def _time_engines(trace: Trace, config: SimConfig, reps: int,
     Returns ``{engine: (median_seconds, median_speedup, result)}``
     (speedup is 1.0 for naive itself).
     """
-    configs = {engine: config.replace(engine=engine)
-               for engine in ENGINES}
     results: dict[str, SimResult] = {}
     for _ in range(max(warmup, 1)):   # at least one untimed warm run
         for engine in ENGINES:
-            results[engine] = simulate(trace, configs[engine])
+            results[engine] = simulate(trace, config, engine=engine)
     times: dict[str, list[float]] = {engine: [] for engine in ENGINES}
     for _ in range(reps):
         for engine in ENGINES:
             start = time.perf_counter()
-            results[engine] = simulate(trace, configs[engine])
+            results[engine] = simulate(trace, config, engine=engine)
             times[engine].append(time.perf_counter() - start)
     timed = {}
     for engine in ENGINES:
@@ -161,9 +160,8 @@ def run_perf(length: int = DEFAULT_LENGTH, reps: int = DEFAULT_REPS,
     only comparable to the committed baseline at the default.
     """
     trace = _build_trace(length, seed)
-    default_engine = SimConfig().engine
     report = {"version": 2, "length": length, "reps": reps,
-              "warmup": warmup, "default_engine": default_engine,
+              "warmup": warmup, "default_engine": DEFAULT_ENGINE,
               "points": {}}
     instructions = len(trace)
     for point in points:
@@ -181,9 +179,9 @@ def run_perf(length: int = DEFAULT_LENGTH, reps: int = DEFAULT_REPS,
             "description": point.description,
             "instructions": instructions,
             "cycles": naive_result.cycles,
-            "engine": default_engine,
+            "engine": DEFAULT_ENGINE,
             "engines": engines,
-            "speedup": engines[default_engine]["speedup"],
+            "speedup": engines[DEFAULT_ENGINE]["speedup"],
             "identical": all(row["identical"]
                              for row in engines.values()),
         }

@@ -104,7 +104,3 @@ class Prefetcher(StatsComponent, ABC):
     def extra_stat_groups(self) -> list[StatGroup]:
         """Stat groups owned by this prefetcher (buffers etc.)."""
         return [self.stats]
-
-    def lead_histogram(self) -> dict[int, int]:
-        """Prefetch lead-time distribution (empty when not recorded)."""
-        return {}

@@ -113,6 +113,3 @@ class CombinedPrefetcher(Prefetcher):
 
     def extra_stat_groups(self):
         return [self.stats, self.fdip.stats, self.buffer.stats]
-
-    def lead_histogram(self) -> dict[int, int]:
-        return self.buffer.stats.histogram("lead_cycles").as_dict()

@@ -197,9 +197,6 @@ class FdipPrefetcher(Prefetcher):
     def extra_stat_groups(self):
         return [self.stats, self.buffer.stats]
 
-    def lead_histogram(self) -> dict[int, int]:
-        return self.buffer.stats.histogram("lead_cycles").as_dict()
-
     def validate(self) -> None:
         """Internal consistency check used by tests."""
         if len(self._piq) > self.config.piq_depth:

@@ -104,9 +104,6 @@ class NlpPrefetcher(Prefetcher):
     def extra_stat_groups(self):
         return [self.stats, self.buffer.stats]
 
-    def lead_histogram(self) -> dict[int, int]:
-        return self.buffer.stats.histogram("lead_cycles").as_dict()
-
     def quiescent(self, ftq: FetchTargetQueue) -> bool:
         # With an empty request queue tick touches nothing; a non-empty
         # queue keeps probing/issuing (and bumping counters) every cycle.

@@ -9,7 +9,8 @@ endpoint                    behavior
 ==========================  ==========================================
 ``GET  /v1/health``         liveness + package version
 ``POST /v1/submit``         body ``{"request": <RunRequest.to_dict()>,
-                            "priority": 0}`` → ``{"job": id}``;
+                            "priority": 0}`` → ``{"job": id,
+                            "state": <state at admission>}``;
                             **429** when the queue is full, 400 for a
                             malformed request
 ``GET  /v1/status/<job>``   the job's state snapshot; 404 unknown
@@ -123,9 +124,8 @@ class _Handler(BaseHTTPRequestHandler):
                 body = self._body()
                 request = RunRequest.from_dict(body.get("request"))
                 priority = body.get("priority", 0)
-                job_id = service.submit(request, priority=priority)
-                self._send(202, {"job": job_id,
-                                 "state": service.status(job_id)["state"]})
+                job_id, state = service._admit(request, priority)
+                self._send(202, {"job": job_id, "state": state})
             elif parts == ["v1", "shutdown"]:
                 self._send(200, {"ok": True})
                 self.server.request_shutdown()
@@ -149,16 +149,15 @@ class _Handler(BaseHTTPRequestHandler):
                 f"got {query.get('wait')[0]!r}") from None
         wait = max(0.0, min(wait, MAX_WAIT_SECONDS))
         job = service.wait(job_id, timeout=wait)
-        snapshot = service.status(job_id)
         if job.state == "failed":
             self._send(500, {"error": "JobFailed", "detail": job.error,
-                             "status": snapshot})
+                             "status": job.snapshot()})
             return
         if not job.done:
             self._send(408, {"error": "NotReady",
                              "detail": f"job {job_id} still "
                                        f"{job.state} after {wait:g}s",
-                             "status": snapshot})
+                             "status": job.snapshot()})
             return
         response = job.response
         assert response is not None

@@ -15,6 +15,14 @@ daemon (and is usable directly as a library object):
 - **cache serving** — a request whose result is already in the
   :class:`~repro.serve.cache.ResultCache` completes at submit time
   without touching the queue;
+- **bounded memory** — a finished job becomes forgettable once its
+  result has been read (:meth:`~SimulationService.wait` /
+  :meth:`~SimulationService.result`, the daemon's ``/v1/result``) or
+  is held by the result cache, where resubmitting the request finds
+  it; the service remembers at most :data:`MAX_FINISHED_JOBS`
+  forgettable jobs and forgets the oldest first (their ids then answer
+  "unknown job id").  Queued, running and unread uncached jobs are
+  never forgotten;
 - **typed lifecycle** — every transition is emitted to the
   ``repro.events/v2`` log (``serve_enqueued`` → ``serve_coalesced`` /
   ``serve_cache_hit`` / ``serve_scheduled`` → ``serve_running`` →
@@ -32,6 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +54,10 @@ __all__ = ["Job", "SimulationService", "JOB_STATES"]
 
 #: Every state a job can be observed in.
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: How many forgettable jobs (finished, and read or cached) a service
+#: remembers; beyond it the oldest is forgotten first.
+MAX_FINISHED_JOBS = 256
 
 
 @dataclass
@@ -123,6 +136,8 @@ class SimulationService:
         self._cond = threading.Condition(self._lock)
         self._heap: list[tuple[int, int, str]] = []
         self._jobs: dict[str, Job] = {}
+        # Finished jobs that were read or are cached, oldest first.
+        self._forgettable: OrderedDict[str, None] = OrderedDict()
         self._inflight: dict[str, str] = {}
         self._seq = itertools.count(1)
         self._threads: list[threading.Thread] = []
@@ -192,6 +207,15 @@ class SimulationService:
         ``max_queue_depth`` and :class:`~repro.errors.ServeError` for
         an unknown workload or a stopped service.
         """
+        return self._admit(request, priority)[0]
+
+    def _admit(self, request: RunRequest,
+               priority: int) -> tuple[str, str]:
+        """:meth:`submit`, also returning the job's state at admission.
+
+        The daemon's 202 reply reads the state here: a cache hit is
+        forgettable at once, so looking it up again could miss.
+        """
         if isinstance(priority, bool) or not isinstance(priority, int):
             raise ServeError(
                 f"priority must be an int, got {priority!r}")
@@ -224,11 +248,12 @@ class SimulationService:
                 job.response = RunResponse(
                     result=cached, request=request, source="cache")
                 self._jobs[job.id] = job
+                self._forgettable_locked(job.id)
                 self.counters["cache_hits"] += 1
                 self.counters["completed"] += 1
                 obs_events.emit("serve_cache_hit", point=key,
                                 data={"job": job.id})
-                return job.id
+                return job.id, job.state
 
             primary_id = self._inflight.get(key)
             if primary_id is not None:
@@ -240,7 +265,7 @@ class SimulationService:
                 self.counters["coalesced"] += 1
                 obs_events.emit("serve_coalesced", point=key, data={
                     "job": job.id, "primary": primary_id})
-                return job.id
+                return job.id, job.state
 
             if len(self._heap) >= self.max_queue_depth:
                 self.counters["rejected"] += 1
@@ -256,7 +281,7 @@ class SimulationService:
             obs_events.emit("serve_scheduled", point=key, data={
                 "job": job.id, "depth": len(self._heap)})
             self._cond.notify()
-            return job.id
+            return job.id, job.state
 
     # ------------------------------------------------------------------
     # Introspection / retrieval
@@ -277,11 +302,14 @@ class SimulationService:
         """Block until the job is terminal (or ``timeout``); returns it.
 
         The returned :class:`Job` may still be non-terminal when the
-        timeout elapsed first — check :attr:`Job.done`.
+        timeout elapsed first — check :attr:`Job.done`.  A terminal
+        job counts as read and may be forgotten from then on.
         """
         with self._cond:
             job = self._job(job_id)
             self._cond.wait_for(lambda: job.done, timeout=timeout)
+            if job.done:
+                self._forgettable_locked(job.id)
             return job
 
     def result(self, job_id: str,
@@ -362,14 +390,17 @@ class SimulationService:
                         job, f"{type(exc).__name__}: {exc}")
                     self._cond.notify_all()
                 continue
-            if self.cache is not None:
+            cached = self.cache is not None
+            if cached:
                 try:
                     self.cache.put(job.request, response.result)
                 except OSError:
-                    pass   # a read-only cache must not fail the job
+                    cached = False   # a read-only cache must not fail the job
             with self._cond:
                 self.counters["simulations"] += 1
                 self._complete_locked(job, response)
+                if cached:
+                    self._forgettable_locked(job.id, *job.followers)
                 self._cond.notify_all()
 
     def _complete_locked(self, job: Job, response: RunResponse) -> None:
@@ -402,3 +433,12 @@ class SimulationService:
             follower.state = "failed"
             follower.error = error
             self.counters["failed"] += 1
+
+    def _forgettable_locked(self, *job_ids: str) -> None:
+        """Mark finished jobs read or cached, forgetting the oldest
+        such jobs beyond :data:`MAX_FINISHED_JOBS`."""
+        for job_id in job_ids:
+            if job_id in self._jobs:   # a late waiter's job may be gone
+                self._forgettable[job_id] = None
+        while len(self._forgettable) > MAX_FINISHED_JOBS:
+            del self._jobs[self._forgettable.popitem(last=False)[0]]

@@ -1,7 +1,8 @@
 """In-run machine checkpoints: versioned snapshots, resume, heartbeats.
 
 :class:`~repro.sim.simulator.Simulator` can hand a checkpoint sink a
-snapshot every ``SimConfig.checkpoint_interval`` cycles:
+snapshot every N cycles (:meth:`~repro.sim.simulator.Simulator.
+checkpoint_every`):
 ``{"cycle", "retired", "machine"}``, where ``machine`` is one pickle of
 the whole simulator (trace stored by reference) that
 :meth:`~repro.sim.simulator.Simulator.restore` turns back into a
@@ -31,12 +32,10 @@ code, and the checksum detects corruption, not tampering.  Resume only
 from directories this user's own runs wrote.
 
 Identity metadata (:func:`snapshot_meta`) binds snapshots to the
-(trace, config, package version) that produced them.  The config
-fields that provably do not affect the result — ``engine``,
-``checkpoint_interval``, ``watchdog_interval`` — are excluded from the
-digest (as are the observability fields ``profile`` and ``event_log``),
-so a snapshot taken under one engine or cadence resumes cleanly
-under another (resume is bit-identical either way; see
+(trace, config, package version) that produced them.  The engine,
+cadence, watchdog and profiler are options of the run, not of the
+config, so a snapshot taken under one engine or cadence resumes
+cleanly under another (resume is bit-identical either way; see
 ``tests/test_checkpoint.py``).
 
 Crash drills: setting ``REPRO_CHECKPOINT_KILL_AFTER=N`` makes the
@@ -59,7 +58,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import repro
-from repro.config import SimConfig
+from repro.config import DEFAULT_ENGINE, SimConfig
 from repro.errors import CheckpointError
 from repro.fsutil import atomic_write_text, quarantine
 from repro.obs import events as obs_events
@@ -93,16 +92,8 @@ _KILL_MARKER = "crash-drill.done"
 
 
 def snapshot_meta(trace: Trace, config: SimConfig) -> dict:
-    """Identity metadata binding snapshots to one (trace, config) run.
-
-    ``engine``, ``checkpoint_interval``, ``watchdog_interval``,
-    ``profile``, and ``event_log`` are normalized out of the config
-    digest: none of them affects the
-    simulated result, so snapshots stay resumable across engine,
-    cadence, and observability changes.
-    """
-    normalized = config.execution_normalized()
-    digest = hashlib.sha256(repr(normalized).encode("utf-8")) \
+    """Identity metadata binding snapshots to one (trace, config) run."""
+    digest = hashlib.sha256(repr(config).encode("utf-8")) \
         .hexdigest()[:16]
     return {
         "trace": trace.name,
@@ -344,8 +335,10 @@ class CheckpointedRun:
 
 def run_with_checkpoints(trace: Trace, config: SimConfig, *,
                          directory: str | Path,
+                         checkpoint_interval: int = 0,
                          name: str | None = None,
-                         engine: str | None = None,
+                         engine: str = DEFAULT_ENGINE,
+                         watchdog_interval: int = 0,
                          keep: int = 2, resume: bool = True,
                          cleanup: bool = True) -> CheckpointedRun:
     """Run one simulation with periodic snapshots and crash resume.
@@ -355,21 +348,24 @@ def run_with_checkpoints(trace: Trace, config: SimConfig, *,
     ``resume`` is true, the simulation continues from it instead of
     cycle 0; the final :class:`~repro.sim.results.SimResult` is
     bit-identical to an uninterrupted run either way.  Snapshots are
-    written every ``config.checkpoint_interval`` cycles (0 disables
-    them — the run is then merely *resumable from* existing snapshots,
-    not crash-safe itself).  On success a summary file with the
-    snapshot/resume counters is left behind and, with ``cleanup``, the
-    now-useless snapshots are dropped.
+    written every ``checkpoint_interval`` cycles (0 disables them — the
+    run is then merely *resumable from* existing snapshots, not
+    crash-safe itself).  ``engine`` and ``watchdog_interval`` mean what
+    they mean to :class:`~repro.sim.simulator.Simulator`.  On success
+    a summary file with the snapshot/resume counters is left behind
+    and, with ``cleanup``, the now-useless snapshots are dropped.
     """
     manager = CheckpointManager(directory, meta=snapshot_meta(trace, config),
                                 keep=keep)
     state = manager.latest() if resume else None
     if state is None:
-        sim = Simulator(trace, config, name=name, engine=engine)
+        sim = Simulator(trace, config, name=name, engine=engine,
+                        watchdog_interval=watchdog_interval)
         resumed_from = None
     else:
         sim = Simulator.restore(trace, config, state["machine"],
-                                engine=engine)
+                                engine=engine,
+                                watchdog_interval=watchdog_interval)
         if name is not None:
             sim.name = name
         resumed_from = int(state["cycle"])
@@ -377,8 +373,8 @@ def run_with_checkpoints(trace: Trace, config: SimConfig, *,
             "cycle": resumed_from,
             "retired": int(state.get("retired", 0)),
             "name": sim.name})
-    if config.checkpoint_interval > 0:
-        sim.checkpoint_sink = manager.write
+    if checkpoint_interval:
+        sim.checkpoint_every(checkpoint_interval, manager.write)
     result = sim.run()
     manager.write_summary(resumed_from)
     if cleanup:

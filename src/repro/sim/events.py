@@ -72,8 +72,8 @@ Why each stall-proof gate is sound, in cycle-schedule order:
 
 Equivalence is enforced by the engine matrix in
 ``tests/test_engine_equivalence.py`` and the checkpoint fuzz suite;
-selection is ``SimConfig(engine="event")`` (the default — see
-``docs/performance.md``).
+selection is ``engine="event"`` on the run entry points (the default
+— see ``docs/performance.md``).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import Callable
 
 from repro.bpred import ReturnAddressStack, make_direction_predictor
 from repro.component import Component
-from repro.config import ENGINES, SimConfig
+from repro.config import DEFAULT_ENGINE, ENGINES, SimConfig
 from repro.cpu import Backend
 from repro.errors import ConfigError, SimulationError, WatchdogStallError
 from repro.frontend import FetchEngine, FetchTargetQueue, FTQEntry, \
@@ -56,14 +56,18 @@ def _split_trace(trace: Trace, config: SimConfig) -> tuple[list, Trace]:
     return trace.records[:cut], trace.slice(cut, len(trace))
 
 
-def _check_engine(engine: str | None, config: SimConfig) -> str:
-    if engine is None:
-        return config.engine
+def _check_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ConfigError(
             f"unknown engine {engine!r}; expected one of "
             f"{', '.join(ENGINES)}")
     return engine
+
+
+def _check_watchdog(watchdog_interval: int) -> int:
+    if watchdog_interval < 0:
+        raise ConfigError("watchdog_interval must be >= 0")
+    return watchdog_interval
 
 
 def _run_trace() -> Trace:
@@ -109,21 +113,30 @@ class _SnapshotUnpickler(pickle.Unpickler):
 class Simulator:
     """One configured machine, ready to run one trace.
 
-    Everything beyond the trace and config is keyword-only:
+    Everything beyond the trace and config is keyword-only and says how
+    the run executes, never what it computes:
 
     - ``name`` labels the result (defaults to the trace's name);
     - ``tracer`` attaches a per-cycle pipeline tracer (forces the
       naive loop — a tracer observes every cycle by definition);
-    - ``engine`` overrides ``config.engine`` for this run: ``"naive"``
-      or ``"event"``.  Both are bit-identical (see
-      ``docs/performance.md``, "Engine selection").
+    - ``engine`` picks the cycle loop: ``"event"`` (the default) or
+      ``"naive"``.  Both are bit-identical (see
+      ``docs/performance.md``, "Engine selection");
+    - ``profile`` attaches the cycle-attribution profiler read by
+      :meth:`profile_report` (see :mod:`repro.obs.profile`);
+    - ``watchdog_interval`` raises
+      :class:`~repro.errors.WatchdogStallError` with a state dump when
+      no instruction retires for that many consecutive cycles, instead
+      of spinning until the cycle cap (0, the default, disables it).
 
-    :meth:`restore` rebuilds a machine from a checkpoint snapshot.
+    :meth:`checkpoint_every` hands a sink machine snapshots during the
+    run; :meth:`restore` rebuilds a machine from one.
     """
 
     def __init__(self, trace: Trace, config: SimConfig, *,
                  name: str | None = None, tracer=None,
-                 engine: str | None = None):
+                 engine: str = DEFAULT_ENGINE, profile: bool = False,
+                 watchdog_interval: int = 0):
         warm_records, trace = _split_trace(trace, config)
         self.trace = trace
         self.config = config
@@ -156,20 +169,20 @@ class Simulator:
 
         self.cycle = 0
         self.tracer = tracer
-        self.engine = _check_engine(engine, config)
+        self.engine = _check_engine(engine)
+        self.watchdog_interval = _check_watchdog(watchdog_interval)
         self.skipped_cycles = 0   # diagnostics only; not a statistic
         # Opt-in cycle-attribution profiler (see repro/obs/profile.py).
         # It lives outside the telemetry tree on purpose: SimResult
         # stays bit-identical with profiling on or off.
-        self.profiler = CycleProfiler() if config.profile else None
+        self.profiler = CycleProfiler() if profile else None
         self._resolve_at: int | None = None
         self._resolve_entry: FTQEntry | None = None
         self._warmed = config.warmup_instructions == 0
         self._measure_start_cycle = 0
         self._measure_start_retired = 0
-        # In-run checkpointing: when a sink is attached and
-        # config.checkpoint_interval > 0, run() hands it a machine
-        # snapshot every interval cycles (see sim/checkpoint.py).
+        # In-run checkpointing (see checkpoint_every).
+        self.checkpoint_interval = 0
         self.checkpoint_sink: Callable[[dict], None] | None = None
         # The occupancy observer and interval sampler a restored
         # machine's run continues with (see restore()).
@@ -180,31 +193,44 @@ class Simulator:
 
     @classmethod
     def restore(cls, trace: Trace, config: SimConfig, machine: bytes, *,
-                engine: str | None = None) -> "Simulator":
+                engine: str = DEFAULT_ENGINE,
+                watchdog_interval: int = 0) -> "Simulator":
         """Rebuild the machine a checkpoint snapshot captured.
 
         ``machine`` is the ``"machine"`` entry of a snapshot handed to
-        :attr:`checkpoint_sink`; ``trace`` and ``config`` must be the
+        a :meth:`checkpoint_every` sink; ``trace`` and ``config`` must be the
         ones that produced it (the checkpoint manager enforces this via
         identity metadata).  The next :meth:`run` continues from the
         captured cycle and returns a bit-identical :class:`SimResult`.
 
-        What identity leaves out comes from this call: the engine
-        (``engine``, else ``config.engine``), checkpoint cadence,
-        watchdog, event log, and profiling — a profiling resume of a
-        snapshot taken without a profiler starts a fresh one.
+        ``engine`` and ``watchdog_interval`` mean what they mean to the
+        constructor; snapshots need a new :meth:`checkpoint_every`.  A
+        profiler, when the snapshotted run had one, is part of the
+        machine and keeps counting.
         """
         _, trace = _split_trace(trace, config)
         sim, occupancy, sampler = _SnapshotUnpickler(
             io.BytesIO(machine), trace).load()
         sim.config = config
-        sim.engine = _check_engine(engine, config)
-        if not config.profile:
-            sim.profiler = None
-        elif sim.profiler is None:
-            sim.profiler = CycleProfiler()
+        sim.engine = _check_engine(engine)
+        sim.watchdog_interval = _check_watchdog(watchdog_interval)
         sim._resumed = occupancy, sampler
         return sim
+
+    def checkpoint_every(self, interval: int,
+                         sink: Callable[[dict], None]) -> None:
+        """Hand ``sink`` a machine snapshot every ``interval`` cycles.
+
+        Each snapshot is a consistent end-of-cycle state (see
+        :meth:`_checkpoint`); a run resumed from any of them through
+        :meth:`restore` is bit-identical to an uninterrupted run (see
+        ``docs/robustness.md``).
+        """
+        if interval < 1:
+            raise ConfigError(
+                f"checkpoint interval must be >= 1, got {interval}")
+        self.checkpoint_interval = interval
+        self.checkpoint_sink = sink
 
     def __getstate__(self) -> dict:
         # A snapshot holds the machine, not where its run reports to.
@@ -315,14 +341,12 @@ class Simulator:
                                       base_retired=backend.retired) \
                 if window > 0 else None
 
-        interval = self.config.checkpoint_interval
+        interval = self.checkpoint_interval
         next_ckpt = (self.cycle + interval
                      if interval > 0 and self.checkpoint_sink is not None
                      else None)
-        watchdog = self.config.watchdog_interval
+        watchdog = self.watchdog_interval
 
-        if self.config.event_log is not None:
-            obs_events.attach_log_file(self.config.event_log)
         obs_events.emit("run_start", data={
             "name": self.name, "engine": engine,
             "cycle": self.cycle, "instructions": total,
@@ -446,7 +470,7 @@ class Simulator:
         self.checkpoint_sink({"cycle": self.cycle,
                               "retired": self.backend.retired,
                               "machine": machine.getvalue()})
-        return self.cycle + self.config.checkpoint_interval
+        return self.cycle + self.checkpoint_interval
 
     def _finish(self, occupancy: RunLengthObserver,
                 sampler: IntervalSampler | None,
@@ -559,13 +583,13 @@ class Simulator:
 
         Buckets sum exactly to the measured cycle count (the ``cycles``
         field of :attr:`telemetry_snapshot`'s meta).  Requires
-        ``SimConfig(profile=True)``; the convenience wrapper is
+        ``Simulator(..., profile=True)``; the convenience wrapper is
         :func:`repro.obs.profile_run`.
         """
         if self.profiler is None:
             raise SimulationError(
-                "profiling is off; construct with SimConfig(profile=True) "
-                "or use repro.obs.profile_run")
+                "profiling is off; construct with Simulator(..., "
+                "profile=True) or use repro.obs.profile_run")
         meta = {
             "name": self.name,
             "prefetcher": self.config.prefetch.kind,

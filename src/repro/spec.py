@@ -35,7 +35,7 @@ __all__ = ["Point", "ExperimentSpec", "normalize_points",
            "RunRequest", "RunResponse", "resolve_request"]
 
 #: Wire-format tag of one serialized :class:`RunRequest`.
-REQUEST_SCHEMA = "repro.request/v2"
+REQUEST_SCHEMA = "repro.request/v3"
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,22 @@ class RunRequest:
 
         See :func:`repro.cachekey.cache_key` for exactly what the
         digest covers; an unresolved request has no stable identity and
-        raises :class:`~repro.errors.ConfigError`.
+        raises :class:`~repro.errors.ConfigError`.  The digest is
+        derived once per request object and kept outside the dataclass
+        fields, so equality, hashing and :meth:`to_dict` ignore it.
         """
+        key = self.__dict__.get("_cache_key")
+        if key is not None:
+            return key
         if not self.resolved:
             raise ConfigError(
                 "cache_key needs a resolved request (trace_length "
                 "pinned); pass it through resolve_request first")
         assert self.trace_length is not None
-        return cache_key(self.workload, self.config, self.trace_length,
-                         self.seed)
+        key = cache_key(self.workload, self.config, self.trace_length,
+                        self.seed)
+        object.__setattr__(self, "_cache_key", key)
+        return key
 
     def to_dict(self) -> dict:
         """JSON-compatible wire form (the daemon's request body)."""

@@ -12,6 +12,30 @@ from repro.harness.persist import result_key
 from repro.spec import RunRequest
 
 
+#: Another valid value for each string-valued default config leaf.
+_OTHER_CHOICE = {"hybrid": "local", "fdip": "none", "enqueue": "remove"}
+
+
+def _leaves(data: dict, prefix: str = ""):
+    """``(dotted path, value)`` for every leaf of a config dict."""
+    for name, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}", value
+
+
+def _other(value):
+    """A valid value different from a default config leaf's."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value * 2 if value else 1
+    if value is None:
+        return 4
+    return _OTHER_CHOICE[value]
+
+
 class TestCacheKey:
     def test_stable_across_calls(self):
         config = SimConfig()
@@ -30,19 +54,17 @@ class TestCacheKey:
         assert cache_key("gcc_like", SimConfig(), 60_000, 2) != base
         nopf = SimConfig(prefetch=PrefetchConfig(kind="none"))
         assert cache_key("gcc_like", nopf, 60_000, 1) != base
-
-    def test_execution_knobs_do_not_contribute(self):
-        """Engine, cadence, and logging choices never affect the
-        result, so they must never fork the key space."""
-        base = cache_key("gcc_like", SimConfig(), 60_000, 1)
-        for changes in ({"engine": "naive"},
-                        {"checkpoint_interval": 500},
-                        {"watchdog_interval": 1000},
-                        {"profile": True},
-                        {"event_log": "events.jsonl"}):
-            varied = SimConfig(**changes)
-            assert cache_key("gcc_like", varied, 60_000, 1) == base, \
-                changes
+        # Every config field describes the machine, so every one forks
+        # the key space; an option of how a run executes belongs where
+        # the run starts, not in the config.
+        for path, value in _leaves(SimConfig().to_dict()):
+            overrides = {path: _other(value)}
+            if path.endswith(".block_bytes"):
+                # The L1-I and the L2 must share one block size.
+                overrides = {"memory.icache.block_bytes": _other(value),
+                             "memory.l2.block_bytes": _other(value)}
+            varied = SimConfig().with_overrides(**overrides)
+            assert cache_key("gcc_like", varied, 60_000, 1) != base, path
 
     def test_config_dict_ordering_is_irrelevant(self):
         """The digest covers the *canonical* config form.

@@ -21,7 +21,8 @@ import pytest
 
 from repro.config import ENGINES, PrefetchConfig, PrefetcherKind, \
     SimConfig
-from repro.errors import CheckpointError, WatchdogStallError
+from repro.errors import CheckpointError, ConfigError, \
+    WatchdogStallError
 from repro.fsutil import QUARANTINE_DIR
 from repro.harness.supervise import RetryPolicy, run_supervised
 from repro.sim import (
@@ -45,17 +46,20 @@ def _config(kind: str = PrefetcherKind.FDIP, **changes) -> SimConfig:
     return config.replace(**changes) if changes else config
 
 
-def _recording(config: SimConfig, engine: str = "event"):
-    """A simulator whose snapshots land in the returned list."""
-    sim = Simulator(_TRACE, config, engine=engine)
+def _recording(config: SimConfig, engine: str = "event",
+               interval: int = 400, **run):
+    """A simulator whose snapshots, one every ``interval`` cycles, land
+    in the returned list."""
+    sim = Simulator(_TRACE, config, engine=engine, **run)
     states: list[dict] = []
-    sim.checkpoint_sink = states.append
+    sim.checkpoint_every(interval, states.append)
     return sim, states
 
 
-def _reference(config: SimConfig, engine: str = "event"):
+def _reference(config: SimConfig, engine: str = "event",
+               interval: int = 400):
     """Uninterrupted run; returns (result, snapshots)."""
-    sim, states = _recording(config, engine)
+    sim, states = _recording(config, engine, interval)
     return sim.run(), states
 
 
@@ -68,26 +72,26 @@ def _resume(config: SimConfig, state: dict, engine: str = "event"):
     return _restored(config, state, engine).run()
 
 
-# Config settings the prefetcher-kind fuzz below leaves at their
-# defaults; each variant gets one cross-engine resume.
+# Config settings (and run options) the prefetcher-kind fuzz below
+# leaves at their defaults; each variant gets one cross-engine resume.
 _CONFIG_VARIANTS = [
     ("two_level_ftb", {"frontend.predictor.ftb_sets": 32,
-                       "frontend.predictor.ftb_l2_sets": 256}),
-    ("no_wrong_path", {"frontend.model_wrong_path": False}),
-    ("wrong_path_in_window", {"core.wrong_path_in_window": True}),
-    ("two_fetch_accesses", {"core.fetch_accesses_per_cycle": 2}),
-    ("perfect_direction", {"frontend.perfect_direction": True}),
+                       "frontend.predictor.ftb_l2_sets": 256}, {}),
+    ("no_wrong_path", {"frontend.model_wrong_path": False}, {}),
+    ("wrong_path_in_window", {"core.wrong_path_in_window": True}, {}),
+    ("two_fetch_accesses", {"core.fetch_accesses_per_cycle": 2}, {}),
+    ("perfect_direction", {"frontend.perfect_direction": True}, {}),
     ("tiny_queues", {"frontend.ftq_depth": 2, "memory.mshr_entries": 1,
-                     "core.window_size": 8}),
-    ("max_lookahead", {"prefetch.max_lookahead": 4}),
+                     "core.window_size": 8}, {}),
+    ("max_lookahead", {"prefetch.max_lookahead": 4}, {}),
     ("stream_probe_depth", {"prefetch.kind": PrefetcherKind.STREAM,
                             "prefetch.stream_probe_depth": 3,
-                            "prefetch.allocation_filter": False}),
+                            "prefetch.allocation_filter": False}, {}),
     ("fast_forward_warmup", {"fast_forward_instructions": 800,
-                             "warmup_instructions": 400}),
-    ("max_instructions", {"max_instructions": 1800}),
-    ("local_direction", {"frontend.predictor.direction": "local"}),
-    ("profile", {"profile": True}),
+                             "warmup_instructions": 400}, {}),
+    ("max_instructions", {"max_instructions": 1800}, {}),
+    ("local_direction", {"frontend.predictor.direction": "local"}, {}),
+    ("profile", {}, {"profile": True}),
 ]
 
 # Per-engine fuzz seed bases, pinned so each engine keeps drawing the
@@ -108,15 +112,15 @@ class TestResumeBitIdentity:
         rng = random.Random(_FUZZ_SEED[engine]
                             + PrefetcherKind.ALL.index(kind))
         interval = rng.randrange(150, 700)
-        config = _config(kind, checkpoint_interval=interval)
-        ref, states = _reference(config, engine)
+        config = _config(kind)
+        ref, states = _reference(config, engine, interval)
         assert states, "trace too short to ever snapshot"
         for state in rng.sample(states, min(3, len(states))):
             assert _resume(config, state, engine) == ref
 
     def test_resume_crosses_engines(self):
         """A snapshot taken under one engine resumes under any other."""
-        config = _config(checkpoint_interval=400)
+        config = _config()
         refs, states = {}, {}
         for engine in ENGINES:
             refs[engine], states[engine] = _reference(config, engine)
@@ -129,31 +133,29 @@ class TestResumeBitIdentity:
                     assert _resume(config, mid, target) == ref, \
                         (source, target)
 
-    @pytest.mark.parametrize("source, target, overrides", [
-        pytest.param(source, target, overrides, id=name)
-        for (name, overrides), (source, target) in zip(
+    @pytest.mark.parametrize("source, target, overrides, run", [
+        pytest.param(source, target, overrides, run, id=name)
+        for (name, overrides, run), (source, target) in zip(
             _CONFIG_VARIANTS,
             [("naive", "event"), ("event", "naive")] * 6)])
     def test_config_variant_resumes_across_engines(self, source, target,
-                                                   overrides):
+                                                   overrides, run):
         """Settings off the default path: a mid-run snapshot taken
         under one engine resumes under the other, bit for bit."""
-        config = _config(checkpoint_interval=300).with_overrides(
-            **overrides)
-        sim, states = _recording(config, source)
+        config = _config().with_overrides(**overrides)
+        sim, states = _recording(config, source, 300, **run)
         ref = sim.run()
         assert len(states) >= 2, "trace too short to snapshot mid-run"
         resumed = _restored(config, states[len(states) // 2], target)
         assert resumed.run() == ref
-        if config.profile:
+        if run.get("profile"):
             assert resumed.profile_report()["buckets"] \
                 == sim.profile_report()["buckets"]
 
     def test_resume_inside_warmup_region(self):
         """Snapshots before the measurement reset still resume exactly."""
-        config = _config(checkpoint_interval=250,
-                         warmup_instructions=LENGTH // 2)
-        ref, states = _reference(config)
+        config = _config(warmup_instructions=LENGTH // 2)
+        ref, states = _reference(config, interval=250)
         assert _resume(config, states[0]) == ref
         assert _resume(config, states[-1]) == ref
 
@@ -167,8 +169,7 @@ class TestSnapshotContents:
     def test_snapshot_never_carries_the_trace(self):
         """The trace is pickled by reference: no record reaches a
         snapshot, so its size does not grow with the trace."""
-        config = _config(checkpoint_interval=400,
-                         fast_forward_instructions=2500)
+        config = _config(fast_forward_instructions=2500)
         sizes = {}
         for length in (5000, 20_000):
             # An explicit name: a fast-forward slice is named after its
@@ -182,7 +183,7 @@ class TestSnapshotContents:
                 if len(states) == 3:
                     raise _Enough
 
-            sim.checkpoint_sink = sink
+            sim.checkpoint_every(400, sink)
             with pytest.raises(_Enough):
                 sim.run()
             for state in states:
@@ -291,16 +292,6 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError, match="different run"):
             ours.latest()
 
-    def test_snapshot_meta_ignores_engine_and_cadence(self):
-        config = _config()
-        base = snapshot_meta(_TRACE, config)
-        varied = snapshot_meta(_TRACE, config.replace(
-            engine="naive", checkpoint_interval=123,
-            watchdog_interval=456))
-        assert varied == base
-        other = snapshot_meta(_TRACE, _config(PrefetcherKind.NLP))
-        assert other["config_digest"] != base["config_digest"]
-
     def test_heartbeat_written_and_seeds_totals(self, tmp_path):
         manager = CheckpointManager(tmp_path)
         manager.write(_state(10))
@@ -331,9 +322,10 @@ class TestCheckpointManager:
 class TestRunWithCheckpoints:
 
     def test_clean_run_writes_summary_and_cleans_up(self, tmp_path):
-        config = _config(checkpoint_interval=500)
-        ref, _ = _reference(config)
-        run = run_with_checkpoints(_TRACE, config, directory=tmp_path)
+        config = _config()
+        ref, _ = _reference(config, interval=500)
+        run = run_with_checkpoints(_TRACE, config, directory=tmp_path,
+                                   checkpoint_interval=500)
         assert run.result == ref
         assert run.snapshots_written > 0
         assert run.resumed_from_cycle is None
@@ -343,35 +335,37 @@ class TestRunWithCheckpoints:
         assert summary["resumed_from_cycle"] is None
 
     def test_resumes_from_snapshot_on_disk(self, tmp_path):
-        config = _config(checkpoint_interval=400)
+        config = _config()
         ref, states = _reference(config)
         seed_mgr = CheckpointManager(tmp_path,
                                      meta=snapshot_meta(_TRACE, config))
         seed_mgr.write(states[1])
-        run = run_with_checkpoints(_TRACE, config, directory=tmp_path)
+        run = run_with_checkpoints(_TRACE, config, directory=tmp_path,
+                                   checkpoint_interval=400)
         assert run.result == ref
         assert run.resumed_from_cycle == states[1]["cycle"]
         assert read_summary(tmp_path)["resumed_from_cycle"] \
             == states[1]["cycle"]
 
     def test_refuses_other_runs_snapshots(self, tmp_path):
-        config = _config(checkpoint_interval=400)
+        config = _config()
         _, states = _reference(config)
         seed_mgr = CheckpointManager(tmp_path,
                                      meta=snapshot_meta(_TRACE, config))
         seed_mgr.write(states[0])
-        other = _config(PrefetcherKind.STREAM, checkpoint_interval=400)
+        other = _config(PrefetcherKind.STREAM)
         with pytest.raises(CheckpointError, match="different run"):
-            run_with_checkpoints(_TRACE, other, directory=tmp_path)
+            run_with_checkpoints(_TRACE, other, directory=tmp_path,
+                                 checkpoint_interval=400)
 
     def test_resume_false_ignores_snapshots(self, tmp_path):
-        config = _config(checkpoint_interval=400)
+        config = _config()
         ref, states = _reference(config)
         seed_mgr = CheckpointManager(tmp_path,
                                      meta=snapshot_meta(_TRACE, config))
         seed_mgr.write(states[1])
         run = run_with_checkpoints(_TRACE, config, directory=tmp_path,
-                                   resume=False)
+                                   checkpoint_interval=400, resume=False)
         assert run.result == ref
         assert run.resumed_from_cycle is None
 
@@ -387,8 +381,8 @@ class TestWatchdog:
         # Nothing retires in the first few cycles (fill latency), so a
         # 2-cycle watchdog converts that into the typed stall error any
         # genuine livelock would produce.
-        config = _config(watchdog_interval=2)
-        sim = Simulator(_TRACE, config, engine=engine)
+        sim = Simulator(_TRACE, _config(), engine=engine,
+                        watchdog_interval=2)
         with pytest.raises(WatchdogStallError) as info:
             sim.run()
         err = info.value
@@ -396,10 +390,15 @@ class TestWatchdog:
         assert err.cycle >= err.interval == 2
         assert err.state, "stall error must carry a machine-state dump"
 
+    def test_negative_run_options_rejected(self):
+        with pytest.raises(ConfigError, match="watchdog_interval"):
+            Simulator(_TRACE, _config(), watchdog_interval=-1)
+        with pytest.raises(ConfigError, match="checkpoint interval"):
+            Simulator(_TRACE, _config()).checkpoint_every(0, print)
+
     def test_quiet_on_progressing_run(self):
-        config = _config(watchdog_interval=10_000)
-        ref, _ = _reference(config.replace(checkpoint_interval=500))
-        sim = Simulator(_TRACE, config)
+        ref, _ = _reference(_config(), interval=500)
+        sim = Simulator(_TRACE, _config(), watchdog_interval=10_000)
         assert sim.run() == ref
 
 

@@ -232,6 +232,15 @@ class TestSharedFlags:
         # substitute the generic default.
         assert build_parser().parse_args(["perf"]).length is None
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "-w", "compress_like", "--checkpoint-interval", "-5"],
+        ["stats", "-w", "compress_like", "--watchdog-interval", "-1"],
+        ["sweep", "--checkpoint-interval", "-3"]])
+    def test_negative_cycle_count_rejected_by_parser(self, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+
 
 class TestServeParsers:
     """The serving subcommands share --host/--port via one parent."""

@@ -212,7 +212,6 @@ def _exotic_config() -> SimConfig:
         warmup_instructions=100,
         fast_forward_instructions=50,
         max_cycles=1_000_000,
-        engine="naive",
         telemetry_window=250)
 
 
@@ -252,6 +251,20 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="memory.icache.sets"):
             SimConfig.from_dict(
                 {"memory": {"icache": {"sets": 4}}})
+
+    @pytest.mark.parametrize("name, value", [
+        pytest.param(name, value, id=name) for name, value in (
+            ("engine", "naive"), ("profile", True),
+            ("event_log", "events.jsonl"), ("checkpoint_interval", 500),
+            ("watchdog_interval", 1000))])
+    def test_run_option_is_not_a_field(self, name, value):
+        """How a run executes is chosen where it starts, never in the
+        config that describes the machine."""
+        with pytest.raises(TypeError):
+            SimConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"unknown config key "
+                                              f"'{name}'"):
+            SimConfig.from_dict({name: value})
 
     def test_from_dict_revalidates(self):
         data = SimConfig().to_dict()

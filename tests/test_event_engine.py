@@ -121,23 +121,18 @@ class TestElisionContracts:
 
 class TestEngineSelection:
 
-    def test_unknown_engine_rejected_by_config(self):
+    def test_unknown_engine_rejected_by_simulator(self):
         for engine in ("bogus", "fast"):
             with pytest.raises(ConfigError, match="unknown engine"):
-                SimConfig(engine=engine)
-
-    def test_unknown_engine_rejected_by_simulator(self):
-        with pytest.raises(ConfigError, match="engine"):
-            Simulator(_TRACE, SimConfig(), engine="bogus")
+                Simulator(_TRACE, SimConfig(), engine=engine)
 
     def test_default_is_event(self):
-        assert SimConfig().engine == "event"
+        assert Simulator(_TRACE, SimConfig()).engine == "event"
         assert ENGINES == ("naive", "event")
 
-    def test_constructor_override_wins_over_config(self):
-        sim = Simulator(_TRACE, SimConfig(engine="naive"),
-                        engine="event")
-        assert sim.engine == "event"
+    def test_constructor_keyword_selects_engine(self):
+        sim = Simulator(_TRACE, SimConfig(), engine="naive")
+        assert sim.engine == "naive"
 
     def test_api_simulate_threads_engine(self):
         from repro.api import simulate
@@ -158,11 +153,10 @@ class TestCheckpointMidJump:
         """The event engine overshoots checkpoint boundaries inside an
         analytic jump; the snapshot taken at the post-jump cycle must
         still resume bit-identically."""
-        config = _stall_config(checkpoint_interval=64,
-                               telemetry_window=64)
+        config = _stall_config(telemetry_window=64)
         sim = Simulator(_TRACE, config, engine="event")
         states: list[dict] = []
-        sim.checkpoint_sink = states.append
+        sim.checkpoint_every(64, states.append)
         ref = sim.run()
         assert sim.skipped_cycles > 0
         # A snapshot whose cycle is off the interval grid proves the

@@ -32,7 +32,6 @@ from repro.obs import (
     validate_chrome_trace,
     validate_event,
 )
-from repro.obs.events import attach_log_file
 from repro.sim.simulator import Simulator
 
 
@@ -153,24 +152,6 @@ class TestEventLog:
         assert read_events(path)[0]["run"] == run_id
         reset_logging()
         assert "REPRO_LOG_FILE" not in os.environ
-
-    def test_attach_log_file_defers_to_existing_sink(self, tmp_path):
-        first = str(tmp_path / "first.jsonl")
-        second = str(tmp_path / "second.jsonl")
-        configure_logging(file=first)
-        attach_log_file(second)
-        emit("run_start")
-        assert len(read_events(first)) == 1
-        assert not os.path.exists(second)
-
-    def test_config_event_log_attaches_sink(self, tmp_path, tiny_trace):
-        path = str(tmp_path / "run.jsonl")
-        result = Simulator(tiny_trace,
-                           _fdip().replace(event_log=path)).run()
-        kinds = [e["kind"] for e in read_events(path)]
-        assert kinds[0] == "run_start"
-        assert kinds[-1] == "run_end"
-        assert result.instructions > 0
 
 
 class TestSimulatorEvents:
@@ -322,10 +303,10 @@ class TestCycleProfiler:
         assert sum(profile["buckets"].values()) == result.cycles
 
     def test_checkpoint_resume_preserves_profile(self, small_trace):
-        config = _fdip().replace(profile=True, checkpoint_interval=400)
-        sim = Simulator(small_trace, config)
+        config = _fdip()
+        sim = Simulator(small_trace, config, profile=True)
         states: list[dict] = []
-        sim.checkpoint_sink = states.append
+        sim.checkpoint_every(400, states.append)
         reference = sim.run()
         expected = sim.profile_report()
         assert states, "trace too short to ever snapshot"
@@ -340,29 +321,13 @@ class TestCycleProfiler:
         with pytest.raises(SimulationError, match="profile=True"):
             sim.profile_report()
 
-    def test_snapshot_meta_ignores_observability_fields(self, tiny_trace):
-        from repro.sim import snapshot_meta
-
-        base = snapshot_meta(tiny_trace, _fdip())
-        decorated = snapshot_meta(
-            tiny_trace, _fdip().replace(profile=True,
-                                        event_log="events.jsonl"))
-        assert decorated == base
-
 
 # ----------------------------------------------------------------------
 # Config surface for observability
 # ----------------------------------------------------------------------
 
 class TestObservabilityConfig:
-    def test_profile_and_event_log_fields_validate(self):
-        config = SimConfig(profile=True, event_log="x.jsonl")
-        assert config.profile and config.event_log == "x.jsonl"
-        with pytest.raises(ConfigError):
-            SimConfig(profile="yes")
-        with pytest.raises(ConfigError):
-            SimConfig(event_log=7)
-
     def test_unknown_kwarg_suggests_closest_field(self):
-        with pytest.raises(ConfigError, match="did you mean 'profile'"):
-            SimConfig.from_dict({"profil": True})
+        with pytest.raises(ConfigError,
+                           match="did you mean 'telemetry_window'"):
+            SimConfig.from_dict({"telemetry_windw": 64})

@@ -95,7 +95,12 @@ class TestWireForm:
         # A v1 body also carried the two keys of sharded execution.
         v1 = dict(payload, schema="repro.request/v1", shards=1,
                   shard_overlap=None)
-        for body in (dict(payload, schema="repro.request/v99"), v1):
+        # A v2 body's config also carried five run options.
+        v2 = dict(payload, schema="repro.request/v2",
+                  config=dict(payload["config"], engine="event",
+                              checkpoint_interval=0, watchdog_interval=0,
+                              profile=False, event_log=None))
+        for body in (dict(payload, schema="repro.request/v99"), v1, v2):
             with pytest.raises(ConfigError, match="schema"):
                 RunRequest.from_dict(body)
 

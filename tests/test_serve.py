@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import sys
 import threading
 import time
 
@@ -12,6 +14,8 @@ from repro.api import simulate
 from repro.config import SimConfig
 from repro.errors import QueueFullError, ServeError
 from repro.obs import configure_logging, read_events, reset_logging
+import repro.serve.service as service_module
+import repro.spec as spec_module
 from repro.serve import Client, ResultCache, ServiceDaemon, \
     SimulationService
 from repro.sim.serialize import SCHEMA_VERSION, result_to_json
@@ -158,6 +162,159 @@ class TestCacheServing:
         second.shutdown()
         assert warm.source == "cache"
         assert result_to_json(warm.result) == result_to_json(cold.result)
+
+
+    def test_served_hit_derives_its_cache_key_once(self, tmp_path,
+                                                   small_result,
+                                                   monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(_request(), small_result)
+        calls = []
+        derive = spec_module.cache_key
+
+        def counting(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(spec_module, "cache_key", counting)
+        service = SimulationService(cache, workers=1)
+        response = service.result(service.submit(_request()), timeout=30)
+        service.shutdown()
+        assert response.source == "cache"
+        assert len(calls) == 1
+
+
+class TestJobTable:
+    def test_oldest_finished_jobs_are_forgotten(self, tmp_path,
+                                                small_result, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 3)
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(_request(), small_result)
+        daemon = ServiceDaemon(SimulationService(cache, workers=1),
+                               port=0)
+        daemon.start_background()
+        client = Client(*daemon.address)
+        try:
+            jobs = [client.submit(_request()) for _ in range(6)]
+            for job in jobs[:3]:
+                with pytest.raises(ServeError, match=r"\(404\).*"
+                                                     r"unknown job id"):
+                    client.fetch(job)
+            for job in jobs[3:]:
+                assert client.fetch(job).source == "cache"
+            assert client.stats()["jobs"] == 3
+        finally:
+            daemon.stop()
+
+    def test_queued_running_and_followers_are_kept(self, tmp_path,
+                                                   small_result,
+                                                   monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 2)
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(_request(seed=9), small_result)
+        executor = _GatedExecutor(small_result)
+        service = SimulationService(cache, workers=1, executor=executor)
+        running = service.submit(_request(seed=1))
+        _wait_for(lambda: executor.calls)
+        follower = service.submit(_request(seed=1))
+        queued = service.submit(_request(seed=2))
+        for _ in range(4):
+            service.submit(_request(seed=9))
+        assert [service.status(job)["state"]
+                for job in (running, follower, queued)] \
+            == ["running", "running", "queued"]
+        assert service.stats()["jobs"] == 5
+        executor.gate.set()
+        service.result(queued, timeout=30)
+        service.shutdown()
+        assert service.result(queued, timeout=0).source == "computed"
+        assert service.stats()["jobs"] == 2
+
+    def test_unread_results_are_kept_past_the_bound(self, small_result,
+                                                    monkeypatch):
+        """Without a result cache, a finished job is forgotten only
+        after its result was read: submit bound + 1 jobs, then fetch
+        the first."""
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 3)
+        service = SimulationService(
+            workers=1,
+            executor=lambda request: RunResponse(result=small_result,
+                                                 request=request))
+        daemon = ServiceDaemon(service, port=0)
+        daemon.start_background()
+        client = Client(*daemon.address)
+        try:
+            jobs = [client.submit(_request(seed=seed))
+                    for seed in range(1, 5)]
+            _wait_for(lambda: client.stats()["completed"] == 4)
+            assert client.stats()["jobs"] == 4
+            for job in jobs:
+                assert client.fetch(job).source == "computed"
+            assert client.stats()["jobs"] == 3
+            with pytest.raises(ServeError, match=r"\(404\)"):
+                client.fetch(jobs[0])
+        finally:
+            daemon.stop()
+
+    def test_submit_reply_of_a_forgotten_cache_hit(self, tmp_path,
+                                                   small_result,
+                                                   monkeypatch):
+        """The 202 reply takes the job's state from the admission, not
+        from a second lookup a forgotten cache hit would fail."""
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 0)
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(_request(), small_result)
+        daemon = ServiceDaemon(SimulationService(cache, workers=1),
+                               port=0)
+        daemon.start_background()
+        try:
+            connection = http.client.HTTPConnection(*daemon.address,
+                                                    timeout=30)
+            connection.request(
+                "POST", "/v1/submit",
+                body=json.dumps({"request": _request().to_dict()}),
+                headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            reply = json.loads(response.read())
+            connection.close()
+            assert response.status == 202
+            assert reply["state"] == "done"
+            assert daemon.service.stats()["jobs"] == 0
+        finally:
+            daemon.stop()
+
+    def test_concurrent_submitters_keep_the_bound(self, small_result,
+                                                  monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 8)
+        service = SimulationService(
+            workers=4, max_queue_depth=1000,
+            executor=lambda request: RunResponse(result=small_result,
+                                                 request=request))
+
+        def submit_many(offset: int) -> None:
+            jobs = [service.submit(_request(seed=(offset + index) % 10
+                                            + 1))
+                    for index in range(50)]
+            for job in jobs:
+                service.result(job, timeout=60)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_many, args=(n,))
+                       for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        service.shutdown(timeout=30)
+        stats = service.stats()
+        assert stats["submitted"] == stats["completed"] == 200
+        assert stats["inflight"] == 0
+        assert stats["jobs"] == 8
 
 
 class TestSchemaRefusal:
@@ -377,6 +534,30 @@ class TestHTTPRoundtrip:
             executor.gate.set()
         finally:
             daemon.stop()
+
+    def test_config_naming_event_log_is_refused(self, tmp_path,
+                                                small_result):
+        reset_logging()
+        log = tmp_path / "logs" / "events.jsonl"
+        daemon, _ = self._daemon(executor=_GatedExecutor(small_result))
+        try:
+            body = {"request": dict(_request().to_dict(), config=dict(
+                SimConfig().to_dict(), event_log=str(log)))}
+            connection = http.client.HTTPConnection(*daemon.address,
+                                                    timeout=30)
+            connection.request("POST", "/v1/submit",
+                               body=json.dumps(body),
+                               headers={"Content-Type":
+                                        "application/json"})
+            response = connection.getresponse()
+            detail = json.loads(response.read())["detail"]
+            connection.close()
+            assert response.status == 400
+            assert "event_log" in detail
+        finally:
+            daemon.stop()
+        assert not log.exists()
+        assert not log.parent.exists()
 
     def test_unknown_job_is_a_client_error(self, small_result):
         daemon, client = self._daemon(
