@@ -8,8 +8,7 @@ from repro.bpred.base import (
     counter_update,
 )
 from repro.bpred.bimodal import BimodalPredictor
-from repro.bpred.factory import DIRECTION_PREDICTORS, \
-    make_direction_predictor
+from repro.bpred.factory import make_direction_predictor
 from repro.bpred.gshare import GsharePredictor
 from repro.bpred.hybrid import HybridPredictor
 from repro.bpred.local import LocalPredictor
@@ -30,7 +29,6 @@ __all__ = [
     "AlwaysNotTakenPredictor",
     "PerfectPredictor",
     "make_direction_predictor",
-    "DIRECTION_PREDICTORS",
     "ReturnAddressStack",
     "RasSnapshot",
     "counter_taken",

@@ -14,10 +14,7 @@ from repro.bpred.static import (
 from repro.config import PredictorConfig
 from repro.errors import ConfigError
 
-__all__ = ["make_direction_predictor", "DIRECTION_PREDICTORS"]
-
-DIRECTION_PREDICTORS = ("hybrid", "gshare", "bimodal", "local",
-                        "always_taken", "always_not_taken")
+__all__ = ["make_direction_predictor"]
 
 
 def make_direction_predictor(config: PredictorConfig) -> DirectionPredictor:
@@ -39,4 +36,4 @@ def make_direction_predictor(config: PredictorConfig) -> DirectionPredictor:
         return AlwaysNotTakenPredictor()
     raise ConfigError(
         f"unknown direction predictor {kind!r}; available: "
-        f"{', '.join(DIRECTION_PREDICTORS)}")
+        f"{', '.join(PredictorConfig.DIRECTION_KINDS)}")

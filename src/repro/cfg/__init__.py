@@ -1,6 +1,5 @@
 """Synthetic program substrate: CFG model, generator, and trace walker."""
 
-from repro.cfg.dot import function_to_dot, program_to_dot
 from repro.cfg.generator import ProgramGenerator, generate_program
 from repro.cfg.model import TEXT_BASE, BasicBlock, Function, Program
 from repro.cfg.shape import ProgramShape
@@ -15,7 +14,5 @@ __all__ = [
     "ProgramGenerator",
     "generate_program",
     "TraceWalker",
-    "function_to_dot",
-    "program_to_dot",
     "MAX_CALL_DEPTH",
 ]

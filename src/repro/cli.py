@@ -53,7 +53,7 @@ from typing import Sequence
 from repro import env
 from repro.config import DEFAULT_ENGINE, ENGINES, FilterMode, \
     PrefetcherKind, SimConfig
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.harness import (
     EXPERIMENTS,
     ResultStore,
@@ -81,17 +81,18 @@ _DEFAULT_LENGTH = 60_000
 def _trace_flags() -> argparse.ArgumentParser:
     """Shared ``--length``/``--seed`` parent parser.
 
-    ``--length`` defaults to ``None`` so each subcommand can resolve
-    its own fallback (see :func:`_length`); most use 60 000, ``perf``
-    keeps its quick/default benchmark lengths.
+    Both default to ``None`` so each subcommand can resolve its own
+    fallback (see :func:`_length` and :func:`_seed`): most use 60 000
+    instructions and seed 1, ``perf`` keeps its benchmark lengths and
+    trace seed.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--length", "--trace-length", dest="length",
                         type=int, default=None,
                         help="trace length in instructions "
                              f"(default {_DEFAULT_LENGTH})")
-    parent.add_argument("--seed", type=int, default=1,
-                        help="trace walk seed")
+    parent.add_argument("--seed", type=int, default=None,
+                        help="trace walk seed (default 1)")
     return parent
 
 
@@ -155,6 +156,18 @@ def _endpoint_flags() -> argparse.ArgumentParser:
 def _length(args: argparse.Namespace,
             fallback: int = _DEFAULT_LENGTH) -> int:
     return args.length if args.length is not None else fallback
+
+
+def _seed(args: argparse.Namespace, fallback: int = 1) -> int:
+    return args.seed if args.seed is not None else fallback
+
+
+def _require_snapshot_dir(interval: int | None, directory: str | None,
+                          flag: str) -> None:
+    """Refuse a snapshot cadence given without a snapshot directory."""
+    if interval and not directory:
+        raise ConfigError(f"--checkpoint-interval needs {flag}; without "
+                          f"it no snapshot is written")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +394,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    trace = build_trace(args.workload, _length(args), seed=args.seed)
+    trace = build_trace(args.workload, _length(args), seed=_seed(args))
     stats = characterize(trace)
     rows = [
         ["records", stats.n_records],
@@ -397,7 +410,10 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    trace = build_trace(args.workload, _length(args), seed=args.seed)
+    _require_snapshot_dir(args.checkpoint_interval,
+                          args.machine_checkpoint_dir,
+                          "--machine-checkpoint-dir")
+    trace = build_trace(args.workload, _length(args), seed=_seed(args))
     config = SimConfig()
     config = technique_config(_technique_name(args), config)
     if args.warmup:
@@ -477,7 +493,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    trace = build_trace(args.workload, _length(args), seed=args.seed)
+    _require_snapshot_dir(args.checkpoint_interval,
+                          args.machine_checkpoint_dir,
+                          "--machine-checkpoint-dir")
+    trace = build_trace(args.workload, _length(args), seed=_seed(args))
     config = technique_config(_technique_name(args), SimConfig())
     if args.warmup:
         config = config.replace(warmup_instructions=args.warmup)
@@ -567,7 +586,7 @@ def _print_profile(profile: dict, *, title: str) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    trace = build_trace(args.workload, _length(args), seed=args.seed)
+    trace = build_trace(args.workload, _length(args), seed=_seed(args))
     config = technique_config(_technique_name(args), SimConfig())
     if args.warmup:
         config = config.replace(warmup_instructions=args.warmup)
@@ -592,7 +611,7 @@ def _technique_name(args: argparse.Namespace) -> str:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    runner = Runner(trace_length=_length(args), seed=args.seed)
+    runner = Runner(trace_length=_length(args), seed=_seed(args))
     table = EXPERIMENTS[args.experiment_id](runner)
     print(table.formatted())
     return 0
@@ -601,9 +620,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.workloads import calibrate, calibrate_suite
     if args.workload:
-        reports = [calibrate(args.workload, _length(args), args.seed)]
+        reports = [calibrate(args.workload, _length(args), _seed(args))]
     else:
-        reports = calibrate_suite(_length(args), args.seed)
+        reports = calibrate_suite(_length(args), _seed(args))
     rows = [[r.name, "ok" if r.ok else "FAIL", r.dyn_footprint_kb,
              r.control_fraction, r.taken_fraction, r.base_mpki,
              "; ".join(r.failures)] for r in reports]
@@ -615,6 +634,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _require_snapshot_dir(args.checkpoint_interval,
+                          args.machine_checkpoints, "--machine-checkpoints")
     workloads = args.workloads or list(ALL_WORKLOADS)
     triples = [(workload, technique, technique_config(technique))
                for workload in workloads
@@ -626,7 +647,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.checkpoint_interval is not None:
         extra["checkpoint_interval"] = args.checkpoint_interval
     outcome = parallel_sweep(
-        points, trace_length=_length(args), seed=args.seed,
+        points, trace_length=_length(args), seed=_seed(args),
         processes=args.processes, max_retries=args.max_retries,
         point_timeout=args.point_timeout, store=store,
         machine_checkpoints=args.machine_checkpoints, **extra)
@@ -640,7 +661,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(format_table(
         ["workload", "technique", "ipc", "l1i_mpki", "bus util"], rows,
         title=f"sweep at {_length(args)} instructions, "
-              f"seed {args.seed}"))
+              f"seed {_seed(args)}"))
     technique_of = {(workload, config): technique
                     for workload, technique, config in triples}
     for failure in outcome.failures:
@@ -665,7 +686,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     warmup = (args.warmup if args.warmup is not None
               else perf.DEFAULT_WARMUP)
     report = perf.run_perf(length=length, reps=reps, warmup=warmup,
-                           seed=args.seed if args.seed != 1 else None)
+                           seed=_seed(args, perf.DEFAULT_SEED))
     output = args.output or perf.DEFAULT_OUTPUT
     perf.write_report(report, output)
     print(perf.format_report(report))
@@ -693,7 +714,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    runner = Runner(trace_length=_length(args), seed=args.seed)
+    runner = Runner(trace_length=_length(args), seed=_seed(args))
     text = generate_report(runner, experiment_ids=args.experiments,
                            processes=args.processes)
     if args.output == "-":
@@ -731,7 +752,7 @@ def _serve_request(args: argparse.Namespace) -> "RunRequest":
     if args.warmup:
         config = config.replace(warmup_instructions=args.warmup)
     return RunRequest(workload=args.workload, config=config,
-                      trace_length=_length(args), seed=args.seed)
+                      trace_length=_length(args), seed=_seed(args))
 
 
 def _print_response(job_id: str, response, *, json_out: bool) -> int:

@@ -1,6 +1,5 @@
-"""Fetch target buffer (fetch-block BTB) and a conventional BTB."""
+"""Fetch target buffer (fetch-block BTB), one- and two-level."""
 
-from repro.ftb.btb import BranchTargetBuffer, BTBEntry
 from repro.ftb.ftb import FetchTargetBuffer, FTBEntry
 from repro.ftb.multilevel import HIT, L2, MISS, TwoLevelFTB
 
@@ -11,6 +10,4 @@ __all__ = [
     "HIT",
     "L2",
     "MISS",
-    "BranchTargetBuffer",
-    "BTBEntry",
 ]

@@ -124,16 +124,17 @@ class SweepOutcome(Mapping):
                 f"failed={len(self.failures)})")
 
 
-def _effective_config(config: SimConfig, warmup: int) -> SimConfig:
-    """The config a point actually runs (default warm-up injected)."""
+def effective_config(config: SimConfig, warmup: int) -> SimConfig:
+    """The config a point actually runs: a point without a warm-up gets
+    ``warmup`` instructions of it.  The Runner and the sweep key their
+    memo and store with this config."""
     if warmup and config.warmup_instructions == 0:
         return config.replace(warmup_instructions=warmup)
     return config
 
 
 def _run_point(workload: str, config: SimConfig, trace_length: int,
-               seed: int, verify_invariants: bool,
-               checkpoint_dir: str | None = None,
+               seed: int, checkpoint_dir: str | None = None,
                checkpoint_interval: int = 0) -> SimResult:
     """Worker: simulate one (workload, config) point and validate it.
 
@@ -153,11 +154,9 @@ def _run_point(workload: str, config: SimConfig, trace_length: int,
             name=workload).result
     else:
         result = simulate(trace, config, name=workload)
-    if verify_invariants:
-        guard_invariants(result,
-                         warmed_up=config.warmup_instructions > 0,
-                         context=workload)
-    return result
+    return guard_invariants(result,
+                            warmed_up=config.warmup_instructions > 0,
+                            context=workload)
 
 
 #: Default snapshot cadence (cycles) for machine-checkpointed sweeps.
@@ -173,7 +172,7 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
                    store: ResultStore | None = None,
                    machine_checkpoints: str | Path | None = None,
                    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                   verify_invariants: bool = True) -> SweepOutcome:
+                   ) -> SweepOutcome:
     """Run every (workload, config) point under supervision.
 
     With ``processes=1`` (or a single point) everything runs inline —
@@ -210,7 +209,7 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
     runs: dict[str, SweepPoint] = {}    # key -> (workload, run config)
     for point in points:
         if point not in keys:
-            config = _effective_config(point[1], warmup)
+            config = effective_config(point[1], warmup)
             key = result_key(point[0], config, trace_length, seed)
             keys[point] = key
             runs.setdefault(key, (point[0], config))
@@ -229,7 +228,7 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
         if cached is not None:
             done[key] = cached
             continue
-        args = (workload, config, trace_length, seed, verify_invariants)
+        args = (workload, config, trace_length, seed)
         if machine_checkpoints is not None:
             args += (str(point_dir(key)), checkpoint_interval)
         todo.append((key, args))

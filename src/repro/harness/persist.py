@@ -53,13 +53,12 @@ def result_key(workload: str, config: SimConfig, trace_length: int,
 class ResultStore:
     """Directory-backed map from run identity to SimResult.
 
-    The classic entry points key by the point's fields
-    (:meth:`load` / :meth:`store`); the key-direct entry points
-    (:meth:`load_key` / :meth:`store_key`) take a precomputed
-    :func:`~repro.cachekey.cache_key` digest — the serving layer's
-    content-addressed :class:`~repro.serve.cache.ResultCache` layers
-    on top of these, inheriting the atomic-write / checksum /
-    quarantine discipline wholesale.
+    :meth:`load_key` / :meth:`store_key` take a point's
+    :func:`result_key` (a :func:`~repro.cachekey.cache_key` digest) —
+    the serving layer's content-addressed
+    :class:`~repro.serve.cache.ResultCache` layers on top of these,
+    inheriting the atomic-write / checksum / quarantine discipline
+    wholesale.
     """
 
     def __init__(self, directory: str | Path):
@@ -122,12 +121,6 @@ class ResultStore:
         except OSError:
             pass
 
-    def load(self, workload: str, config: SimConfig, trace_length: int,
-             seed: int) -> SimResult | None:
-        """Return a stored result or None; corrupt files are quarantined."""
-        return self.load_key(result_key(workload, config, trace_length,
-                                        seed))
-
     def store_key(self, key: str, result: SimResult,
                   meta: dict | None = None) -> None:
         """Store ``result`` under a precomputed key.
@@ -145,11 +138,6 @@ class ResultStore:
             "payload": payload,
         })
         atomic_write_text(self.directory, path, json.dumps(fields))
-
-    def store(self, workload: str, config: SimConfig, trace_length: int,
-              seed: int, result: SimResult) -> None:
-        self.store_key(result_key(workload, config, trace_length, seed),
-                       result)
 
     def clear(self) -> int:
         """Delete all stored results; returns the number removed."""

@@ -88,20 +88,13 @@ def _telemetry_appendix(runner: Runner) -> str | None:
     from repro.stats.sweep import merge_snapshots
     from repro.workloads import ALL_WORKLOADS
 
-    def memoized(workload: str, config):
-        # Mirror Runner.run's warmup-defaulting so the memo key matches;
-        # peeking (rather than run()) keeps subset reports from paying
-        # for grid points their experiments never simulated.
-        if config.warmup_instructions == 0 and runner.warmup_fraction > 0:
-            config = config.replace(warmup_instructions=int(
-                runner.trace_length * runner.warmup_fraction))
-        return runner._results.get((workload, config))
-
     lines = ["## Appendix: merged telemetry\n"]
     rows = []
     for technique in ("none", "fdip_enqueue"):
         config = technique_config(technique)
-        results = [memoized(workload, config)
+        # Peeking (rather than run()) keeps subset reports from paying
+        # for grid points their experiments never simulated.
+        results = [runner.memoized(workload, config)
                    for workload in ALL_WORKLOADS]
         snapshots = [result.telemetry for result in results
                      if result is not None

@@ -16,8 +16,11 @@ from repro import env
 # so tests can monkeypatch `repro.harness.runner.simulate`.
 from repro.api import simulate
 from repro.config import SimConfig
+from repro.harness.parallel import SweepOutcome, effective_config, \
+    parallel_sweep
+from repro.harness.persist import ResultStore, result_key
 from repro.spec import ExperimentSpec, Point, normalize_points
-from repro.sim import SimResult
+from repro.sim import SimResult, guard_invariants
 from repro.stats.sweep import merge_counters
 from repro.trace import Trace
 from repro.workloads import build_trace
@@ -59,14 +62,16 @@ class Runner:
     A point without a warm-up runs with ``warmup_fraction`` of the
     trace as warm-up.  Results are memoized in memory and, with
     ``persist_dir``/``store`` (default: ``REPRO_RESULT_CACHE``), in a
-    :class:`~repro.harness.persist.ResultStore`.  ``processes`` is the
-    default worker budget of :meth:`sweep`.
+    :class:`~repro.harness.persist.ResultStore` under the point's
+    :func:`~repro.harness.persist.result_key`, the key
+    :func:`~repro.harness.parallel.parallel_sweep` uses too.
+    ``processes`` is the default worker budget of :meth:`sweep`.
     """
 
     def __init__(self, trace_length: int | None = None, seed: int = 1,
                  warmup_fraction: float = 0.2,
                  persist_dir: str | None = None,
-                 store: "ResultStore | None" = None,
+                 store: ResultStore | None = None,
                  processes: int | None = None):
         self.trace_length = trace_length or default_trace_length()
         self.seed = seed
@@ -82,7 +87,6 @@ class Runner:
                 persist_dir = env.result_cache_dir()
             self._store = None
             if persist_dir:
-                from repro.harness.persist import ResultStore
                 self._store = ResultStore(persist_dir)
 
     def trace(self, workload: str) -> Trace:
@@ -92,29 +96,37 @@ class Runner:
             self._traces[workload] = trace
         return trace
 
-    def _warmed(self, config: SimConfig) -> SimConfig:
-        if config.warmup_instructions == 0 and self.warmup_fraction > 0:
-            warmup = int(self.trace_length * self.warmup_fraction)
-            return config.replace(warmup_instructions=warmup)
-        return config
+    @property
+    def _warmup(self) -> int:
+        return int(self.trace_length * self.warmup_fraction)
+
+    def memoized(self, workload: str, config: SimConfig) -> SimResult | None:
+        """The in-memory result of one point, or None; never simulates."""
+        return self._results.get(
+            (workload, effective_config(config, self._warmup)))
 
     def run(self, workload: str, config: SimConfig) -> SimResult:
-        """Simulate ``workload`` under ``config`` (memoized)."""
-        config = self._warmed(config)
-        key = (workload, config)
-        result = self._results.get(key)
-        if result is None and self._store is not None:
-            result = self._store.load(workload, config, self.trace_length,
-                                      self.seed)
-            if result is not None:
-                self._results[key] = result
+        """Simulate ``workload`` under ``config`` (memoized).
+
+        A simulated result must pass
+        :func:`~repro.sim.guard_invariants` before it is memoized or
+        stored, as a sweep worker's must.
+        """
+        config = effective_config(config, self._warmup)
+        result = self._results.get((workload, config))
+        if result is not None:
+            return result
+        key = None
+        if self._store is not None:
+            key = result_key(workload, config, self.trace_length, self.seed)
+            result = self._store.load_key(key)
         if result is None:
-            result = simulate(self.trace(workload), config,
-                              name=workload)
-            self._results[key] = result
+            result = guard_invariants(
+                simulate(self.trace(workload), config, name=workload),
+                warmed_up=config.warmup_instructions > 0, context=workload)
             if self._store is not None:
-                self._store.store(workload, config, self.trace_length,
-                                  self.seed, result)
+                self._store.store_key(key, result)
+        self._results[(workload, config)] = result
         return result
 
     def with_seed(self, seed: int) -> "Runner":
@@ -132,7 +144,7 @@ class Runner:
     def sweep(self, points: "list[Point] | ExperimentSpec",
               processes: int | None = None, *,
               max_retries: int = 2,
-              point_timeout: float | None = None) -> "SweepOutcome":
+              point_timeout: float | None = None) -> SweepOutcome:
         """Run many points fault-tolerantly and memoize the survivors.
 
         ``points`` may be typed :class:`~repro.spec.Point` objects or
@@ -147,19 +159,17 @@ class Runner:
         accumulate on :attr:`sweep_counters` (reported in the markdown
         report footer).
         """
-        from repro.harness.parallel import parallel_sweep
-
         outcome = parallel_sweep(
             [point.key for point in normalize_points(points)],
             trace_length=self.trace_length, seed=self.seed,
-            warmup=int(self.trace_length * self.warmup_fraction),
+            warmup=self._warmup,
             processes=processes if processes is not None
             else self.processes,
             max_retries=max_retries, point_timeout=point_timeout,
             store=self._store)
         for (workload, config), result in outcome.items():
-            self._results.setdefault((workload, self._warmed(config)),
-                                     result)
+            self._results.setdefault(
+                (workload, effective_config(config, self._warmup)), result)
         self.sweep_counters = merge_counters(self.sweep_counters,
                                              outcome.counters)
         return outcome

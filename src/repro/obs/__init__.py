@@ -9,8 +9,7 @@ Zero-dependency observability spine for the whole stack (see
   store, and the simulation service; sinks (file / stderr / none) configured via the
   CLI, :func:`configure_logging`, or ``REPRO_LOG_*`` env vars;
 - :mod:`repro.obs.spans` — nested spans reconstructed from the event
-  log (or recorded directly with :class:`SpanRecorder`), exported as
-  Chrome ``trace_event`` JSON loadable in Perfetto;
+  log, exported as Chrome ``trace_event`` JSON loadable in Perfetto;
 - :mod:`repro.obs.profile` — an opt-in per-component cycle-attribution
   profiler whose buckets sum to the measured cycle count, identical
   under both cycle engines, surfaced as ``repro profile`` and
@@ -42,7 +41,6 @@ from repro.obs.profile import (
 )
 from repro.obs.spans import (
     Span,
-    SpanRecorder,
     export_chrome_trace,
     spans_from_events,
     trace_from_events,
@@ -65,7 +63,6 @@ __all__ = [
     "read_events",
     # spans
     "Span",
-    "SpanRecorder",
     "spans_from_events",
     "trace_from_events",
     "export_chrome_trace",

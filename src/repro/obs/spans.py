@@ -1,17 +1,12 @@
 """Span tracing: nested spans and Chrome ``trace_event`` export.
 
-Two complementary paths produce the same Chrome-trace JSON (the format
-Perfetto and ``chrome://tracing`` load):
-
-- :class:`SpanRecorder` records spans programmatically — nested
-  ``with recorder.span("name"):`` blocks, with arbitrary JSON args
-  (cycles, instructions) attached per span;
-- :func:`spans_from_events` / :func:`export_chrome_trace` reconstruct
-  the span tree of a whole run from its structured event log (see
-  :mod:`repro.obs.events`): sweep → point attempt → simulation →
-  warmup/measure phases, with pool workers' simulations appearing
-  under their own process ids.  Timestamps use the events' wall clock,
-  so spans from different processes align on one timeline.
+:func:`spans_from_events` / :func:`export_chrome_trace` reconstruct the
+span tree of a whole run from its structured event log (see
+:mod:`repro.obs.events`) as Chrome-trace JSON (the format Perfetto and
+``chrome://tracing`` load): sweep → point attempt → simulation →
+warmup/measure phases, with pool workers' simulations appearing under
+their own process ids.  Timestamps use the events' wall clock, so spans
+from different processes align on one timeline.
 
 The export is the minimal stable subset of the trace-event format:
 complete spans (``"ph": "X"``, microsecond ``ts``/``dur``) plus
@@ -21,12 +16,9 @@ events (checkpoints written, watchdog stalls, pool rebuilds, ...).
 
 from __future__ import annotations
 
-import contextlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs.events import (
@@ -37,7 +29,6 @@ from repro.obs.events import (
 
 __all__ = [
     "Span",
-    "SpanRecorder",
     "spans_from_events",
     "trace_from_events",
     "export_chrome_trace",
@@ -62,63 +53,6 @@ class Span:
                 "ts": round((self.start - origin) * 1e6, 3),
                 "dur": round(self.duration * 1e6, 3),
                 "pid": self.pid, "tid": self.tid, "args": self.args}
-
-
-class SpanRecorder:
-    """Programmatic nested span recording with Chrome-trace export.
-
-    Thread-unaware by design (one recorder per logical thread of work);
-    nesting comes from the ``with`` structure::
-
-        rec = SpanRecorder()
-        with rec.span("sweep", points=4):
-            with rec.span("point", workload="gcc_like"):
-                ...
-        rec.export("sweep.trace.json")
-    """
-
-    def __init__(self, pid: int = 0, tid: int = 0):
-        self.pid = pid
-        self.tid = tid
-        self.spans: list[Span] = []
-        self._depth = 0
-
-    @contextlib.contextmanager
-    def span(self, name: str, **args: object) -> Iterator[dict]:
-        """Record one span around the ``with`` body.
-
-        Yields the span's mutable ``args`` dict, so the body can attach
-        results it only knows at the end (cycles, instructions)::
-
-            with rec.span("simulate") as span_args:
-                result = simulate(trace, config)
-                span_args["cycles"] = result.cycles
-        """
-        span_args: dict = dict(args)
-        self._depth += 1
-        start = time.time()
-        began = time.perf_counter()
-        try:
-            yield span_args
-        finally:
-            duration = time.perf_counter() - began
-            self._depth -= 1
-            self.spans.append(Span(name=name, start=start,
-                                   duration=duration, pid=self.pid,
-                                   tid=self.tid, args=span_args))
-
-    def to_chrome_trace(self) -> dict:
-        """The recorded spans as a Chrome trace-event document."""
-        origin = min((s.start for s in self.spans), default=0.0)
-        return {"traceEvents": [s.to_trace_event(origin)
-                                for s in self.spans],
-                "displayTimeUnit": "ms"}
-
-    def export(self, path: str | Path) -> int:
-        """Write the Chrome-trace JSON; returns the span count."""
-        Path(path).write_text(json.dumps(self.to_chrome_trace(), indent=1),
-                              encoding="utf-8")
-        return len(self.spans)
 
 
 # ----------------------------------------------------------------------

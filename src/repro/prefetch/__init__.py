@@ -1,19 +1,16 @@
-"""Instruction prefetchers: FDIP, the paper's baselines, and the registry.
+"""Instruction prefetchers: FDIP and the paper's baselines.
 
-Technique selection is registry driven: importing this package registers
-the built-in kinds (``none``, ``nlp``, ``stream``, ``fdip``,
-``fdip_nlp``), and :func:`make_prefetcher` instantiates whichever kind a
-``SimConfig`` selects.  Third-party techniques join via
-:func:`register` without touching the simulator.
+:func:`make_prefetcher` instantiates whichever kind a ``SimConfig``
+selects (``none``, ``nlp``, ``stream``, ``fdip``, ``fdip_nlp``; the
+kinds ``PrefetchConfig`` accepts are ``PrefetcherKind.ALL``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.config import PrefetcherKind
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.registry import create, register, registered_kinds
-# Importing the technique modules registers the built-in kinds.
 from repro.prefetch.combined import CombinedPrefetcher
 from repro.prefetch.fdip import FdipPrefetcher, PrefetchBufferSidecar
 from repro.prefetch.nlp import NlpPrefetcher
@@ -32,19 +29,21 @@ __all__ = [
     "StreamBufferPrefetcher",
     "FdipPrefetcher",
     "PrefetchBufferSidecar",
-    "register",
-    "registered_kinds",
     "make_prefetcher",
 ]
+
+# One class per PrefetcherKind.ALL entry; each constructor takes
+# (memory, prefetch_config).
+_PREFETCHERS: dict[str, type[Prefetcher]] = {
+    PrefetcherKind.NONE: NonePrefetcher,
+    PrefetcherKind.NLP: NlpPrefetcher,
+    PrefetcherKind.STREAM: StreamBufferPrefetcher,
+    PrefetcherKind.FDIP: FdipPrefetcher,
+    PrefetcherKind.COMBINED: CombinedPrefetcher,
+}
 
 
 def make_prefetcher(config: "SimConfig",
                     memory: "MemorySystem") -> Prefetcher:
-    """Instantiate the prefetcher selected by ``config.prefetch.kind``.
-
-    Resolution goes through the registry, so kinds added with
-    :func:`register` work everywhere a built-in does; an unknown kind
-    raises :class:`~repro.errors.SimulationError` naming the registered
-    alternatives.
-    """
-    return create(config.prefetch.kind, memory, config.prefetch)
+    """Instantiate the prefetcher selected by ``config.prefetch.kind``."""
+    return _PREFETCHERS[config.prefetch.kind](memory, config.prefetch)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.config import PrefetchConfig, PrefetcherKind
+from repro.config import PrefetchConfig
 from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.hierarchy import (
     HIT_L1,
@@ -26,14 +26,12 @@ from repro.memory.hierarchy import (
 )
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.fdip import FdipPrefetcher
-from repro.prefetch.registry import register
 
 __all__ = ["CombinedPrefetcher"]
 
 _NLP_QUEUE_DEPTH = 16
 
 
-@register(PrefetcherKind.COMBINED)
 class CombinedPrefetcher(Prefetcher):
     """FDIP plus a tagged next-line helper sharing FDIP's buffer."""
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.config import FilterMode, PrefetchConfig, PrefetcherKind
+from repro.config import FilterMode, PrefetchConfig
 from repro.errors import SimulationError
 from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.block import blocks_spanning
@@ -38,7 +38,6 @@ from repro.memory.hierarchy import MemorySystem, Sidecar
 from repro.memory.mshr import MshrEntry
 from repro.memory.prefetch_buffer import PrefetchBuffer
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.registry import register
 
 __all__ = ["FdipPrefetcher", "PrefetchBufferSidecar"]
 
@@ -60,7 +59,6 @@ class PrefetchBufferSidecar:
         """The block went straight to the L1-I; nothing to buffer."""
 
 
-@register(PrefetcherKind.FDIP)
 class FdipPrefetcher(Prefetcher):
     """The FDIP prefetch engine with cache probe filtering."""
 

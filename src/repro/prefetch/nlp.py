@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.config import PrefetchConfig, PrefetcherKind
+from repro.config import PrefetchConfig
 from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.hierarchy import (
     HIT_L1,
@@ -27,7 +27,6 @@ from repro.memory.hierarchy import (
 from repro.memory.mshr import MshrEntry
 from repro.memory.prefetch_buffer import PrefetchBuffer
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.registry import register
 
 __all__ = ["NlpPrefetcher"]
 
@@ -54,7 +53,6 @@ class _TaggedBufferSidecar:
         not-yet-used prefetch, so it carries no tag."""
 
 
-@register(PrefetcherKind.NLP)
 class NlpPrefetcher(Prefetcher):
     """Tagged next-line instruction prefetcher."""
 

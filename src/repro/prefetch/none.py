@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from repro.config import PrefetchConfig, PrefetcherKind
+from repro.config import PrefetchConfig
 from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.hierarchy import MemorySystem, Sidecar
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.registry import register
 
 __all__ = ["NonePrefetcher"]
 
 
-@register(PrefetcherKind.NONE)
 class NonePrefetcher(Prefetcher):
     """Issues no prefetches; every L1-I miss pays full latency."""
 

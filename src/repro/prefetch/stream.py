@@ -18,12 +18,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.config import PrefetchConfig, PrefetcherKind
+from repro.config import PrefetchConfig
 from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.hierarchy import MISS, MemorySystem, Sidecar
 from repro.memory.mshr import MshrEntry
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.registry import register
 
 __all__ = ["StreamBufferPrefetcher"]
 
@@ -57,7 +56,6 @@ class _StreamBuffer:
         return self.active and len(self.slots) < self.depth
 
 
-@register(PrefetcherKind.STREAM)
 class StreamBufferPrefetcher(Prefetcher):
     """Multi-buffer sequential stream prefetcher."""
 

@@ -45,7 +45,7 @@ __all__ = ["Simulator"]
 _DEFAULT_CYCLE_CAP_PER_INSTR = 200
 
 
-def _split_trace(trace: Trace, config: SimConfig) -> tuple[list, Trace]:
+def _cut_trace(trace: Trace, config: SimConfig) -> tuple[list, Trace]:
     """Cut ``trace`` as ``config`` asks: (fast-forward records, the rest)."""
     if config.max_instructions is not None \
             and config.max_instructions < len(trace):
@@ -137,7 +137,7 @@ class Simulator:
                  name: str | None = None, tracer=None,
                  engine: str = DEFAULT_ENGINE, profile: bool = False,
                  watchdog_interval: int = 0):
-        warm_records, trace = _split_trace(trace, config)
+        warm_records, trace = _cut_trace(trace, config)
         self.trace = trace
         self.config = config
         self.name = name or trace.name
@@ -208,7 +208,7 @@ class Simulator:
         profiler, when the snapshotted run had one, is part of the
         machine and keeps counting.
         """
-        _, trace = _split_trace(trace, config)
+        _, trace = _cut_trace(trace, config)
         sim, occupancy, sampler = _SnapshotUnpickler(
             io.BytesIO(machine), trace).load()
         sim.config = config

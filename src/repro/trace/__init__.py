@@ -1,10 +1,8 @@
 """Dynamic instruction traces: records, containers, IO, stats, caching."""
 
 from repro.trace.cache import TraceCache, default_cache_dir
-from repro.trace.compare import TraceDiff, diff_traces, traces_equal
 from repro.trace.io import TRACE_MAGIC, TRACE_VERSION, read_trace, write_trace
 from repro.trace.records import TraceRecord
-from repro.trace.sampling import sample_trace, split_trace
 from repro.trace.stats import TraceStats, characterize
 from repro.trace.stream import Trace
 
@@ -18,10 +16,5 @@ __all__ = [
     "TRACE_MAGIC",
     "TRACE_VERSION",
     "TraceCache",
-    "sample_trace",
-    "diff_traces",
-    "traces_equal",
-    "TraceDiff",
-    "split_trace",
     "default_cache_dir",
 ]

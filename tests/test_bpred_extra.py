@@ -6,7 +6,6 @@ from repro.bpred import (
     AlwaysNotTakenPredictor,
     AlwaysTakenPredictor,
     BimodalPredictor,
-    DIRECTION_PREDICTORS,
     GsharePredictor,
     HybridPredictor,
     LocalPredictor,
@@ -92,10 +91,6 @@ class TestFactory:
     def test_each_kind_constructs(self, kind, expected):
         config = PredictorConfig(direction=kind)
         assert isinstance(make_direction_predictor(config), expected)
-
-    def test_catalog_matches_config_validation(self):
-        assert set(DIRECTION_PREDICTORS) == \
-            set(PredictorConfig.DIRECTION_KINDS)
 
     def test_config_rejects_unknown_direction(self):
         with pytest.raises(ConfigError):

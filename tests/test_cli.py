@@ -241,6 +241,44 @@ class TestSharedFlags:
             build_parser().parse_args(argv)
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "-w", "compress_like", "--length", "3000"],
+         "--machine-checkpoint-dir"),
+        (["stats", "-w", "compress_like", "--length", "3000"],
+         "--machine-checkpoint-dir"),
+        (["sweep", "-w", "compress_like", "-t", "none", "--length",
+          "3000", "--processes", "1"], "--machine-checkpoints")],
+        ids=["run", "stats", "sweep"])
+    def test_checkpoint_interval_needs_snapshot_dir(self, argv, flag,
+                                                    capsys):
+        assert main(argv + ["--checkpoint-interval", "500"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert flag in err
+
+    @pytest.mark.parametrize("argv, seed", [(["--seed", "1"], 1), ([], 3)],
+                             ids=["seed-1", "default"])
+    def test_perf_builds_its_trace_with_the_resolved_seed(
+            self, argv, seed, tmp_path, monkeypatch, capsys):
+        from repro import perf
+
+        seeds = []
+        from_program = perf.Trace.from_program
+
+        def spy(program, length, seed=0):
+            seeds.append(seed)
+            return from_program(program, length, seed=seed)
+
+        monkeypatch.setattr(perf.Trace, "from_program", spy)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('{"points": {}}')
+        output = tmp_path / "perf.json"
+        assert main(["perf", "--length", "300", "--reps", "1",
+                     "--output", str(output), "--baseline", str(baseline)]
+                    + argv) == 0
+        assert seeds == [seed]
+        assert json.loads(output.read_text())["seed"] == seed
+
 
 class TestServeParsers:
     """The serving subcommands share --host/--port via one parent."""

@@ -1,10 +1,9 @@
-"""Fetch target buffer and conventional BTB."""
+"""Fetch target buffer."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.ftb import BranchTargetBuffer, BTBEntry, FetchTargetBuffer, \
-    FTBEntry
+from repro.ftb import FetchTargetBuffer, FTBEntry
 from repro.isa import InstrKind
 
 
@@ -81,33 +80,3 @@ class TestFetchTargetBuffer:
         assert ftb.stats.get("misses") == 1
         assert ftb.stats.get("hits") == 1
         assert ftb.stats.get("installs") == 1
-
-
-class TestBranchTargetBuffer:
-    def test_miss_then_hit(self):
-        btb = BranchTargetBuffer(sets=16, ways=2)
-        assert btb.lookup(0x40_0000) is None
-        btb.install(BTBEntry(pc=0x40_0000, target=0x40_8000,
-                             kind=InstrKind.JUMP_DIRECT))
-        assert btb.lookup(0x40_0000).target == 0x40_8000
-
-    def test_lru_eviction(self):
-        btb = BranchTargetBuffer(sets=1, ways=2)
-        for pc in (0x40_0000, 0x40_0100, 0x40_0200):
-            btb.install(BTBEntry(pc=pc, target=0,
-                                 kind=InstrKind.JUMP_DIRECT))
-        assert btb.lookup(0x40_0000) is None
-        assert btb.lookup(0x40_0200) is not None
-
-    def test_update_counts(self):
-        btb = BranchTargetBuffer(sets=16, ways=2)
-        btb.install(BTBEntry(pc=0x40_0000, target=1 * 4,
-                             kind=InstrKind.JUMP_DIRECT))
-        btb.install(BTBEntry(pc=0x40_0000, target=2 * 4,
-                             kind=InstrKind.JUMP_DIRECT))
-        assert btb.stats.get("updates") == 1
-        assert btb.resident_entries() == 1
-
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(ConfigError):
-            BranchTargetBuffer(sets=3, ways=2)

@@ -15,7 +15,6 @@ from repro.obs import (
     KINDS,
     PROFILE_CATEGORIES,
     PROFILE_SCHEMA,
-    SpanRecorder,
     configure_logging,
     current_context,
     current_run_id,
@@ -235,20 +234,6 @@ class TestSweepCorrelation:
         validate_chrome_trace(document)
         phases = {e["name"]: e["ph"] for e in document["traceEvents"]}
         assert phases == {"pool_rebuild": "i", "watchdog_stall": "i"}
-
-
-class TestSpanRecorder:
-    def test_nested_spans_export_and_validate(self, tmp_path):
-        recorder = SpanRecorder(pid=7)
-        with recorder.span("sweep", points=2) as outer:
-            with recorder.span("point", workload="gcc_like"):
-                pass
-            outer["done"] = True
-        assert [s.name for s in recorder.spans] == ["point", "sweep"]
-        assert recorder.spans[1].args == {"points": 2, "done": True}
-        out = tmp_path / "rec.trace.json"
-        assert recorder.export(out) == 2
-        validate_chrome_trace(json.loads(out.read_text(encoding="utf-8")))
 
 
 # ----------------------------------------------------------------------

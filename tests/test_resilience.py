@@ -225,37 +225,37 @@ def _result(workload="w", length=1000, seed=1, store=None):
 class TestStoreHardening:
     def _roundtrip_store(self, tmp_path):
         store = ResultStore(tmp_path / "results")
-        config = technique_config("none")
-        store.store("w", config, 1000, 1, _result())
-        return store, config
+        key = result_key("w", technique_config("none"), 1000, 1)
+        store.store_key(key, _result())
+        return store, key
 
     def test_truncated_entry_quarantined_not_deleted(self, tmp_path):
-        store, config = self._roundtrip_store(tmp_path)
+        store, key = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         victim.write_text(victim.read_text()[:40])
-        assert store.load("w", config, 1000, 1) is None
+        assert store.load_key(key) is None
         assert not victim.exists()
         assert len(store.quarantined_files()) == 1
         assert store.quarantined == 1
 
     def test_checksum_mismatch_quarantined(self, tmp_path):
-        store, config = self._roundtrip_store(tmp_path)
+        store, key = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         envelope = json.loads(victim.read_text())
         envelope["payload"] = envelope["payload"].replace(
             '"cycles": 1000', '"cycles": 9999')
         victim.write_text(json.dumps(envelope))
-        assert store.load("w", config, 1000, 1) is None
+        assert store.load_key(key) is None
         assert len(store.quarantined_files()) == 1
 
     def test_unchecksummed_entry_quarantined(self, tmp_path):
         # A bare payload without the checksum envelope is not trusted:
         # it is quarantined like any other corrupt entry.
         from repro.sim.serialize import result_to_json
-        store, config = self._roundtrip_store(tmp_path)
+        store, key = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         victim.write_text(result_to_json(_result()))
-        assert store.load("w", config, 1000, 1) is None
+        assert store.load_key(key) is None
         assert not victim.exists()
         assert [p.name for p in store.quarantined_files()] == [victim.name]
         assert store.quarantined == 1
@@ -265,7 +265,7 @@ class TestStoreHardening:
         # collides across concurrent writers of the same key; the
         # hardened writer must never leave that shared name behind and
         # must not leave temp droppings after a successful store.
-        store, _config = self._roundtrip_store(tmp_path)
+        store, _key = self._roundtrip_store(tmp_path)
         leftovers = list((tmp_path / "results").glob("*.tmp"))
         assert leftovers == []
 
@@ -484,6 +484,21 @@ class TestRunnerResilience:
                             counting)
         runner.run("compress_like", technique_config("none"))
         assert counting.calls == 0
+
+    def test_runner_run_guards_invariants_before_storing(self, tmp_path,
+                                                         monkeypatch):
+        def corrupted(trace, config, name=None):
+            result = simulate(trace, config, name=name)
+            result.counters["backend.retired"] += 1
+            return result
+
+        monkeypatch.setattr("repro.harness.runner.simulate", corrupted)
+        results = tmp_path / "results"
+        runner = Runner(trace_length=2000, persist_dir=str(results))
+        with pytest.raises(InvariantViolation, match="retired"):
+            runner.run("compress_like", technique_config("none"))
+        assert runner.runs_performed == 0
+        assert list(results.glob("*.result.json")) == []
 
     def test_runner_sweep_resumes_from_store(self, tmp_path, monkeypatch):
         results = str(tmp_path / "results")

@@ -1,81 +1,9 @@
-"""DOT export, trace sampling, ASCII charts, combined prefetcher."""
+"""ASCII charts, combined prefetcher."""
 
 import pytest
 
 from repro import PrefetchConfig, PrefetcherKind, SimConfig, simulate
 from repro.analysis import bar_chart, histogram_chart
-from repro.cfg import function_to_dot, program_to_dot
-from repro.errors import TraceError
-from repro.trace import sample_trace, split_trace
-
-
-class TestDotExport:
-    def test_function_dot_structure(self, small_program):
-        dot = function_to_dot(small_program.functions[0])
-        assert dot.startswith("digraph")
-        assert dot.rstrip().endswith("}")
-        assert "->" in dot
-
-    def test_every_block_has_a_node(self, small_program):
-        function = small_program.functions[1]
-        dot = function_to_dot(function)
-        for block in function.blocks:
-            assert f"b{block.start:x}" in dot
-
-    def test_program_dot_with_clusters(self, small_program):
-        dot = program_to_dot(small_program, max_functions=3)
-        assert dot.count("subgraph cluster_") == 3
-
-    def test_external_targets_get_placeholders(self, small_program):
-        dot = program_to_dot(small_program, max_functions=1)
-        # main calls deeper functions that are not included.
-        assert "style=dashed" in dot
-
-    def test_conditional_edges_carry_bias(self, small_program):
-        dot = program_to_dot(small_program)
-        assert "taken p=" in dot
-
-
-class TestSampling:
-    def test_systematic_sampling(self, small_trace):
-        sampled = sample_trace(small_trace, sample=100, skip=300)
-        expected = 0
-        period = 400
-        n = len(small_trace)
-        for start in range(0, n, period):
-            expected += min(100, n - start)
-        assert len(sampled) == expected
-
-    def test_skip_zero_is_identity(self, small_trace):
-        assert sample_trace(small_trace, 10, 0) is small_trace
-
-    def test_sampled_windows_are_contiguous(self, small_trace):
-        sampled = sample_trace(small_trace, sample=50, skip=50)
-        # Within a window, records chain (next_pc == next record's pc).
-        for i in range(49):
-            assert sampled[i].next_pc == sampled[i + 1].pc
-
-    def test_validation(self, small_trace):
-        with pytest.raises(TraceError):
-            sample_trace(small_trace, 0, 10)
-        with pytest.raises(TraceError):
-            sample_trace(small_trace, 10, -1)
-
-    def test_split_covers_everything(self, small_trace):
-        parts = split_trace(small_trace, 7)
-        assert sum(len(p) for p in parts) == len(small_trace)
-        assert abs(len(parts[0]) - len(parts[-1])) <= 1
-
-    def test_split_order_preserved(self, small_trace):
-        parts = split_trace(small_trace, 3)
-        rejoined = [r for part in parts for r in part]
-        assert rejoined == small_trace.records
-
-    def test_split_validation(self, small_trace):
-        with pytest.raises(TraceError):
-            split_trace(small_trace, 0)
-        with pytest.raises(TraceError):
-            split_trace(small_trace, len(small_trace) + 1)
 
 
 class TestBarChart:
