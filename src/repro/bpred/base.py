@@ -14,8 +14,8 @@ from abc import ABC, abstractmethod
 from repro.component import StatsComponent
 from repro.stats import StatGroup
 
-__all__ = ["DirectionPredictor", "counter_taken", "counter_update",
-           "COUNTER_INIT", "COUNTER_MAX"]
+__all__ = ["DirectionPredictor", "PredictorStats", "counter_taken",
+           "counter_update", "COUNTER_INIT", "COUNTER_MAX"]
 
 COUNTER_MAX = 3
 COUNTER_INIT = 1  # weakly not-taken
@@ -33,11 +33,17 @@ def counter_update(counter: int, taken: bool) -> int:
     return counter - 1 if counter > 0 else 0
 
 
+class PredictorStats(StatGroup):
+    """Counters every :class:`DirectionPredictor` keeps."""
+
+    __slots__ = ("predictions", "correct")
+
+
 class DirectionPredictor(StatsComponent, ABC):
     """Predicts conditional-branch directions."""
 
     def __init__(self, name: str):
-        self.stats = StatGroup(name)
+        self.stats = PredictorStats(name)
 
     def derived_metrics(self) -> dict[str, float]:
         return {"accuracy": self.accuracy}
@@ -56,9 +62,9 @@ class DirectionPredictor(StatsComponent, ABC):
 
     def record_outcome(self, correct: bool) -> None:
         """Accounting hook used by the front end."""
-        self.stats.bump("predictions")
+        self.stats.predictions += 1
         if correct:
-            self.stats.bump("correct")
+            self.stats.correct += 1
 
     @property
     def accuracy(self) -> float:

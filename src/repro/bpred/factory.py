@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.bpred.base import DirectionPredictor
 from repro.bpred.bimodal import BimodalPredictor
 from repro.bpred.gshare import GsharePredictor
@@ -12,28 +14,30 @@ from repro.bpred.static import (
     AlwaysTakenPredictor,
 )
 from repro.config import PredictorConfig
-from repro.errors import ConfigError
 
 __all__ = ["make_direction_predictor"]
 
+# One constructor per PredictorConfig.DIRECTION_KINDS entry, in the
+# same order; each takes the PredictorConfig.
+_DIRECTION_PREDICTORS: dict[
+        str, Callable[[PredictorConfig], DirectionPredictor]] = {
+    "hybrid": HybridPredictor.from_config,
+    "gshare": lambda config: GsharePredictor(config.gshare_entries,
+                                             config.history_bits),
+    "bimodal": lambda config: BimodalPredictor(config.bimodal_entries),
+    "local": lambda config: LocalPredictor(
+        history_entries=config.bimodal_entries,
+        history_bits=config.history_bits,
+        pattern_entries=config.gshare_entries),
+    "always_taken": lambda config: AlwaysTakenPredictor(),
+    "always_not_taken": lambda config: AlwaysNotTakenPredictor(),
+}
+
 
 def make_direction_predictor(config: PredictorConfig) -> DirectionPredictor:
-    """Build the direction predictor selected by ``config.direction``."""
-    kind = config.direction
-    if kind == "hybrid":
-        return HybridPredictor.from_config(config)
-    if kind == "gshare":
-        return GsharePredictor(config.gshare_entries, config.history_bits)
-    if kind == "bimodal":
-        return BimodalPredictor(config.bimodal_entries)
-    if kind == "local":
-        return LocalPredictor(history_entries=config.bimodal_entries,
-                              history_bits=config.history_bits,
-                              pattern_entries=config.gshare_entries)
-    if kind == "always_taken":
-        return AlwaysTakenPredictor()
-    if kind == "always_not_taken":
-        return AlwaysNotTakenPredictor()
-    raise ConfigError(
-        f"unknown direction predictor {kind!r}; available: "
-        f"{', '.join(PredictorConfig.DIRECTION_KINDS)}")
+    """Build the direction predictor selected by ``config.direction``.
+
+    ``PredictorConfig`` refuses any kind outside ``DIRECTION_KINDS``,
+    which are exactly the table's keys.
+    """
+    return _DIRECTION_PREDICTORS[config.direction](config)

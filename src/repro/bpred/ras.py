@@ -26,6 +26,12 @@ class RasSnapshot:
         self.count = count
 
 
+class RasStats(StatGroup):
+    """Counters of the :class:`ReturnAddressStack`."""
+
+    __slots__ = ("pushes", "pops", "overflows", "underflows", "restores")
+
+
 class ReturnAddressStack(StatsComponent):
     """Circular return-address stack."""
 
@@ -33,7 +39,7 @@ class ReturnAddressStack(StatsComponent):
         if depth < 1:
             raise ValueError("RAS depth must be >= 1")
         self.depth = depth
-        self.stats = StatGroup("ras")
+        self.stats = RasStats("ras")
         self._entries = [0] * depth
         self._top = 0      # index of the next free slot
         self._count = 0    # number of live entries (<= depth)
@@ -45,14 +51,14 @@ class ReturnAddressStack(StatsComponent):
         if self._count < self.depth:
             self._count += 1
         else:
-            self.stats.bump("overflows")
-        self.stats.bump("pushes")
+            self.stats.overflows += 1
+        self.stats.pushes += 1
 
     def pop(self) -> int | None:
         """Pop the most recent return address; None when empty."""
-        self.stats.bump("pops")
+        self.stats.pops += 1
         if self._count == 0:
-            self.stats.bump("underflows")
+            self.stats.underflows += 1
             return None
         self._top = (self._top - 1) % self.depth
         self._count -= 1
@@ -76,4 +82,4 @@ class ReturnAddressStack(StatsComponent):
         self._entries = list(snap.entries)
         self._top = snap.top
         self._count = snap.count
-        self.stats.bump("restores")
+        self.stats.restores += 1

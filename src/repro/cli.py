@@ -68,6 +68,7 @@ from repro.obs import events as obs_events
 from repro.obs.profile import CATEGORIES as PROFILE_CATEGORIES
 from repro.obs.spans import export_chrome_trace
 from repro.sim import Simulator
+from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
 from repro.stats import IntervalSeries, format_table, rows_to_csv, \
     telemetry_table
 from repro.trace import characterize
@@ -107,16 +108,19 @@ def _cycles(text: str) -> int:
 def _checkpoint_flags() -> argparse.ArgumentParser:
     """Shared in-run checkpoint/watchdog parent parser (run/stats)."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--checkpoint-interval", type=_cycles, default=0,
-                        metavar="CYCLES",
+    parent.add_argument("--checkpoint-interval", type=_cycles,
+                        default=None, metavar="CYCLES",
                         help="write a resumable machine snapshot every "
-                             "N cycles (0 = off; needs --machine-"
-                             "checkpoint-dir)")
+                             "N cycles into --machine-checkpoint-dir "
+                             "(needs it; default "
+                             f"{DEFAULT_CHECKPOINT_INTERVAL} when it is "
+                             "given, 0 = off)")
     parent.add_argument("--machine-checkpoint-dir", default=None,
                         metavar="DIR",
-                        help="directory for in-run machine snapshots; "
-                             "an existing valid snapshot of this exact "
-                             "run is resumed automatically")
+                        help="directory for in-run machine snapshots, "
+                             "written every --checkpoint-interval "
+                             "cycles; an existing valid snapshot of this "
+                             "exact run is resumed automatically")
     parent.add_argument("--watchdog-interval", type=_cycles, default=0,
                         metavar="CYCLES",
                         help="abort with a state dump if no instruction "
@@ -168,6 +172,15 @@ def _require_snapshot_dir(interval: int | None, directory: str | None,
     if interval and not directory:
         raise ConfigError(f"--checkpoint-interval needs {flag}; without "
                           f"it no snapshot is written")
+
+
+def _snapshot_interval(args: argparse.Namespace) -> int:
+    """``run``/``stats`` snapshot cadence: the flag when given, else
+    the sweep's default when a snapshot directory is, else off."""
+    if args.checkpoint_interval is not None:
+        return args.checkpoint_interval
+    return DEFAULT_CHECKPOINT_INTERVAL if args.machine_checkpoint_dir \
+        else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "instead of restarting it")
     p_sw.add_argument("--checkpoint-interval", type=_cycles, default=None,
                       metavar="CYCLES",
-                      help="snapshot cadence for --machine-checkpoints")
+                      help="snapshot cadence for --machine-checkpoints "
+                           f"(default {DEFAULT_CHECKPOINT_INTERVAL})")
 
     p_prof = sub.add_parser(
         "profile", parents=[trace_flags, obs_flags],
@@ -432,10 +446,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sim = Simulator.restore(trace, config, state["machine"],
                                 engine=args.engine,
                                 watchdog_interval=args.watchdog_interval)
-        if args.machine_checkpoint_dir and args.checkpoint_interval > 0:
+        interval = _snapshot_interval(args)
+        if args.machine_checkpoint_dir and interval > 0:
             sink = CheckpointManager(args.machine_checkpoint_dir,
                                      meta=meta)
-            sim.checkpoint_every(args.checkpoint_interval, sink.write)
+            sim.checkpoint_every(interval, sink.write)
         result = sim.run()
         footer = (f"checkpointing: resumed from {args.resume_from} "
                   f"(cycle {state['cycle']})")
@@ -444,7 +459,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         run = run_with_checkpoints(
             trace, config, directory=args.machine_checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
+            checkpoint_interval=_snapshot_interval(args),
             name=args.workload, engine=args.engine,
             watchdog_interval=args.watchdog_interval)
         result = run.result
@@ -517,7 +532,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
         run = run_with_checkpoints(
             trace, config, directory=args.machine_checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
+            checkpoint_interval=_snapshot_interval(args),
             name=args.workload, watchdog_interval=args.watchdog_interval)
         result = run.result
         print(f"checkpointing: {run.snapshots_written} snapshots written"

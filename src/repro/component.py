@@ -57,8 +57,9 @@ class Component(Protocol):
 class StatsComponent:
     """Default :class:`Component` wiring over one :class:`StatGroup`.
 
-    Subclasses own ``self.stats`` (created in their ``__init__``); the
-    mixin derives ``name`` from the group, resets it (and every
+    Subclasses own ``self.stats``, an instance of a :class:`StatGroup`
+    subclass declaring their counters (created in their ``__init__``);
+    the mixin derives ``name`` from the group, resets it (and every
     sub-component) on :meth:`reset`, and builds the telemetry node from
     the group, the :meth:`derived_metrics`, and the sub-components'
     nodes.  ``__slots__`` is empty so slotted subclasses stay slotted.

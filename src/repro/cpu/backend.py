@@ -26,12 +26,19 @@ from repro.trace import TraceRecord
 __all__ = ["Backend"]
 
 
+class BackendStats(StatGroup):
+    """Counters of the :class:`Backend`."""
+
+    __slots__ = ("delivered", "retired", "retire_stall_cycles",
+                 "wrong_path_delivered", "wrong_path_flushed")
+
+
 class Backend(StatsComponent):
     """Finite-window, in-order-retire backend model."""
 
     def __init__(self, core: CoreConfig):
         self.core = core
-        self.stats = StatGroup("backend")
+        self.stats = BackendStats("backend")
         self._window: deque[int] = deque()   # completion cycles, FIFO
         self._wrong_path_occupancy = 0       # squashed at flush
         self.retired = 0
@@ -57,7 +64,7 @@ class Backend(StatsComponent):
         for record in records:
             latency = load_latency if record.kind == InstrKind.LOAD else 1
             self._window.append(base + latency)
-        self.stats.bump("delivered", len(records))
+        self.stats.delivered += len(records)
 
     def retire(self, now: int) -> int:
         """Retire up to ``issue_width`` completed instructions, in order."""
@@ -68,9 +75,9 @@ class Backend(StatsComponent):
             window.popleft()
             n += 1
         self.retired += n
-        self.stats.bump("retired", n)
+        self.stats.retired += n
         if n == 0 and window:
-            self.stats.bump("retire_stall_cycles")
+            self.stats.retire_stall_cycles += 1
         return n
 
     def deliver_wrong_path(self, count: int) -> None:
@@ -80,13 +87,13 @@ class Backend(StatsComponent):
                 f"delivered {count} wrong-path instructions into "
                 f"{self.free_slots} free slots")
         self._wrong_path_occupancy += count
-        self.stats.bump("wrong_path_delivered", count)
+        self.stats.wrong_path_delivered += count
 
     def flush_wrong_path(self) -> int:
         """Squash: drop all wrong-path occupants; returns how many."""
         flushed = self._wrong_path_occupancy
         self._wrong_path_occupancy = 0
-        self.stats.bump("wrong_path_flushed", flushed)
+        self.stats.wrong_path_flushed += flushed
         return flushed
 
     @property

@@ -28,6 +28,15 @@ from repro.trace import Trace
 __all__ = ["FetchEngine"]
 
 
+class FetchStats(StatGroup):
+    """Counters of the :class:`FetchEngine`."""
+
+    __slots__ = ("active_cycles", "miss_stall_cycles", "ftq_empty_cycles",
+                 "window_stall_cycles", "mshr_stall_cycles",
+                 "wrong_path_cycles", "demand_misses", "instrs_delivered",
+                 "wrong_path_instrs")
+
+
 class FetchEngine(StatsComponent):
     """In-order instruction fetch from the FTQ head."""
 
@@ -41,7 +50,7 @@ class FetchEngine(StatsComponent):
         self.backend = backend
         self.prefetcher = prefetcher
         self.core = core
-        self.stats = StatGroup("fetch")
+        self.stats = FetchStats("fetch")
         self._on_terminal_delivered = on_terminal_delivered
         self._block_bytes = memory.block_bytes
         self._waiting_until: int | None = None
@@ -75,7 +84,7 @@ class FetchEngine(StatsComponent):
         """
         if self._waiting_until is not None:
             if now < self._waiting_until:
-                self.stats.bump("miss_stall_cycles")
+                self.stats.miss_stall_cycles += 1
                 return False
             self._waiting_until = None
 
@@ -86,13 +95,13 @@ class FetchEngine(StatsComponent):
             entry = self.ftq.head()
             if entry is None:
                 if access == 0:
-                    self.stats.bump("ftq_empty_cycles")
+                    self.stats.ftq_empty_cycles += 1
                 return delivered_any
             needs_slots = (not entry.wrong_path
                            or self.core.wrong_path_in_window)
             if needs_slots and self.backend.free_slots <= 0:
                 if access == 0:
-                    self.stats.bump("window_stall_cycles")
+                    self.stats.window_stall_cycles += 1
                 return delivered_any
             if budget <= 0:
                 return delivered_any
@@ -104,20 +113,20 @@ class FetchEngine(StatsComponent):
 
             if result.outcome == RETRY:
                 if access == 0:
-                    self.stats.bump("mshr_stall_cycles")
+                    self.stats.mshr_stall_cycles += 1
                 return delivered_any
             if not result.is_hit:
                 self._waiting_until = result.ready_cycle
-                self.stats.bump("demand_misses")
+                self.stats.demand_misses += 1
                 if access == 0:
-                    self.stats.bump("miss_stall_cycles")
+                    self.stats.miss_stall_cycles += 1
                 return delivered_any
             budget -= self._deliver(entry, addr, bid, now, budget)
             if not delivered_any:
-                self.stats.bump("active_cycles")
+                self.stats.active_cycles += 1
                 delivered_any = True
             if entry.wrong_path and not wrong_any:
-                self.stats.bump("wrong_path_cycles")
+                self.stats.wrong_path_cycles += 1
                 wrong_any = True
         return delivered_any
 
@@ -143,14 +152,14 @@ class FetchEngine(StatsComponent):
             if self.core.wrong_path_in_window:
                 n = min(n, self.backend.free_slots)
                 self.backend.deliver_wrong_path(n)
-            self.stats.bump("wrong_path_instrs", n)
+            self.stats.wrong_path_instrs += n
         else:
             n = min(n, self.backend.free_slots)
             first = entry.first_index + entry.fetch_offset \
                 // INSTRUCTION_BYTES
             records = self.trace.records[first:first + n]
             self.backend.deliver(records, now)
-            self.stats.bump("instrs_delivered", n)
+            self.stats.instrs_delivered += n
 
         entry.fetch_offset += n * INSTRUCTION_BYTES
         if entry.fully_fetched:

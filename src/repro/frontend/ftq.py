@@ -72,6 +72,12 @@ class FTQEntry:
                 f"-> {self.predicted_next:#x}")
 
 
+class FTQStats(StatGroup):
+    """Counters of the :class:`FetchTargetQueue`."""
+
+    __slots__ = ("pushes", "pops", "squashed_entries")
+
+
 class FetchTargetQueue(StatsComponent):
     """Bounded FIFO of :class:`FTQEntry`."""
 
@@ -81,7 +87,7 @@ class FetchTargetQueue(StatsComponent):
         if depth < 1:
             raise SimulationError("FTQ depth must be >= 1")
         self.depth = depth
-        self.stats = StatGroup("ftq")
+        self.stats = FTQStats("ftq")
         self._entries: list[FTQEntry] = []
 
     def __len__(self) -> int:
@@ -99,7 +105,7 @@ class FetchTargetQueue(StatsComponent):
         if self.full:
             raise SimulationError("push into a full FTQ")
         self._entries.append(entry)
-        self.stats.bump("pushes")
+        self.stats.pushes += 1
 
     def head(self) -> FTQEntry | None:
         """The entry the fetch engine is consuming (None when empty)."""
@@ -108,7 +114,7 @@ class FetchTargetQueue(StatsComponent):
     def pop_head(self) -> FTQEntry:
         if not self._entries:
             raise SimulationError("pop from an empty FTQ")
-        self.stats.bump("pops")
+        self.stats.pops += 1
         return self._entries.pop(0)
 
     def prefetch_candidates(self, start: int = 1,
@@ -158,7 +164,7 @@ class FetchTargetQueue(StatsComponent):
                     f"{entry!r}")
         dropped = len(self._entries)
         self._entries.clear()
-        self.stats.bump("squashed_entries", dropped)
+        self.stats.squashed_entries += dropped
         return dropped
 
     def occupancy(self) -> int:

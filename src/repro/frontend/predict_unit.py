@@ -40,6 +40,17 @@ from repro.trace import Trace
 __all__ = ["PredictUnit"]
 
 
+class PredictStats(StatGroup):
+    """Counters of the :class:`PredictUnit`."""
+
+    __slots__ = ("blocks_produced", "wrong_path_blocks", "ftq_full_stalls",
+                 "ftb_l2_stall_cycles", "ftb_l2_promotions",
+                 "mispredict_stall_cycles", "resolutions", "mispredicts",
+                 "mispredict_ftb_miss", "mispredict_embedded_branch",
+                 "mispredict_direction", "mispredict_return",
+                 "mispredict_indirect_target", "mispredict_other")
+
+
 class PredictUnit(StatsComponent):
     """Decoupled branch-prediction unit, one fetch block per cycle.
 
@@ -61,7 +72,7 @@ class PredictUnit(StatsComponent):
         self.predictor = predictor
         self.ras = ras
         self.config = config
-        self.stats = StatGroup("predict")
+        self.stats = PredictStats("predict")
         self._cursor = 0                     # next unpredicted trace index
         self._history = 0
         self._history_mask = (1 << config.predictor.history_bits) - 1
@@ -104,18 +115,18 @@ class PredictUnit(StatsComponent):
     def tick(self, now: int, ftq: FetchTargetQueue) -> FTQEntry | None:
         """Produce at most one fetch block into ``ftq``."""
         if ftq.full:
-            self.stats.bump("ftq_full_stalls")
+            self.stats.ftq_full_stalls += 1
             return None
         if self._ftb_wait_until is not None:
             if now < self._ftb_wait_until:
-                self.stats.bump("ftb_l2_stall_cycles")
+                self.stats.ftb_l2_stall_cycles += 1
                 return None
             self._ftb_wait_until = None
 
         wrong_path = self._pending_mispredict is not None
         if wrong_path:
             if not self.config.model_wrong_path:
-                self.stats.bump("mispredict_stall_cycles")
+                self.stats.mispredict_stall_cycles += 1
                 return None
             start = self._wrong_pc
         elif self._cursor >= len(self.trace):
@@ -129,7 +140,7 @@ class PredictUnit(StatsComponent):
             # the L2 access latency; stall prediction until then.
             latency = self.ftb.l2_latency
             self._ftb_wait_until = now + latency
-            self.stats.bump("ftb_l2_promotions")
+            self.stats.ftb_l2_promotions += 1
             return None
 
         if wrong_path:
@@ -137,9 +148,9 @@ class PredictUnit(StatsComponent):
         else:
             entry = self._produce_correct_block(ftb_entry)
         ftq.push(entry)
-        self.stats.bump("blocks_produced")
+        self.stats.blocks_produced += 1
         if entry.wrong_path:
-            self.stats.bump("wrong_path_blocks")
+            self.stats.wrong_path_blocks += 1
         return entry
 
     def on_resolve(self, entry: FTQEntry) -> None:
@@ -162,7 +173,7 @@ class PredictUnit(StatsComponent):
         self._cursor = entry.resume_cursor
         self._pending_mispredict = None
         self._ftb_wait_until = None   # abandon any wrong-path L2 lookup
-        self.stats.bump("resolutions")
+        self.stats.resolutions += 1
 
     # ------------------------------------------------------------------
     # Correct-path production and validation
@@ -241,7 +252,7 @@ class PredictUnit(StatsComponent):
             ftq_entry.predicted_cond = predicted_cond
             self._pending_mispredict = ftq_entry
             self._wrong_pc = predicted_next
-            self.stats.bump("mispredicts")
+            self.stats.mispredicts += 1
             self._classify_mispredict(entry, terminal, end)
         else:
             self._cursor = j + 1
@@ -325,17 +336,17 @@ class PredictUnit(StatsComponent):
                              end: int) -> None:
         kind = terminal.kind
         if entry is None:
-            self.stats.bump("mispredict_ftb_miss")
+            self.stats.mispredict_ftb_miss += 1
         elif terminal.pc != end - INSTRUCTION_BYTES:
-            self.stats.bump("mispredict_embedded_branch")
+            self.stats.mispredict_embedded_branch += 1
         elif kind == InstrKind.BRANCH_COND:
-            self.stats.bump("mispredict_direction")
+            self.stats.mispredict_direction += 1
         elif kind.is_return:
-            self.stats.bump("mispredict_return")
+            self.stats.mispredict_return += 1
         elif kind.is_indirect:
-            self.stats.bump("mispredict_indirect_target")
+            self.stats.mispredict_indirect_target += 1
         else:
-            self.stats.bump("mispredict_other")
+            self.stats.mispredict_other += 1
 
     # ------------------------------------------------------------------
     # Wrong-path production

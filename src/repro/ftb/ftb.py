@@ -50,6 +50,12 @@ class FTBEntry:
         return (self.fallthrough - self.start) // INSTRUCTION_BYTES
 
 
+class FTBStats(StatGroup):
+    """Counters of one :class:`FetchTargetBuffer`."""
+
+    __slots__ = ("hits", "misses", "updates", "installs", "evictions")
+
+
 class FetchTargetBuffer(StatsComponent):
     """Set-associative, LRU FTB keyed by fetch-block start address."""
 
@@ -60,7 +66,7 @@ class FetchTargetBuffer(StatsComponent):
             raise ConfigError("FTB ways must be >= 1")
         self.sets = sets
         self.ways = ways
-        self.stats = StatGroup("ftb")
+        self.stats = FTBStats("ftb")
         # Per-set mapping start-pc -> entry; iteration order is LRU order
         # (dicts preserve insertion order; re-inserting refreshes).
         self._table: list[dict[int, FTBEntry]] = [{} for _ in range(sets)]
@@ -77,12 +83,12 @@ class FetchTargetBuffer(StatsComponent):
         entry_set = self._set_for(pc)
         entry = entry_set.get(pc)
         if entry is None:
-            self.stats.bump("misses")
+            self.stats.misses += 1
             return None
         # Move to MRU position.
         del entry_set[pc]
         entry_set[pc] = entry
-        self.stats.bump("hits")
+        self.stats.hits += 1
         return entry
 
     def probe(self, pc: int) -> tuple[str, FTBEntry | None]:
@@ -104,13 +110,13 @@ class FetchTargetBuffer(StatsComponent):
         entry_set = self._set_for(entry.start)
         if entry.start in entry_set:
             del entry_set[entry.start]
-            self.stats.bump("updates")
+            self.stats.updates += 1
         else:
-            self.stats.bump("installs")
+            self.stats.installs += 1
             if len(entry_set) >= self.ways:
                 oldest = next(iter(entry_set))
                 del entry_set[oldest]
-                self.stats.bump("evictions")
+                self.stats.evictions += 1
         entry_set[entry.start] = entry
 
     def resident_entries(self) -> int:

@@ -29,6 +29,12 @@ L2 = "l2"
 MISS = "miss"
 
 
+class TwoLevelFTBStats(StatGroup):
+    """Counters of the :class:`TwoLevelFTB` (``ftb2``)."""
+
+    __slots__ = ("l1_hits", "l2_hits", "misses", "installs")
+
+
 class TwoLevelFTB(StatsComponent):
     """L1 + L2 fetch target buffers with promotion on L2 hits.
 
@@ -48,7 +54,7 @@ class TwoLevelFTB(StatsComponent):
         self.l1 = FetchTargetBuffer(l1_sets, l1_ways)
         self.l2 = FetchTargetBuffer(l2_sets, l2_ways)
         self.l2_latency = l2_latency
-        self.stats = StatGroup("ftb2")
+        self.stats = TwoLevelFTBStats("ftb2")
 
     @property
     def capacity(self) -> int:
@@ -58,21 +64,21 @@ class TwoLevelFTB(StatsComponent):
         """Look up ``pc``; promote L2 hits into the L1."""
         entry = self.l1.lookup(pc)
         if entry is not None:
-            self.stats.bump("l1_hits")
+            self.stats.l1_hits += 1
             return HIT, entry
         entry = self.l2.lookup(pc)
         if entry is not None:
-            self.stats.bump("l2_hits")
+            self.stats.l2_hits += 1
             self.l1.install(entry)
             return L2, entry
-        self.stats.bump("misses")
+        self.stats.misses += 1
         return MISS, None
 
     def install(self, entry: FTBEntry) -> None:
         """Train both levels (the L2 is effectively inclusive)."""
         self.l1.install(entry)
         self.l2.install(entry)
-        self.stats.bump("installs")
+        self.stats.installs += 1
 
     def lookup(self, pc: int) -> FTBEntry | None:
         """Monolithic-interface convenience: L1-then-L2, no latency.

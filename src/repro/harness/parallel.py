@@ -48,6 +48,7 @@ from repro.api import simulate
 from repro.errors import RetryExhaustedError
 from repro.obs import events as obs_events
 from repro.sim import SimResult, guard_invariants
+from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
 from repro.stats.sweep import merge_counters, summary_line
 from repro.workloads import build_trace
 
@@ -157,10 +158,6 @@ def _run_point(workload: str, config: SimConfig, trace_length: int,
     return guard_invariants(result,
                             warmed_up=config.warmup_instructions > 0,
                             context=workload)
-
-
-#: Default snapshot cadence (cycles) for machine-checkpointed sweeps.
-DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
 
 def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,

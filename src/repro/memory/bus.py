@@ -17,6 +17,13 @@ from repro.stats import StatGroup
 __all__ = ["Bus"]
 
 
+class BusStats(StatGroup):
+    """Counters of the :class:`Bus`."""
+
+    __slots__ = ("demand_transfers", "busy_cycles", "demand_wait_cycles",
+                 "prefetch_rejected", "prefetch_transfers")
+
+
 class Bus(StatsComponent):
     """Single shared bus with demand-priority scheduling."""
 
@@ -24,7 +31,7 @@ class Bus(StatsComponent):
         if transfer_cycles < 1:
             raise ValueError("transfer_cycles must be >= 1")
         self.transfer_cycles = transfer_cycles
-        self.stats = StatGroup(name)
+        self.stats = BusStats(name)
         self._busy_until = 0
 
     @property
@@ -43,9 +50,9 @@ class Bus(StatsComponent):
         """
         start = max(now, self._busy_until)
         self._busy_until = start + self.transfer_cycles
-        self.stats.bump("demand_transfers")
-        self.stats.bump("busy_cycles", self.transfer_cycles)
-        self.stats.bump("demand_wait_cycles", start - now)
+        self.stats.demand_transfers += 1
+        self.stats.busy_cycles += self.transfer_cycles
+        self.stats.demand_wait_cycles += start - now
         return start
 
     def try_acquire_prefetch(self, now: int) -> int | None:
@@ -55,15 +62,15 @@ class Bus(StatsComponent):
         prefetches never queue, preserving demand priority.
         """
         if self._busy_until > now:
-            self.stats.bump("prefetch_rejected")
+            self.stats.prefetch_rejected += 1
             return None
         self._busy_until = now + self.transfer_cycles
-        self.stats.bump("prefetch_transfers")
-        self.stats.bump("busy_cycles", self.transfer_cycles)
+        self.stats.prefetch_transfers += 1
+        self.stats.busy_cycles += self.transfer_cycles
         return now
 
     def utilization(self, elapsed_cycles: int) -> float:
         """Fraction of ``elapsed_cycles`` the bus spent transferring."""
         if elapsed_cycles <= 0:
             return 0.0
-        return min(1.0, self.stats.get("busy_cycles") / elapsed_cycles)
+        return min(1.0, self.stats.busy_cycles / elapsed_cycles)

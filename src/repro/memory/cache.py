@@ -18,6 +18,13 @@ from repro.stats import StatGroup
 __all__ = ["SetAssociativeCache"]
 
 
+class CacheStats(StatGroup):
+    """Counters of one :class:`SetAssociativeCache`."""
+
+    __slots__ = ("hits", "misses", "probes", "fills", "evictions",
+                 "invalidations")
+
+
 class SetAssociativeCache(StatsComponent):
     """LRU set-associative cache keyed by block id."""
 
@@ -29,7 +36,7 @@ class SetAssociativeCache(StatsComponent):
     def __init__(self, geometry: CacheGeometry, name: str = "cache"):
         self.geometry = geometry
         self.name = name
-        self.stats = StatGroup(name)
+        self.stats = CacheStats(name)
         self._num_sets = geometry.num_sets
         self._assoc = geometry.assoc
         # Per-set list of block ids, most-recently-used last.
@@ -45,14 +52,14 @@ class SetAssociativeCache(StatsComponent):
             if entry_set[-1] != bid:
                 entry_set.remove(bid)
                 entry_set.append(bid)
-            self.stats.bump("hits")
+            self.stats.hits += 1
             return True
-        self.stats.bump("misses")
+        self.stats.misses += 1
         return False
 
     def probe(self, bid: int) -> bool:
         """Tag probe: hit/miss without touching replacement state."""
-        self.stats.bump("probes")
+        self.stats.probes += 1
         return bid in self._set_for(bid)
 
     def contains(self, bid: int) -> bool:
@@ -71,11 +78,11 @@ class SetAssociativeCache(StatsComponent):
                 entry_set.remove(bid)
                 entry_set.append(bid)
             return None
-        self.stats.bump("fills")
+        self.stats.fills += 1
         victim = None
         if len(entry_set) >= self._assoc:
             victim = entry_set.pop(0)
-            self.stats.bump("evictions")
+            self.stats.evictions += 1
         entry_set.append(bid)
         return victim
 
@@ -84,7 +91,7 @@ class SetAssociativeCache(StatsComponent):
         entry_set = self._set_for(bid)
         if bid in entry_set:
             entry_set.remove(bid)
-            self.stats.bump("invalidations")
+            self.stats.invalidations += 1
             return True
         return False
 

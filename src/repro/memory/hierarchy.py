@@ -77,6 +77,17 @@ class DemandResult:
         return f"DemandResult({self.outcome}, ready={self.ready_cycle})"
 
 
+class MemoryStats(StatGroup):
+    """Counters of the :class:`MemorySystem` itself (``mem``)."""
+
+    __slots__ = ("demand_accesses", "sidecar_promotions",
+                 "demand_mshr_stalls", "demand_misses", "l2_misses",
+                 "prefetch_already_in_flight", "prefetch_mshr_stalls",
+                 "prefetches_issued", "prefetches_issued_wrong_path",
+                 "prefetch_fills_to_l1", "late_prefetch_fills",
+                 "cpf_no_port", "cpf_probes")
+
+
 class MemorySystem(StatsComponent):
     """L1-I + L2 + memory + bus + MSHRs + sidecar, cycle-accurate.
 
@@ -101,7 +112,7 @@ class MemorySystem(StatsComponent):
         self.bus = Bus(config.bus_transfer_cycles)
         self.mshrs = MshrFile(config.mshr_entries)
         self.sidecar = sidecar
-        self.stats = StatGroup("mem")
+        self.stats = MemoryStats("mem")
         self._events: list[tuple[int, int]] = []   # (ready_cycle, bid) heap
         self._ports_used = 0
         self._now = 0
@@ -123,7 +134,7 @@ class MemorySystem(StatsComponent):
         if entry.is_prefetch and not entry.demand_merged:
             if self.prefetch_fill_to_l1:
                 self.l1i.fill(bid)
-                self.stats.bump("prefetch_fills_to_l1")
+                self.stats.prefetch_fills_to_l1 += 1
                 return
             if self.sidecar is None:
                 raise SimulationError(
@@ -132,7 +143,7 @@ class MemorySystem(StatsComponent):
             return
         self.l1i.fill(bid)
         if entry.is_prefetch:
-            self.stats.bump("late_prefetch_fills")
+            self.stats.late_prefetch_fills += 1
             if self.sidecar is not None:
                 self.sidecar.fill_merged(bid)
 
@@ -165,26 +176,26 @@ class MemorySystem(StatsComponent):
         file was full and the access must be retried next cycle).
         """
         self._ports_used += 1
-        self.stats.bump("demand_accesses")
+        self.stats.demand_accesses += 1
         if self.l1i.lookup(bid):
             return DemandResult(HIT_L1, now)
         if self.sidecar is not None \
                 and self.sidecar.probe_and_claim(bid, now):
             self.l1i.fill(bid)
-            self.stats.bump("sidecar_promotions")
+            self.stats.sidecar_promotions += 1
             return DemandResult(HIT_SIDECAR, now)
         in_flight = self.mshrs.get(bid)
         if in_flight is not None:
             self.mshrs.merge_demand(bid)
             return DemandResult(MERGED, in_flight.ready_cycle)
         if self.mshrs.full:
-            self.stats.bump("demand_mshr_stalls")
+            self.stats.demand_mshr_stalls += 1
             return DemandResult(RETRY, None)
         start = self.bus.acquire_demand(now)
         ready = start + self.bus.transfer_cycles + self._backing_latency(bid)
         self.mshrs.allocate(bid, ready, is_prefetch=False)
         heapq.heappush(self._events, (ready, bid))
-        self.stats.bump("demand_misses")
+        self.stats.demand_misses += 1
         return DemandResult(MISS, ready)
 
     def _backing_latency(self, bid: int) -> int:
@@ -192,7 +203,7 @@ class MemorySystem(StatsComponent):
         if self.l2.lookup(bid):
             return self.config.l2_hit_latency
         self.l2.fill(bid)
-        self.stats.bump("l2_misses")
+        self.stats.l2_misses += 1
         return self.config.memory_latency
 
     # ------------------------------------------------------------------
@@ -207,10 +218,10 @@ class MemorySystem(StatsComponent):
         MSHR file is full, or the bus is not idle (demand priority).
         """
         if self.mshrs.get(bid) is not None:
-            self.stats.bump("prefetch_already_in_flight")
+            self.stats.prefetch_already_in_flight += 1
             return False
         if self.mshrs.full:
-            self.stats.bump("prefetch_mshr_stalls")
+            self.stats.prefetch_mshr_stalls += 1
             return False
         start = self.bus.try_acquire_prefetch(now)
         if start is None:
@@ -219,9 +230,9 @@ class MemorySystem(StatsComponent):
         self.mshrs.allocate(bid, ready, is_prefetch=True,
                             wrong_path=wrong_path)
         heapq.heappush(self._events, (ready, bid))
-        self.stats.bump("prefetches_issued")
+        self.stats.prefetches_issued += 1
         if wrong_path:
-            self.stats.bump("prefetches_issued_wrong_path")
+            self.stats.prefetches_issued_wrong_path += 1
         return True
 
     # ------------------------------------------------------------------
@@ -240,10 +251,10 @@ class MemorySystem(StatsComponent):
         consumes a port and answers whether ``bid`` is in the L1-I.
         """
         if self.idle_tag_ports == 0:
-            self.stats.bump("cpf_no_port")
+            self.stats.cpf_no_port += 1
             return None
         self._ports_used += 1
-        self.stats.bump("cpf_probes")
+        self.stats.cpf_probes += 1
         return self.l1i.probe(bid)
 
     def oracle_probe(self, bid: int) -> bool:

@@ -30,12 +30,19 @@ class MshrEntry:
     wrong_path: bool = False
 
 
+class MshrStats(StatGroup):
+    """Counters of the :class:`MshrFile`."""
+
+    __slots__ = ("allocations", "prefetch_allocations", "demand_merges",
+                 "late_prefetch_merges")
+
+
 @dataclass
 class MshrFile(StatsComponent):
     """A bounded file of :class:`MshrEntry`, keyed by block id."""
 
     capacity: int
-    stats: StatGroup = field(default_factory=lambda: StatGroup("mshr"))
+    stats: MshrStats = field(default_factory=lambda: MshrStats("mshr"))
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -63,9 +70,9 @@ class MshrFile(StatsComponent):
         entry = MshrEntry(bid=bid, ready_cycle=ready_cycle,
                           is_prefetch=is_prefetch, wrong_path=wrong_path)
         self._entries[bid] = entry
-        self.stats.bump("allocations")
+        self.stats.allocations += 1
         if is_prefetch:
-            self.stats.bump("prefetch_allocations")
+            self.stats.prefetch_allocations += 1
         return entry
 
     def release(self, bid: int) -> MshrEntry:
@@ -79,9 +86,9 @@ class MshrFile(StatsComponent):
         """Record a demand access merging into an in-flight fill."""
         entry = self._entries[bid]
         entry.demand_merged = True
-        self.stats.bump("demand_merges")
+        self.stats.demand_merges += 1
         if entry.is_prefetch:
-            self.stats.bump("late_prefetch_merges")
+            self.stats.late_prefetch_merges += 1
         return entry
 
     def outstanding(self) -> list[MshrEntry]:

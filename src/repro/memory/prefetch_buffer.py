@@ -20,6 +20,13 @@ from repro.stats import StatGroup
 __all__ = ["PrefetchBuffer"]
 
 
+class PrefetchBufferStats(StatGroup):
+    """Counters of one :class:`PrefetchBuffer`."""
+
+    __slots__ = ("duplicate_fills", "evicted_unused",
+                 "evicted_unused_wrong_path", "fills", "useful_hits")
+
+
 class PrefetchBuffer(StatsComponent):
     """Fully-associative FIFO buffer of prefetched cache blocks."""
 
@@ -27,7 +34,7 @@ class PrefetchBuffer(StatsComponent):
         if entries < 1:
             raise ValueError("prefetch buffer needs at least one entry")
         self.capacity = entries
-        self.stats = StatGroup(name)
+        self.stats = PrefetchBufferStats(name)
         # bid -> (wrong_path flag, fill cycle); insertion order is FIFO.
         self._blocks: OrderedDict[int, tuple[bool, int]] = OrderedDict()
 
@@ -49,16 +56,16 @@ class PrefetchBuffer(StatsComponent):
         useless prefetch.
         """
         if bid in self._blocks:
-            self.stats.bump("duplicate_fills")
+            self.stats.duplicate_fills += 1
             return None
         victim = None
         if len(self._blocks) >= self.capacity:
             victim, (victim_wrong, _) = self._blocks.popitem(last=False)
-            self.stats.bump("evicted_unused")
+            self.stats.evicted_unused += 1
             if victim_wrong:
-                self.stats.bump("evicted_unused_wrong_path")
+                self.stats.evicted_unused_wrong_path += 1
         self._blocks[bid] = (wrong_path, cycle)
-        self.stats.bump("fills")
+        self.stats.fills += 1
         return victim
 
     def claim(self, bid: int, now: int = 0) -> bool:
@@ -72,7 +79,7 @@ class PrefetchBuffer(StatsComponent):
         if entry is None:
             return False
         _, fill_cycle = entry
-        self.stats.bump("useful_hits")
+        self.stats.useful_hits += 1
         if now > 0:
             self.stats.histogram("lead_cycles").observe(
                 max(0, now - fill_cycle))

@@ -38,11 +38,13 @@ __all__ = ["Prefetcher"]
 class Prefetcher(StatsComponent, ABC):
     """Base class of all instruction prefetchers.
 
-    Every prefetcher is a telemetry :class:`~repro.component.Component`:
-    ``name`` is the registered kind, and any storage it owns (prefetch
-    buffer, stream buffers) reports through :meth:`extra_stat_groups`,
-    which the base class turns into child telemetry nodes — subclasses
-    get the protocol for free.
+    Every prefetcher is a telemetry :class:`~repro.component.Component`.
+    Its ``stats`` group, named after its kind, is an instance of a
+    :class:`StatGroup` subclass that declares the prefetcher's counters
+    and gives the component its ``name``.  Any storage it owns
+    (prefetch buffer, stream buffers) reports through
+    :meth:`extra_stat_groups`, which the base class turns into child
+    telemetry nodes — subclasses get the protocol for free.
     """
 
     #: True only when :meth:`tick` is a complete no-op on *every* cycle
@@ -52,9 +54,9 @@ class Prefetcher(StatsComponent, ABC):
     #: is conservatively False.
     inert_tick: bool = False
 
-    def __init__(self, name: str, memory: MemorySystem):
+    def __init__(self, stats: StatGroup, memory: MemorySystem):
         self.memory = memory
-        self.stats = StatGroup(name)
+        self.stats = stats
 
     def reset(self) -> None:
         for group in self.extra_stat_groups():

@@ -26,17 +26,24 @@ from repro.memory.hierarchy import (
 )
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.fdip import FdipPrefetcher
+from repro.stats import StatGroup
 
 __all__ = ["CombinedPrefetcher"]
 
 _NLP_QUEUE_DEPTH = 16
 
 
+class CombinedStats(StatGroup):
+    """The next-line helper's counters (FDIP's stay in its own group)."""
+
+    __slots__ = ("nlp_issued", "nlp_filtered")
+
+
 class CombinedPrefetcher(Prefetcher):
     """FDIP plus a tagged next-line helper sharing FDIP's buffer."""
 
     def __init__(self, memory: MemorySystem, config: PrefetchConfig):
-        super().__init__("combined", memory)
+        super().__init__(CombinedStats("combined"), memory)
         self.config = config
         self.fdip = FdipPrefetcher(memory, config)
         self._tags: set[int] = set()
@@ -79,9 +86,10 @@ class CombinedPrefetcher(Prefetcher):
         return self.fdip.quiescent(ftq) and not self._nlp_requests
 
     def tick(self, now: int, ftq: FetchTargetQueue) -> None:
-        issued_before = self.fdip.stats.get("issued")
+        fdip_stats = self.fdip.stats
+        issued_before = fdip_stats.issued
         self.fdip.tick(now, ftq)
-        fdip_issued = self.fdip.stats.get("issued") - issued_before
+        fdip_issued = fdip_stats.issued - issued_before
         budget = self.config.max_prefetches_per_cycle - fdip_issued
         self._issue_nlp(now, budget)
 
@@ -93,14 +101,14 @@ class CombinedPrefetcher(Prefetcher):
                     or self.memory.mshrs.get(bid) is not None
                     or self.memory.oracle_probe(bid)):
                 self._nlp_requests.popleft()
-                self.stats.bump("nlp_filtered")
+                self.stats.nlp_filtered += 1
                 continue
             if not self.memory.try_issue_prefetch(bid, now):
                 break
             self._nlp_requests.popleft()
             self._tags.add(bid)
             issued += 1
-            self.stats.bump("nlp_issued")
+            self.stats.nlp_issued += 1
 
     # ------------------------------------------------------------------
 

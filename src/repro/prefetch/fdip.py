@@ -38,6 +38,7 @@ from repro.memory.hierarchy import MemorySystem, Sidecar
 from repro.memory.mshr import MshrEntry
 from repro.memory.prefetch_buffer import PrefetchBuffer
 from repro.prefetch.base import Prefetcher
+from repro.stats import StatGroup
 
 __all__ = ["FdipPrefetcher", "PrefetchBufferSidecar"]
 
@@ -59,11 +60,20 @@ class PrefetchBufferSidecar:
         """The block went straight to the L1-I; nothing to buffer."""
 
 
+class FdipStats(StatGroup):
+    """Counters of the :class:`FdipPrefetcher`."""
+
+    __slots__ = ("candidates", "duplicate_candidates", "filtered_in_buffer",
+                 "filtered_ideal", "filtered_enqueue", "filtered_remove",
+                 "enqueued_unfiltered", "dropped_in_flight", "issued",
+                 "issued_wrong_path", "piq_squashed")
+
+
 class FdipPrefetcher(Prefetcher):
     """The FDIP prefetch engine with cache probe filtering."""
 
     def __init__(self, memory: MemorySystem, config: PrefetchConfig):
-        super().__init__("fdip", memory)
+        super().__init__(FdipStats("fdip"), memory)
         self.config = config
         self.buffer = PrefetchBuffer(config.buffer_entries)
         self._sidecar = PrefetchBufferSidecar(self.buffer)
@@ -96,7 +106,7 @@ class FdipPrefetcher(Prefetcher):
 
     def squash(self) -> None:
         """Pipeline flush: pending (unissued) prefetches are discarded."""
-        self.stats.bump("piq_squashed", len(self._piq))
+        self.stats.piq_squashed += len(self._piq)
         self._piq.clear()
 
     # ------------------------------------------------------------------
@@ -115,7 +125,7 @@ class FdipPrefetcher(Prefetcher):
                 break
             if resident:
                 del self._piq[bid]
-                self.stats.bump("filtered_remove")
+                self.stats.filtered_remove += 1
 
     # ------------------------------------------------------------------
     # Stage 2: FTQ scan + enqueue filtering
@@ -141,23 +151,23 @@ class FdipPrefetcher(Prefetcher):
     def _consider(self, bid: int, wrong_path: bool, mode: str) -> None:
         """Apply enqueue-time filtering and enqueue survivors."""
         if bid in self._piq:
-            self.stats.bump("duplicate_candidates")
+            self.stats.duplicate_candidates += 1
             return
-        self.stats.bump("candidates")
+        self.stats.candidates += 1
         if self.buffer.contains(bid):
-            self.stats.bump("filtered_in_buffer")
+            self.stats.filtered_in_buffer += 1
             return
         if mode == FilterMode.IDEAL:
             if self.memory.oracle_probe(bid):
-                self.stats.bump("filtered_ideal")
+                self.stats.filtered_ideal += 1
                 return
         elif mode in (FilterMode.ENQUEUE, FilterMode.REMOVE):
             resident = self.memory.cpf_probe(bid)
             if resident:
-                self.stats.bump("filtered_enqueue")
+                self.stats.filtered_enqueue += 1
                 return
             if resident is None:
-                self.stats.bump("enqueued_unfiltered")
+                self.stats.enqueued_unfiltered += 1
         self._piq[bid] = wrong_path
 
     # ------------------------------------------------------------------
@@ -170,25 +180,25 @@ class FdipPrefetcher(Prefetcher):
             bid, wrong_path = next(iter(self._piq.items()))
             if self.buffer.contains(bid):
                 del self._piq[bid]
-                self.stats.bump("filtered_in_buffer")
+                self.stats.filtered_in_buffer += 1
                 continue
             if (self.config.filter_mode == FilterMode.IDEAL
                     and self.memory.oracle_probe(bid)):
                 del self._piq[bid]
-                self.stats.bump("filtered_ideal")
+                self.stats.filtered_ideal += 1
                 continue
             if self.memory.mshrs.get(bid) is not None:
                 del self._piq[bid]
-                self.stats.bump("dropped_in_flight")
+                self.stats.dropped_in_flight += 1
                 continue
             if not self.memory.try_issue_prefetch(bid, now,
                                                   wrong_path=wrong_path):
                 break  # bus busy or MSHRs full; retry next cycle
             del self._piq[bid]
             issued += 1
-            self.stats.bump("issued")
+            self.stats.issued += 1
             if wrong_path:
-                self.stats.bump("issued_wrong_path")
+                self.stats.issued_wrong_path += 1
 
     # ------------------------------------------------------------------
 

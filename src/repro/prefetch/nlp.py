@@ -27,6 +27,7 @@ from repro.memory.hierarchy import (
 from repro.memory.mshr import MshrEntry
 from repro.memory.prefetch_buffer import PrefetchBuffer
 from repro.prefetch.base import Prefetcher
+from repro.stats import StatGroup
 
 __all__ = ["NlpPrefetcher"]
 
@@ -53,11 +54,18 @@ class _TaggedBufferSidecar:
         not-yet-used prefetch, so it carries no tag."""
 
 
+class NlpStats(StatGroup):
+    """Counters of the :class:`NlpPrefetcher`."""
+
+    __slots__ = ("triggers", "tag_triggers", "request_queue_overflow",
+                 "filtered", "issued")
+
+
 class NlpPrefetcher(Prefetcher):
     """Tagged next-line instruction prefetcher."""
 
     def __init__(self, memory: MemorySystem, config: PrefetchConfig):
-        super().__init__("nlp", memory)
+        super().__init__(NlpStats("nlp"), memory)
         self.config = config
         self.buffer = PrefetchBuffer(config.buffer_entries)
         self._tags: set[int] = set()       # prefetched, not yet demanded
@@ -79,21 +87,21 @@ class NlpPrefetcher(Prefetcher):
             self._tags.discard(bid)
             if self.config.nlp_tagged:
                 self._trigger(bid)
-                self.stats.bump("tag_triggers")
+                self.stats.tag_triggers += 1
         elif outcome == HIT_L1 and bid in self._tags:
             # First demand use of a block promoted earlier.
             self._tags.discard(bid)
             if self.config.nlp_tagged:
                 self._trigger(bid)
-                self.stats.bump("tag_triggers")
+                self.stats.tag_triggers += 1
 
     def _trigger(self, bid: int) -> None:
-        self.stats.bump("triggers")
+        self.stats.triggers += 1
         for successor in range(bid + 1, bid + 1 + self.config.nlp_degree):
             if successor in self._requests:
                 continue
             if len(self._requests) >= _REQUEST_QUEUE_DEPTH:
-                self.stats.bump("request_queue_overflow")
+                self.stats.request_queue_overflow += 1
                 return
             self._requests.append(successor)
 
@@ -117,10 +125,10 @@ class NlpPrefetcher(Prefetcher):
                 # Next-line prefetchers sit beside the cache and can check
                 # the tag array for their single candidate cheaply.
                 self._requests.popleft()
-                self.stats.bump("filtered")
+                self.stats.filtered += 1
                 continue
             if not self.memory.try_issue_prefetch(bid, now):
                 break
             self._requests.popleft()
             issued += 1
-            self.stats.bump("issued")
+            self.stats.issued += 1

@@ -6,6 +6,7 @@ from repro.config import PrefetchConfig
 from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.hierarchy import MemorySystem, Sidecar
 from repro.prefetch.base import Prefetcher
+from repro.stats import StatGroup
 
 __all__ = ["NonePrefetcher"]
 
@@ -17,7 +18,7 @@ class NonePrefetcher(Prefetcher):
 
     def __init__(self, memory: MemorySystem,
                  config: PrefetchConfig | None = None):
-        super().__init__("nopf", memory)
+        super().__init__(StatGroup("nopf"), memory)   # counts nothing
 
     @property
     def sidecar(self) -> Sidecar | None:

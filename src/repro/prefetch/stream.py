@@ -23,6 +23,7 @@ from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.hierarchy import MISS, MemorySystem, Sidecar
 from repro.memory.mshr import MshrEntry
 from repro.prefetch.base import Prefetcher
+from repro.stats import StatGroup
 
 __all__ = ["StreamBufferPrefetcher"]
 
@@ -56,11 +57,19 @@ class _StreamBuffer:
         return self.active and len(self.slots) < self.depth
 
 
+class StreamStats(StatGroup):
+    """Counters of the :class:`StreamBufferPrefetcher`."""
+
+    __slots__ = ("allocations", "allocations_filtered", "issued",
+                 "requests_satisfied_locally", "head_hits",
+                 "head_hits_in_flight", "non_head_hits", "late_fills")
+
+
 class StreamBufferPrefetcher(Prefetcher):
     """Multi-buffer sequential stream prefetcher."""
 
     def __init__(self, memory: MemorySystem, config: PrefetchConfig):
-        super().__init__("stream", memory)
+        super().__init__(StreamStats("stream"), memory)
         self.config = config
         self.buffers = [_StreamBuffer(config.stream_depth)
                         for _ in range(config.stream_buffers)]
@@ -103,12 +112,12 @@ class StreamBufferPrefetcher(Prefetcher):
                 self._unpend(hit.bid, hit)
             buffer.last_touch = self._now
             if found > 0:
-                self.stats.bump("non_head_hits")
+                self.stats.non_head_hits += 1
             if hit.arrived:
-                self.stats.bump("head_hits")
+                self.stats.head_hits += 1
                 return True
             # In flight: the demand access will merge in the MSHRs.
-            self.stats.bump("head_hits_in_flight")
+            self.stats.head_hits_in_flight += 1
             return False
         return False
 
@@ -120,7 +129,7 @@ class StreamBufferPrefetcher(Prefetcher):
         """A prefetch we issued was overtaken by a demand merge."""
         for slot in self._pending.pop(bid, []):
             slot.arrived = True
-        self.stats.bump("late_fills")
+        self.stats.late_fills += 1
 
     def _unpend(self, bid: int, slot: _Slot) -> None:
         waiting = self._pending.get(bid)
@@ -144,7 +153,7 @@ class StreamBufferPrefetcher(Prefetcher):
                           and bid == self._last_miss_bid + 1)
             self._last_miss_bid = bid
             if not sequential:
-                self.stats.bump("allocations_filtered")
+                self.stats.allocations_filtered += 1
                 return
         self._allocate(bid, now)
 
@@ -153,7 +162,7 @@ class StreamBufferPrefetcher(Prefetcher):
         for slot in list(victim.slots):
             self._unpend(slot.bid, slot)
         victim.reset(bid + 1, now)
-        self.stats.bump("allocations")
+        self.stats.allocations += 1
 
     # ------------------------------------------------------------------
     # Issue
@@ -192,7 +201,7 @@ class StreamBufferPrefetcher(Prefetcher):
                 slot.arrived = True
                 buffer.slots.append(slot)
                 buffer.next_bid = bid + 1
-                self.stats.bump("requests_satisfied_locally")
+                self.stats.requests_satisfied_locally += 1
                 continue
             if not self.memory.try_issue_prefetch(bid, now):
                 break  # bus busy / MSHRs full
@@ -200,4 +209,4 @@ class StreamBufferPrefetcher(Prefetcher):
             buffer.slots.append(slot)
             buffer.next_bid = bid + 1
             issued += 1
-            self.stats.bump("issued")
+            self.stats.issued += 1

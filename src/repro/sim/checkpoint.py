@@ -69,6 +69,7 @@ from repro.trace import Trace
 __all__ = [
     "SCHEMA",
     "VERSION",
+    "DEFAULT_CHECKPOINT_INTERVAL",
     "CheckpointManager",
     "CheckpointedRun",
     "snapshot_meta",
@@ -80,7 +81,15 @@ __all__ = [
 ]
 
 SCHEMA = "repro.checkpoint"
-VERSION = 2
+# Bumped whenever the pickled machine changes layout (3: stat-group
+# counters became slots), so an older snapshot is refused before it is
+# unpickled.
+VERSION = 3
+
+#: Snapshot cadence (cycles) when a snapshot directory is given without
+#: one: ``repro run``/``repro stats --machine-checkpoint-dir``,
+#: ``repro sweep --machine-checkpoints`` and ``parallel_sweep``.
+DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
 HEARTBEAT_NAME = "heartbeat.json"
 SUMMARY_NAME = "ckpt-summary.json"

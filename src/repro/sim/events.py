@@ -209,16 +209,17 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
     prefetcher = sim.prefetcher
     ftq = sim.ftq
 
-    # Hot-loop locals.  The underlying containers are mutated in place
-    # everywhere during a run (squash clears, heap pushes/pops), never
-    # rebound.  ``stall_proof`` is deliberately not hoisted: it is
-    # looked up as a module global so instrumentation can wrap it.
+    # Hot-loop locals.  The underlying containers and stat groups are
+    # mutated in place everywhere during a run (squash clears, heap
+    # pushes/pops, the warm-up reset), never rebound.  ``stall_proof``
+    # is deliberately not hoisted: it is looked up as a module global
+    # so instrumentation can wrap it.
     mem_events = memory._events
     ftq_entries = ftq._entries
     ftq_depth = ftq.depth
-    fetch_bump = fetch_engine.stats.bump
-    predict_bump = predict_unit.stats.bump
-    backend_bump = backend.stats.bump
+    fetch_stats = fetch_engine.stats
+    predict_stats = predict_unit.stats
+    backend_stats = backend.stats
     prefetch_tick = prefetcher.tick
     prefetch_inert = prefetcher.inert_tick
     quiescent = prefetcher.quiescent
@@ -272,23 +273,23 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
                     bwindow_popleft()
                     n += 1
                 backend.retired += n
-                backend_bump("retired", n)
+                backend_stats.retired += n
             else:
-                backend_bump("retire_stall_cycles")
+                backend_stats.retire_stall_cycles += 1
         if sim._resolve_at is not None and cycle >= sim._resolve_at:
             sim._squash_and_redirect()
         # fetch: asleep until the pending demand fill lands; the
         # elided tick would only bump miss_stall_cycles.
         waiting = fetch_engine._waiting_until
         if waiting is not None and cycle < waiting:
-            fetch_bump("miss_stall_cycles")
+            fetch_stats.miss_stall_cycles += 1
             fetched = False
         else:
             fetched = fetch_engine.tick(cycle)
         # predict: a full FTQ is its first check — the elided tick
         # would only bump ftq_full_stalls.
         if len(ftq_entries) >= ftq_depth:
-            predict_bump("ftq_full_stalls")
+            predict_stats.ftq_full_stalls += 1
         else:
             predict_unit.tick(cycle, ftq)
         # prefetcher: ticked every cycle unless its tick is declared
@@ -310,8 +311,7 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             occ_value = occ
             occ_weight = 1
         if sampler is not None:
-            sampler.advance(cycle, occ, retired,
-                            mem_stats.get("demand_misses"))
+            sampler.advance(cycle, occ, retired, mem_stats.demand_misses)
         if profiler is not None:
             profiler.observe(sim, bool(fetched))
 

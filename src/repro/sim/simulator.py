@@ -31,6 +31,7 @@ from repro.frontend import FetchEngine, FetchTargetQueue, FTQEntry, \
     PredictUnit
 from repro.ftb import FetchTargetBuffer, TwoLevelFTB
 from repro.memory import MemorySystem
+from repro.memory.hierarchy import MemoryStats
 from repro.obs import events as obs_events
 from repro.obs.profile import CycleProfiler
 from repro.prefetch import make_prefetcher
@@ -110,6 +111,12 @@ class _SnapshotUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
+class SimStats(StatGroup):
+    """The simulator's own counters (the ``sim`` root node)."""
+
+    __slots__ = ("fast_forwarded", "squashes")
+
+
 class Simulator:
     """One configured machine, ready to run one trace.
 
@@ -141,7 +148,7 @@ class Simulator:
         self.trace = trace
         self.config = config
         self.name = name or trace.name
-        self.stats = StatGroup("sim")
+        self.stats = SimStats("sim")
 
         predictor_cfg = config.frontend.predictor
         self.predictor = make_direction_predictor(predictor_cfg)
@@ -285,7 +292,7 @@ class Simulator:
                 block_start = record.next_pc
 
         self._reset_stats()
-        self.stats.bump("fast_forwarded", len(records))
+        self.stats.fast_forwarded += len(records)
 
     def _schedule_resolution(self, entry: FTQEntry, resolve_at: int) -> None:
         if self._resolve_entry is not None:
@@ -304,7 +311,7 @@ class Simulator:
         self.backend.flush_wrong_path()
         self.prefetcher.squash()
         self.predict_unit.on_resolve(entry)
-        self.stats.bump("squashes")
+        self.stats.squashes += 1
 
     # ------------------------------------------------------------------
 
@@ -380,7 +387,7 @@ class Simulator:
             occupancy.observe(occ)
             if sampler is not None:
                 sampler.advance(cycle, occ, backend.retired,
-                                mem_stats.get("demand_misses"))
+                                mem_stats.demand_misses)
             if profiler is not None:
                 # End-of-cycle classification; inside an event-engine
                 # jump this state is pinned, so _apply_skip attributes
@@ -474,14 +481,14 @@ class Simulator:
 
     def _finish(self, occupancy: RunLengthObserver,
                 sampler: IntervalSampler | None,
-                mem_stats: StatGroup) -> SimResult:
+                mem_stats: MemoryStats) -> SimResult:
         """Shared end-of-run finalization for both loops."""
         occupancy.flush()
         intervals = None
         if sampler is not None:
             intervals = sampler.finalize(
                 self.cycle, self.backend.retired,
-                mem_stats.get("demand_misses"))
+                mem_stats.demand_misses)
         obs_events.emit("run_end", data={
             "name": self.name, "cycle": self.cycle,
             "retired": self.backend.retired,
@@ -492,7 +499,7 @@ class Simulator:
                     sampler: IntervalSampler | None = None) -> None:
         """Batch-apply the bookkeeping of ``plan.cycles`` idle cycles.
 
-        Bumps exactly the stall counters the naive loop would have,
+        Adds exactly the stall counts the naive loop would have,
         records the (constant) FTQ occupancy samples, advances the
         interval sampler across the window (retired instructions,
         demand misses, and FTQ occupancy are provably constant inside
@@ -510,12 +517,12 @@ class Simulator:
         if plan.predict_counter is not None:
             self.predict_unit.stats.bump(plan.predict_counter, n)
         if plan.retire_stalled:
-            self.backend.stats.bump("retire_stall_cycles", n)
+            self.backend.stats.retire_stall_cycles += n
         occ = self.ftq.occupancy()
         occupancy.observe(occ, n)
         if sampler is not None:
             sampler.advance(plan.target - 1, occ, self.backend.retired,
-                            self.memory.stats.get("demand_misses"))
+                            self.memory.stats.demand_misses)
         self.prefetcher.on_skip(plan.target - 1)
         self.cycle = plan.target - 1
         self.skipped_cycles += n
@@ -599,4 +606,4 @@ class Simulator:
         }
         return self.profiler.report(
             meta=meta,
-            bus_busy=self.memory.bus.stats.get("busy_cycles"))
+            bus_busy=self.memory.bus.stats.busy_cycles)

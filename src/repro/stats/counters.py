@@ -1,9 +1,10 @@
 """Statistic primitives: counters, histograms, and grouped registries.
 
-The simulator components each own a :class:`StatGroup`; the simulator merges
-the groups into a flat, prefixed namespace when a run finishes.  Counters are
-plain integers behind a small API so the hot simulation loop can keep using
-``group.bump(...)`` without dictionary churn in the common case.
+The simulator components each own a :class:`StatGroup` subclass whose
+``__slots__`` are the component's counter names; the simulator merges
+the groups into a flat, prefixed namespace when a run finishes.  The
+hot simulation loop counts with plain attribute arithmetic
+(``stats.hits += 1``) on those slots: no call, no string-keyed dict.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from typing import Iterator
 
-__all__ = ["StatGroup", "Histogram", "RunLengthObserver"]
+__all__ = ["StatGroup", "Histogram", "RunLengthObserver", "UNSET"]
 
 
 class Histogram:
@@ -136,32 +137,92 @@ class RunLengthObserver:
             self._weight = 0
 
 
+class _Unset(int):
+    """The type of :data:`UNSET`."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        # Pickled by reference, so an untouched counter in a restored
+        # snapshot is the singleton again.
+        return "UNSET"
+
+
+#: The value of a declared counter nothing has added to since the last
+#: reset.  It is an ``int`` equal to 0, so ``stats.x += n`` works on it
+#: and replaces it with a plain int — which is what makes the counter
+#: present in :meth:`StatGroup.counters`.
+UNSET = _Unset(0)
+
+
 class StatGroup:
     """A named group of integer counters and histograms.
 
-    Components create their own group (``StatGroup('l1i')``) and bump
-    counters by name.  Counter reads of names never bumped return 0, so
-    report code does not need to guard against missing keys.
+    A component declares its counters as the ``__slots__`` of a
+    subclass and counts with attribute arithmetic::
+
+        class CacheStats(StatGroup):
+            __slots__ = ("hits", "misses")
+
+        stats = CacheStats("l1i")
+        stats.hits += 1
+
+    A counter is *present* — listed by :meth:`counters`, so reported in
+    telemetry — if and only if something added to it (or :meth:`set`
+    it) since the last :meth:`reset`, even when it added 0.  Untouched
+    counters hold :data:`UNSET` and read as 0.
+
+    The by-name methods (:meth:`bump`, :meth:`get`, :meth:`set`,
+    :meth:`ratio`) serve counter names known only at run time; they
+    raise ``AttributeError`` for a name the group does not declare.
+    A group that declares no counters (a bare ``StatGroup``) is ad hoc
+    instead: its by-name methods keep counters in a dict, each created
+    on first use.
     """
 
-    __slots__ = ("name", "_counters", "_histograms")
+    __slots__ = ("name", "_histograms", "_ad_hoc")
+
+    #: Declared counter names: every subclass's ``__slots__``, base first.
+    COUNTERS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.COUNTERS = cls.COUNTERS + tuple(cls.__dict__.get("__slots__", ()))
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: dict[str, int] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._ad_hoc: dict[str, int] | None = None if self.COUNTERS else {}
+        self.reset()
+
+    def _declared(self, counter: str) -> str:
+        if counter not in self.COUNTERS:
+            raise AttributeError(
+                f"stat group {self.name!r} ({type(self).__name__}) "
+                f"declares no counter {counter!r}")
+        return counter
 
     def bump(self, counter: str, amount: int = 1) -> None:
-        """Add ``amount`` to ``counter`` (creating it at zero)."""
-        self._counters[counter] = self._counters.get(counter, 0) + amount
+        """Add ``amount`` to the counter called ``counter``."""
+        ad_hoc = self._ad_hoc
+        if ad_hoc is not None:
+            ad_hoc[counter] = ad_hoc.get(counter, 0) + amount
+            return
+        counter = self._declared(counter)
+        setattr(self, counter, getattr(self, counter) + amount)
 
     def get(self, counter: str) -> int:
-        """Current value of ``counter`` (0 if never bumped)."""
-        return self._counters.get(counter, 0)
+        """Current value of ``counter`` (0 while untouched)."""
+        if self._ad_hoc is not None:
+            return self._ad_hoc.get(counter, 0)
+        return int(getattr(self, self._declared(counter)))
 
     def set(self, counter: str, value: int) -> None:
-        """Set ``counter`` to an absolute value."""
-        self._counters[counter] = value
+        """Set ``counter`` to an absolute value (making it present)."""
+        if self._ad_hoc is not None:
+            self._ad_hoc[counter] = value
+            return
+        setattr(self, self._declared(counter), value)
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` as a float; 0.0 when empty."""
@@ -179,22 +240,35 @@ class StatGroup:
         return hist
 
     def counters(self) -> dict[str, int]:
-        """A copy of all counters in this group."""
-        return dict(self._counters)
+        """The present counters, as a new dict in declaration order
+        (first-use order in an ad hoc group)."""
+        if self._ad_hoc is not None:
+            return dict(self._ad_hoc)
+        present: dict[str, int] = {}
+        for counter in self.COUNTERS:
+            value = getattr(self, counter)
+            if value is not UNSET:
+                present[counter] = value
+        return present
 
     def histograms(self) -> dict[str, Histogram]:
         """The histograms in this group (live references)."""
         return dict(self._histograms)
 
     def reset(self) -> None:
-        """Zero every counter and drop every histogram.
+        """Make every counter absent again and drop every histogram.
 
         Used at the end of simulation warm-up so reported statistics cover
-        only the measured region.
+        only the measured region.  The group object stays the same, so
+        references hoisted out of a hot loop stay valid.
         """
-        self._counters.clear()
+        for counter in self.COUNTERS:
+            setattr(self, counter, UNSET)
+        if self._ad_hoc is not None:
+            self._ad_hoc.clear()
         self._histograms.clear()
 
     def __repr__(self) -> str:
-        return (f"StatGroup({self.name!r}, counters={len(self._counters)}, "
+        return (f"{type(self).__name__}({self.name!r}, "
+                f"counters={len(self.counters())}, "
                 f"histograms={len(self._histograms)})")

@@ -75,9 +75,15 @@ def merge_snapshots(snapshots: "list[TelemetrySnapshot]",
     return TelemetrySnapshot(root=root, meta=meta, intervals=intervals)
 
 
-def sweep_stat_group(counters: dict[str, int]) -> StatGroup:
-    """The counters as a ``StatGroup('sweep')`` for stats merging."""
-    group = StatGroup("sweep")
+class SweepStats(StatGroup):
+    """The sweep counters as a stat group."""
+
+    __slots__ = COUNTER_NAMES
+
+
+def sweep_stat_group(counters: dict[str, int]) -> SweepStats:
+    """The counters as a ``SweepStats('sweep')`` for stats merging."""
+    group = SweepStats("sweep")
     for name in COUNTER_NAMES:
         group.set(name, counters.get(name, 0))
     return group

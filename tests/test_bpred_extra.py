@@ -11,6 +11,7 @@ from repro.bpred import (
     LocalPredictor,
     make_direction_predictor,
 )
+from repro.bpred.factory import _DIRECTION_PREDICTORS
 from repro.config import PredictorConfig
 from repro.errors import ConfigError
 
@@ -95,3 +96,7 @@ class TestFactory:
     def test_config_rejects_unknown_direction(self):
         with pytest.raises(ConfigError):
             PredictorConfig(direction="psychic")
+
+    def test_table_covers_exactly_the_accepted_kinds(self):
+        assert tuple(_DIRECTION_PREDICTORS) \
+            == PredictorConfig.DIRECTION_KINDS

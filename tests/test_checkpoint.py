@@ -284,6 +284,15 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError,
                            match="unsupported checkpoint version 1"):
             manager.latest()
+        # So is a well-formed version-2 envelope: its machines pickled
+        # stat groups with a counter dict, which no longer unpickles.
+        newest = manager.write(_state(20))
+        envelope = json.loads(newest.read_text())
+        envelope["version"] = 2
+        newest.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 2"):
+            manager.latest()
 
     def test_identity_mismatch_raises_not_resumes(self, tmp_path):
         theirs = CheckpointManager(tmp_path, meta={"trace": "a", "seed": 1})

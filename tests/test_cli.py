@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -255,6 +256,36 @@ class TestSharedFlags:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert flag in err
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_snapshot_dir_alone_takes_the_default_cadence(
+            self, command, tmp_path, monkeypatch, capsys):
+        import inspect
+
+        import repro.cli as cli
+        from repro.harness.parallel import parallel_sweep
+        from repro.sim import checkpoint
+
+        # One constant defaults the cadence of run, stats and sweep.
+        sweep_default = inspect.signature(parallel_sweep) \
+            .parameters["checkpoint_interval"].default
+        assert cli.DEFAULT_CHECKPOINT_INTERVAL \
+            == checkpoint.DEFAULT_CHECKPOINT_INTERVAL == sweep_default
+        monkeypatch.setattr(cli, "DEFAULT_CHECKPOINT_INTERVAL", 500)
+
+        def snapshots_written(extra):
+            argv = [command, "-w", "compress_like", "--length", "3000",
+                    "--machine-checkpoint-dir",
+                    str(tmp_path / f"ck{len(extra)}")] + extra
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            match = re.search(r"checkpointing: (\d+) snapshots", err)
+            assert match, err
+            return int(match.group(1))
+
+        assert snapshots_written([]) > 0
+        # An explicit 0 still turns snapshots off.
+        assert snapshots_written(["--checkpoint-interval", "0"]) == 0
 
     @pytest.mark.parametrize("argv, seed", [(["--seed", "1"], 1), ([], 3)],
                              ids=["seed-1", "default"])

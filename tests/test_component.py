@@ -26,24 +26,31 @@ class TestProtocol:
         assert node.name == "widget"
 
     def test_reset_clears_stats_and_recurses(self):
+        class ChildStats(StatGroup):
+            __slots__ = ("y",)
+
+        class ParentStats(StatGroup):
+            __slots__ = ("x",)
+
         class Child(StatsComponent):
             def __init__(self):
-                self.stats = StatGroup("child")
+                self.stats = ChildStats("child")
 
         class Parent(StatsComponent):
             def __init__(self):
-                self.stats = StatGroup("parent")
+                self.stats = ParentStats("parent")
                 self._child = Child()
 
             def sub_components(self):
                 return (self._child,)
 
         parent = Parent()
-        parent.stats.bump("x")
-        parent._child.stats.bump("y")
+        parent.stats.x += 1
+        parent._child.stats.y += 1
         parent.reset()
         assert parent.stats.get("x") == 0
         assert parent._child.stats.get("y") == 0
+        assert parent.telemetry().counters == {}
 
     def test_derived_metrics_land_in_node(self):
         class Gadget(StatsComponent):

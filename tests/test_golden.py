@@ -26,10 +26,13 @@ Regenerate::
     "
 """
 
+import hashlib
+
 import pytest
 
 from repro import PrefetchConfig, SimConfig, simulate
 from repro.cfg import ProgramShape, generate_program
+from repro.sim.serialize import result_to_json
 from repro.trace import Trace
 
 GOLDEN = {
@@ -79,3 +82,29 @@ def test_golden_trace_identity(golden_trace):
     assert taken == 1651
     checksum = sum(record.pc for record in golden_trace) & 0xFFFFFFFF
     assert checksum == 0xC75D54E0
+
+
+# First 16 hex digits of sha256(result_to_json(result)) per golden
+# configuration.  They pin the whole serialized SimResult — every
+# counter, its presence, every histogram and the telemetry tree — and
+# both cycle engines must reproduce them.
+GOLDEN_DIGESTS = {
+    ("none", "none"): "85e0ea6c58623902",
+    ("nlp", "none"): "bdc2aa60996f688d",
+    ("stream", "none"): "f61c8b8b02693487",
+    ("fdip", "enqueue"): "0481986ea5b10fcd",
+    ("fdip", "ideal"): "bfd2cbf55a50264e",
+    ("fdip_nlp", "enqueue"): "a6834c7f7b382e75",
+}
+
+
+@pytest.mark.parametrize("engine", ["naive", "event"])
+@pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+def test_golden_result_digest(golden_trace, key, engine):
+    kind, filter_mode = key
+    result = simulate(golden_trace, SimConfig(
+        prefetch=PrefetchConfig(kind=kind, filter_mode=filter_mode)),
+        engine=engine)
+    digest = hashlib.sha256(
+        result_to_json(result).encode("utf-8")).hexdigest()
+    assert digest[:16] == GOLDEN_DIGESTS[key]

@@ -1,46 +1,65 @@
 """StatGroup and Histogram unit tests."""
 
+import pickle
+
 import pytest
 
+from repro.component import StatsComponent
 from repro.stats import Histogram, RunLengthObserver, StatGroup
+from repro.stats.counters import UNSET
+
+
+class _Stats(StatGroup):
+    """A small declared group for the tests below."""
+
+    __slots__ = ("hits", "accesses", "bytes", "x")
 
 
 class TestStatGroup:
     def test_unbumped_counter_reads_zero(self):
-        group = StatGroup("g")
-        assert group.get("anything") == 0
+        group = _Stats("g")
+        assert group.get("hits") == 0
+        assert group.hits == 0
 
     def test_bump_default_one(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         group.bump("hits")
         group.bump("hits")
         assert group.get("hits") == 2
 
     def test_bump_amount(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         group.bump("bytes", 64)
         group.bump("bytes", 32)
         assert group.get("bytes") == 96
 
+    def test_attribute_increment_matches_bump(self):
+        group = _Stats("g")
+        group.hits += 1
+        group.hits += 2
+        group.bump("hits")
+        assert group.get("hits") == 4
+        assert group.counters() == {"hits": 4}
+
     def test_set_overwrites(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         group.bump("x", 5)
         group.set("x", 2)
         assert group.get("x") == 2
 
     def test_ratio(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         group.bump("hits", 3)
         group.bump("accesses", 4)
         assert group.ratio("hits", "accesses") == pytest.approx(0.75)
 
     def test_ratio_zero_denominator(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         group.bump("hits", 3)
         assert group.ratio("hits", "accesses") == 0.0
 
     def test_reset_clears_everything(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         group.bump("x")
         group.histogram("h").observe(1)
         group.reset()
@@ -48,16 +67,110 @@ class TestStatGroup:
         assert group.histogram("h").total == 0
 
     def test_histogram_identity_per_name(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         assert group.histogram("h") is group.histogram("h")
         assert group.histogram("h") is not group.histogram("other")
 
     def test_counters_returns_copy(self):
-        group = StatGroup("g")
+        group = _Stats("g")
         group.bump("x")
         snapshot = group.counters()
         snapshot["x"] = 99
         assert group.get("x") == 1
+
+    def test_declared_counters_include_every_subclass_slot(self):
+        class More(_Stats):
+            __slots__ = ("extra",)
+
+        assert More.COUNTERS == ("hits", "accesses", "bytes", "x", "extra")
+        assert StatGroup.COUNTERS == ()
+
+
+class TestPresenceRule:
+    """A counter is reported iff something added to it since the last
+    reset — even 0.  Result digests depend on this exact rule."""
+
+    def test_counter_added_zero_is_present_with_zero(self):
+        group = _Stats("g")
+        group.hits += 0
+        group.bump("bytes", 0)
+        assert group.counters() == {"hits": 0, "bytes": 0}
+        assert type(group.counters()["hits"]) is int
+
+    def test_untouched_declared_counter_is_absent_but_reads_zero(self):
+        group = _Stats("g")
+        group.hits += 1
+        assert "accesses" not in group.counters()
+        assert group.get("accesses") == 0
+        assert group.accesses == 0
+        assert group.accesses is UNSET
+
+    def test_set_makes_a_counter_present(self):
+        group = _Stats("g")
+        group.set("x", 0)
+        assert group.counters() == {"x": 0}
+
+    def test_reset_makes_every_counter_absent_in_place(self):
+        class Part(StatsComponent):
+            def __init__(self):
+                self.stats = _Stats("part")
+
+        part = Part()
+        hoisted = part.stats     # as the event loop hoists it
+        hoisted.hits += 3
+        hoisted.bytes += 0
+        part.reset()
+        assert part.stats is hoisted
+        assert hoisted.counters() == {}
+        assert all(getattr(hoisted, name) is UNSET
+                   for name in _Stats.COUNTERS)
+        hoisted.hits += 1        # counting resumes through the reference
+        assert part.telemetry().counters == {"hits": 1}
+
+    def test_pickle_round_trips_touched_and_untouched_counters(self):
+        group = _Stats("g")
+        group.hits += 5
+        group.bytes += 0
+        group.histogram("h").observe(2, weight=3)
+        restored = pickle.loads(pickle.dumps(group))
+        assert type(restored) is _Stats
+        assert restored.name == "g"
+        assert restored.counters() == {"hits": 5, "bytes": 0}
+        assert restored.accesses is UNSET
+        assert restored.x is UNSET
+        assert restored.histogram("h").as_dict() == {2: 3}
+
+    @pytest.mark.parametrize("method", ["bump", "get"])
+    def test_undeclared_name_raises_attribute_error(self, method):
+        group = _Stats("g")
+        with pytest.raises(AttributeError, match="nope"):
+            getattr(group, method)("nope")
+        assert group.counters() == {}
+
+    def test_bare_group_creates_counters_on_first_use(self):
+        group = StatGroup("bare")
+        assert group.get("a") == 0
+        assert group.counters() == {}
+        group.bump("a", 2)
+        group.bump("b", 0)
+        group.set("c", 7)
+        assert group.get("a") == 2
+        assert group.counters() == {"a": 2, "b": 0, "c": 7}
+        restored = pickle.loads(pickle.dumps(group))
+        assert restored.counters() == {"a": 2, "b": 0, "c": 7}
+        group.reset()
+        assert group.counters() == {}
+        with pytest.raises(AttributeError):
+            group.a += 1            # no slots: only the by-name methods
+
+    def test_undeclared_set_and_internal_names_raise(self):
+        group = _Stats("g")
+        with pytest.raises(AttributeError):
+            group.set("nope", 1)
+        with pytest.raises(AttributeError):
+            group.bump("name")          # a slot, but not a counter
+        with pytest.raises(AttributeError):
+            group.nope = 1
 
 
 class TestHistogram:

@@ -39,11 +39,14 @@ def tree():
 
 class TestTelemetryNode:
     def test_from_stat_group_copies(self):
-        group = StatGroup("x")
-        group.bump("a", 3)
+        class Stats(StatGroup):
+            __slots__ = ("a", "b")
+
+        group = Stats("x")
+        group.a += 3
         group.histogram("h").observe(2, weight=5)
         node = TelemetryNode.from_stat_group(group)
-        group.bump("a")                       # must not leak into node
+        group.a += 1                          # must not leak into node
         group.histogram("h").observe(9)
         assert node.counters == {"a": 3}
         assert node.histograms == {"h": {2: 5}}
