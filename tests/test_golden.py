@@ -108,3 +108,36 @@ def test_golden_result_digest(golden_trace, key, engine):
     digest = hashlib.sha256(
         result_to_json(result).encode("utf-8")).hexdigest()
     assert digest[:16] == GOLDEN_DIGESTS[key]
+
+
+# The FDIP scan's edge cases and the stream probe depth, pinned the
+# same way: filter modes without and with PIQ re-probing, a lookahead
+# window cut at either end, a PIQ that fills mid-entry (so the entry is
+# rescanned next cycle), and a stream buffer compared beyond its head.
+EDGE_DIGESTS = [
+    (dict(kind="fdip", filter_mode="remove"), "f8b72d0e46d7fa07"),
+    (dict(kind="fdip", filter_mode="none"), "a6e411f334170cef"),
+    (dict(kind="fdip", filter_mode="enqueue", min_lookahead=3),
+     "077c9c098b5c42b2"),
+    (dict(kind="fdip", filter_mode="enqueue", max_lookahead=6),
+     "6ba8273e26d86537"),
+    (dict(kind="fdip", filter_mode="enqueue", piq_depth=2),
+     "b3a27d99512afb96"),
+    (dict(kind="fdip", filter_mode="remove", piq_depth=2,
+          max_prefetches_per_cycle=2), "92919914a2f09e55"),
+    (dict(kind="stream", stream_probe_depth=2), "4567be3bfbe73fe2"),
+]
+
+
+@pytest.mark.parametrize("engine", ["naive", "event"])
+@pytest.mark.parametrize(
+    "kw,expected", EDGE_DIGESTS,
+    ids=["-".join(f"{k}={v}" for k, v in kw.items())
+         for kw, _ in EDGE_DIGESTS])
+def test_edge_result_digest(golden_trace, kw, expected, engine):
+    result = simulate(golden_trace,
+                      SimConfig(prefetch=PrefetchConfig(**kw)),
+                      engine=engine)
+    digest = hashlib.sha256(
+        result_to_json(result).encode("utf-8")).hexdigest()
+    assert digest[:16] == expected
