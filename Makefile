@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast lint typecheck bench bench-full perf report calibrate obs-smoke serve-smoke clean
+.PHONY: install test test-fast lint typecheck bench bench-full perf perf-pairs report calibrate obs-smoke serve-smoke clean
 
 # Files under the typed surface: the telemetry spine, the component
 # protocol, and the stable API facade.
@@ -38,6 +38,13 @@ bench-full:
 
 perf:
 	$(PY) -m repro perf
+
+# Alternating perfbench runs of revision BASE and this checkout on one
+# workload, with medians, quartiles and pairs won per end-to-end
+# metric: make perf-pairs BASE=HEAD~1 WORKLOAD=fdip_server [PAIRS=10]
+perf-pairs:
+	$(PY) scripts/perf_pairs.py $(BASE) --workload $(WORKLOAD) \
+	    $(if $(PAIRS),--pairs $(PAIRS))
 
 report:
 	$(PY) -m repro report -o report.md

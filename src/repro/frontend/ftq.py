@@ -10,6 +10,14 @@ successor, the bookkeeping the trace-driven simulator needs: which trace
 records the block covers (for correct-path blocks), misprediction state,
 and the prediction-unit checkpoint used to repair speculative state when
 the block's terminal branch resolves as mispredicted.
+
+The queue also keeps the prefetch scan's cursor, ``scan_index``: the
+queue position of the first entry the FDIP scan has not passed.  The
+scan visits entries in queue order, so every entry before the cursor
+has been scanned (or fell below the lookahead window before it could
+be) and every entry from it on has not.  Popping the head moves every
+position down by one, so :meth:`pop_head` decrements the cursor;
+:meth:`clear` zeroes it.
 """
 
 from __future__ import annotations
@@ -52,7 +60,6 @@ class FTQEntry:
     predicted_cond: bool = False  # a direction prediction was made
     # Consumption state:
     fetch_offset: int = 0         # bytes already fetched by the engine
-    prefetch_scanned: bool = False
 
     @property
     def n_instrs(self) -> int:
@@ -79,9 +86,9 @@ class FTQStats(StatGroup):
 
 
 class FetchTargetQueue(StatsComponent):
-    """Bounded FIFO of :class:`FTQEntry`."""
+    """Bounded FIFO of :class:`FTQEntry` with the prefetch scan cursor."""
 
-    __slots__ = ("depth", "stats", "_entries")
+    __slots__ = ("depth", "stats", "_entries", "scan_index")
 
     def __init__(self, depth: int):
         if depth < 1:
@@ -89,6 +96,9 @@ class FetchTargetQueue(StatsComponent):
         self.depth = depth
         self.stats = FTQStats("ftq")
         self._entries: list[FTQEntry] = []
+        # Queue position of the first entry the prefetch scan has not
+        # passed; only the scan advances it (see the module docstring).
+        self.scan_index = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -115,39 +125,9 @@ class FetchTargetQueue(StatsComponent):
         if not self._entries:
             raise SimulationError("pop from an empty FTQ")
         self.stats.pops += 1
+        if self.scan_index:
+            self.scan_index -= 1
         return self._entries.pop(0)
-
-    def prefetch_candidates(self, start: int = 1,
-                            stop: int | None = None,
-                            ) -> Iterator[FTQEntry]:
-        """Entries at queue positions [start, stop) not yet scanned.
-
-        Position 0 is the head (being demand-fetched); the paper's
-        prefetch engine scans from position 1.  ``start``/``stop`` give
-        FDIP's lookahead window: raising ``start`` skips blocks about to
-        be fetched anyway, lowering ``stop`` avoids prefetching far
-        (likelier-wrong-path) blocks.
-        """
-        entries = self._entries
-        stop = len(entries) if stop is None else min(stop, len(entries))
-        for index in range(start, stop):
-            entry = entries[index]
-            if not entry.prefetch_scanned:
-                yield entry
-
-    def has_unscanned(self, start: int = 1,
-                      stop: int | None = None) -> bool:
-        """Whether :meth:`prefetch_candidates` would yield anything.
-
-        Index-based (no slice allocation): this sits on the event
-        engine's per-cycle quiescence gate.
-        """
-        entries = self._entries
-        stop = len(entries) if stop is None else min(stop, len(entries))
-        for index in range(start, stop):
-            if not entries[index].prefetch_scanned:
-                return True
-        return False
 
     def clear(self) -> int:
         """Squash: drop every entry; returns how many were dropped.
@@ -164,6 +144,7 @@ class FetchTargetQueue(StatsComponent):
                     f"{entry!r}")
         dropped = len(self._entries)
         self._entries.clear()
+        self.scan_index = 0
         self.stats.squashed_entries += dropped
         return dropped
 

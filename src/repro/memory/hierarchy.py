@@ -114,6 +114,7 @@ class MemorySystem(StatsComponent):
         self.sidecar = sidecar
         self.stats = MemoryStats("mem")
         self._events: list[tuple[int, int]] = []   # (ready_cycle, bid) heap
+        self._tag_ports = config.icache_tag_ports
         self._ports_used = 0
         self._now = 0
 
@@ -217,18 +218,19 @@ class MemorySystem(StatsComponent):
         Fails (returns False) when the block is already in flight, the
         MSHR file is full, or the bus is not idle (demand priority).
         """
-        if self.mshrs.get(bid) is not None:
+        mshrs = self.mshrs
+        in_flight = mshrs._entries
+        if bid in in_flight:
             self.stats.prefetch_already_in_flight += 1
             return False
-        if self.mshrs.full:
+        if len(in_flight) >= mshrs.capacity:
             self.stats.prefetch_mshr_stalls += 1
             return False
         start = self.bus.try_acquire_prefetch(now)
         if start is None:
             return False
         ready = start + self.bus.transfer_cycles + self._backing_latency(bid)
-        self.mshrs.allocate(bid, ready, is_prefetch=True,
-                            wrong_path=wrong_path)
+        mshrs.allocate(bid, ready, is_prefetch=True, wrong_path=wrong_path)
         heapq.heappush(self._events, (ready, bid))
         self.stats.prefetches_issued += 1
         if wrong_path:
@@ -242,7 +244,7 @@ class MemorySystem(StatsComponent):
     @property
     def idle_tag_ports(self) -> int:
         """Tag ports still unused this cycle."""
-        return max(0, self.config.icache_tag_ports - self._ports_used)
+        return max(0, self._tag_ports - self._ports_used)
 
     def cpf_probe(self, bid: int) -> bool | None:
         """Cache-probe-filter probe using one idle tag port.
@@ -250,7 +252,7 @@ class MemorySystem(StatsComponent):
         Returns None when no idle port remains this cycle; otherwise
         consumes a port and answers whether ``bid`` is in the L1-I.
         """
-        if self.idle_tag_ports == 0:
+        if self._ports_used >= self._tag_ports:
             self.stats.cpf_no_port += 1
             return None
         self._ports_used += 1

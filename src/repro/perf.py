@@ -14,7 +14,7 @@ cases:
   that the jump machinery costs (close to) nothing when it cannot help.
 - ``mixed_phases`` — FDIP with enqueue filtering against 800-cycle
   memory: prefetch bursts alternate with fully drained stall windows,
-  so the event engine's per-component elision and adaptive jump gating
+  so the event engine's per-component elision and its gated jumps
   must win both phases.
 
 Each point is simulated under both engines (``naive`` and ``event``),

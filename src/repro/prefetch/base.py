@@ -15,11 +15,12 @@ Jump contract: the event engine (see :mod:`repro.sim.events`) may only
 jump over a cycle when every component provably does nothing in it.
 :meth:`quiescent` must return True only if, given no new demand
 accesses or fills, :meth:`tick` would leave *all* observable state
-(queues, buffers, statistics) untouched.  :meth:`on_skip` is then
-called once per jumped window so prefetchers that keep an internal
-clock can catch it up to the last jumped cycle.  The conservative
-default (never quiescent) keeps third-party prefetchers correct at the
-cost of the jumps.
+(queues, buffers, statistics) untouched, and the engine asks it on
+every cycle that does not fetch, so it must answer in O(1).
+:meth:`on_skip` is then called once per jumped window so prefetchers
+that keep an internal clock can catch it up to the last jumped cycle.
+The conservative default (never quiescent) keeps third-party
+prefetchers correct at the cost of the jumps.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class Prefetcher(StatsComponent, ABC):
     #: True only when :meth:`tick` is a complete no-op on *every* cycle
     #: (not merely when quiescent) — no queues drained, no counters
     #: bumped, no internal clock kept.  The event engine elides the
-    #: per-cycle tick call entirely for such prefetchers.  The default
+    #: per-cycle tick call entirely for such prefetchers, and treats
+    #: them as quiescent without asking :meth:`quiescent`.  The default
     #: is conservatively False.
     inert_tick: bool = False
 
@@ -84,8 +86,11 @@ class Prefetcher(StatsComponent, ABC):
     def quiescent(self, ftq: FetchTargetQueue) -> bool:
         """True when :meth:`tick` would be a complete no-op.
 
-        Only consulted by the event engine while the front end is
-        fully stalled.  Must be exact: a prefetcher that would mutate
+        Consulted by the event engine on every cycle that fetches
+        nothing, before it tries to prove the rest of the machine
+        stalled, so it must answer in O(1): keep whatever it needs up
+        to date where the state changes rather than walking queues or
+        buffers here.  Must be exact: a prefetcher that would mutate
         any state — including bumping a counter for a rejected issue —
         must answer False.  The default is conservatively False.
         """

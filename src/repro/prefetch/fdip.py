@@ -5,10 +5,13 @@ The FDIP prefetch engine watches the FTQ.  Every cycle it:
 1. (*remove* filtering only) spends idle L1-I tag ports probing blocks
    already waiting in the prefetch instruction queue (PIQ), discarding
    those that turn out to be cache resident;
-2. scans not-yet-scanned non-head FTQ entries, decomposes each predicted
-   fetch block into cache-block addresses, applies *enqueue* filtering
-   (probe on the way into the PIQ, when an idle port exists), and enqueues
-   the survivors;
+2. scans the non-head FTQ entries its cursor (``FetchTargetQueue.
+   scan_index``) has not passed, decomposes each predicted fetch block
+   into cache-block addresses, applies *enqueue* filtering (probe on the
+   way into the PIQ, when an idle port exists), and enqueues the
+   survivors.  A cycle with no new entry costs no scan work; an entry
+   whose blocks fill the PIQ mid-way is not passed, and is rescanned
+   from its start once the PIQ has room;
 3. issues up to ``max_prefetches_per_cycle`` PIQ-head blocks to the L2 —
    only when the bus is idle and an MSHR is free, preserving demand
    priority.
@@ -79,6 +82,15 @@ class FdipPrefetcher(Prefetcher):
         self._sidecar = PrefetchBufferSidecar(self.buffer)
         # PIQ: bid -> wrong_path flag; insertion order = issue order.
         self._piq: OrderedDict[int, bool] = OrderedDict()
+        # The config decoded once for the per-cycle tick.
+        mode = config.filter_mode
+        self._remove = mode == FilterMode.REMOVE
+        self._ideal = mode == FilterMode.IDEAL
+        self._probe = mode in (FilterMode.ENQUEUE, FilterMode.REMOVE)
+        self._piq_depth = config.piq_depth
+        self._max_issue = config.max_prefetches_per_cycle
+        self._min_lookahead = config.min_lookahead
+        self._max_lookahead = config.max_lookahead
 
     @property
     def sidecar(self) -> Sidecar:
@@ -92,17 +104,71 @@ class FdipPrefetcher(Prefetcher):
 
     def quiescent(self, ftq: FetchTargetQueue) -> bool:
         # An empty PIQ silences the remove filter and the issue stage;
-        # with no unscanned FTQ entry in the lookahead window the scan
-        # stage has nothing to consume either, so tick is a no-op.
-        return (not self._piq
-                and not ftq.has_unscanned(self.config.min_lookahead,
-                                          self.config.max_lookahead))
+        # with the scan cursor at or past the end of the lookahead
+        # window the scan stage has nothing to consume either, so tick
+        # is a no-op.
+        if self._piq:
+            return False
+        stop = len(ftq._entries)
+        if self._max_lookahead is not None and self._max_lookahead < stop:
+            stop = self._max_lookahead
+        return max(self._min_lookahead, ftq.scan_index) >= stop
 
     def tick(self, now: int, ftq: FetchTargetQueue) -> None:
-        if self.config.filter_mode == FilterMode.REMOVE:
+        piq = self._piq
+        if self._remove and piq:
             self._remove_filter()
-        self._scan_ftq(ftq)
-        self._issue(now)
+        # Stage 2: scan the entries the cursor has not passed, in queue
+        # order, and enqueue their blocks through enqueue filtering.
+        entries = ftq._entries
+        stop = len(entries)
+        if self._max_lookahead is not None and self._max_lookahead < stop:
+            stop = self._max_lookahead
+        start = ftq.scan_index
+        if start < self._min_lookahead:
+            start = self._min_lookahead
+        index = start
+        if index < stop:
+            depth = self._piq_depth
+            ideal = self._ideal
+            probe = self._probe
+            memory = self.memory
+            block_bytes = memory.block_bytes
+            buffered = self.buffer.contains
+            stats = self.stats
+            while index < stop and len(piq) < depth:
+                entry = entries[index]
+                wrong_path = entry.wrong_path
+                for bid in blocks_spanning(entry.start, entry.end,
+                                           block_bytes):
+                    if len(piq) >= depth:
+                        break
+                    if bid in piq:
+                        stats.duplicate_candidates += 1
+                        continue
+                    stats.candidates += 1
+                    if buffered(bid):
+                        stats.filtered_in_buffer += 1
+                        continue
+                    if ideal:
+                        if memory.oracle_probe(bid):
+                            stats.filtered_ideal += 1
+                            continue
+                    elif probe:
+                        resident = memory.cpf_probe(bid)
+                        if resident:
+                            stats.filtered_enqueue += 1
+                            continue
+                        if resident is None:
+                            stats.enqueued_unfiltered += 1
+                    piq[bid] = wrong_path
+                else:
+                    index += 1
+                    continue
+                break  # PIQ filled up mid-entry; rescan it next cycle
+            ftq.scan_index = index
+        if piq:
+            self._issue(now)
 
     def squash(self) -> None:
         """Pipeline flush: pending (unissued) prefetches are discarded."""
@@ -115,8 +181,6 @@ class FdipPrefetcher(Prefetcher):
 
     def _remove_filter(self) -> None:
         """Probe PIQ entries with idle tag ports; drop resident blocks."""
-        if not self._piq:
-            return
         for bid in list(self._piq):
             if self.memory.idle_tag_ports == 0:
                 break
@@ -128,77 +192,36 @@ class FdipPrefetcher(Prefetcher):
                 self.stats.filtered_remove += 1
 
     # ------------------------------------------------------------------
-    # Stage 2: FTQ scan + enqueue filtering
-    # ------------------------------------------------------------------
-
-    def _scan_ftq(self, ftq: FetchTargetQueue) -> None:
-        mode = self.config.filter_mode
-        for entry in ftq.prefetch_candidates(
-                start=self.config.min_lookahead,
-                stop=self.config.max_lookahead):
-            if len(self._piq) >= self.config.piq_depth:
-                break
-            for bid in blocks_spanning(entry.start, entry.end,
-                                       self.memory.block_bytes):
-                if len(self._piq) >= self.config.piq_depth:
-                    break
-                self._consider(bid, entry.wrong_path, mode)
-            else:
-                entry.prefetch_scanned = True
-                continue
-            break  # PIQ filled up mid-entry; rescan the rest next cycle
-
-    def _consider(self, bid: int, wrong_path: bool, mode: str) -> None:
-        """Apply enqueue-time filtering and enqueue survivors."""
-        if bid in self._piq:
-            self.stats.duplicate_candidates += 1
-            return
-        self.stats.candidates += 1
-        if self.buffer.contains(bid):
-            self.stats.filtered_in_buffer += 1
-            return
-        if mode == FilterMode.IDEAL:
-            if self.memory.oracle_probe(bid):
-                self.stats.filtered_ideal += 1
-                return
-        elif mode in (FilterMode.ENQUEUE, FilterMode.REMOVE):
-            resident = self.memory.cpf_probe(bid)
-            if resident:
-                self.stats.filtered_enqueue += 1
-                return
-            if resident is None:
-                self.stats.enqueued_unfiltered += 1
-        self._piq[bid] = wrong_path
-
-    # ------------------------------------------------------------------
     # Stage 3: issue
     # ------------------------------------------------------------------
 
     def _issue(self, now: int) -> None:
+        piq = self._piq
+        memory = self.memory
+        stats = self.stats
         issued = 0
-        while self._piq and issued < self.config.max_prefetches_per_cycle:
-            bid, wrong_path = next(iter(self._piq.items()))
+        while piq and issued < self._max_issue:
+            bid, wrong_path = next(iter(piq.items()))
             if self.buffer.contains(bid):
-                del self._piq[bid]
-                self.stats.filtered_in_buffer += 1
+                del piq[bid]
+                stats.filtered_in_buffer += 1
                 continue
-            if (self.config.filter_mode == FilterMode.IDEAL
-                    and self.memory.oracle_probe(bid)):
-                del self._piq[bid]
-                self.stats.filtered_ideal += 1
+            if self._ideal and memory.oracle_probe(bid):
+                del piq[bid]
+                stats.filtered_ideal += 1
                 continue
-            if self.memory.mshrs.get(bid) is not None:
-                del self._piq[bid]
-                self.stats.dropped_in_flight += 1
+            if memory.mshrs.get(bid) is not None:
+                del piq[bid]
+                stats.dropped_in_flight += 1
                 continue
-            if not self.memory.try_issue_prefetch(bid, now,
-                                                  wrong_path=wrong_path):
+            if not memory.try_issue_prefetch(bid, now,
+                                             wrong_path=wrong_path):
                 break  # bus busy or MSHRs full; retry next cycle
-            del self._piq[bid]
+            del piq[bid]
             issued += 1
-            self.stats.issued += 1
+            stats.issued += 1
             if wrong_path:
-                self.stats.issued_wrong_path += 1
+                stats.issued_wrong_path += 1
 
     # ------------------------------------------------------------------
 

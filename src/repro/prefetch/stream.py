@@ -35,7 +35,12 @@ class _Slot:
 
 
 class _StreamBuffer:
-    """One sequential stream."""
+    """One sequential stream.
+
+    A buffer *wants a request* while it is active and has a free slot.
+    Only its owner changes ``next_bid`` and ``slots``, and it keeps its
+    count of wanting buffers in step at each change.
+    """
 
     def __init__(self, depth: int):
         self.depth = depth
@@ -51,10 +56,6 @@ class _StreamBuffer:
         self.slots.clear()
         self.next_bid = start_bid
         self.last_touch = now
-
-    @property
-    def wants_request(self) -> bool:
-        return self.active and len(self.slots) < self.depth
 
 
 class StreamStats(StatGroup):
@@ -77,6 +78,8 @@ class StreamBufferPrefetcher(Prefetcher):
         self._pending: dict[int, list[_Slot]] = {}
         self._last_miss_bid: int | None = None
         self._now = 0
+        # How many buffers want a request (active, with a free slot).
+        self._wanting = 0
 
     @property
     def sidecar(self) -> Sidecar:
@@ -105,7 +108,10 @@ class StreamBufferPrefetcher(Prefetcher):
                 continue
             # Shift out everything up to and including the hit (skipped
             # leading slots are discarded, as in lookup-variant stream
-            # buffers).
+            # buffers).  A buffer holding slots is active, so freeing
+            # one makes a full buffer want a request again.
+            if len(buffer.slots) >= buffer.depth:
+                self._wanting += 1
             hit = None
             for _ in range(found + 1):
                 hit = buffer.slots.popleft()
@@ -161,6 +167,8 @@ class StreamBufferPrefetcher(Prefetcher):
         victim = min(self.buffers, key=lambda b: b.last_touch)
         for slot in list(victim.slots):
             self._unpend(slot.bid, slot)
+        if victim.next_bid is None or len(victim.slots) >= victim.depth:
+            self._wanting += 1   # the reset buffer wants its first block
         victim.reset(bid + 1, now)
         self.stats.allocations += 1
 
@@ -172,7 +180,7 @@ class StreamBufferPrefetcher(Prefetcher):
         # A buffer wanting a request issues (or bumps rejection counters)
         # every cycle; otherwise tick only refreshes the internal clock,
         # which on_skip reproduces.
-        return not any(buffer.wants_request for buffer in self.buffers)
+        return not self._wanting
 
     def on_skip(self, last_cycle: int) -> None:
         # The naive loop sets _now on every tick; catch the clock up so
@@ -181,32 +189,40 @@ class StreamBufferPrefetcher(Prefetcher):
 
     def tick(self, now: int, ftq: FetchTargetQueue) -> None:
         self._now = now
+        if not self._wanting:
+            return
+        memory = self.memory
+        pending = self._pending
+        limit = self.config.max_prefetches_per_cycle
         issued = 0
         for buffer in self.buffers:
-            if issued >= self.config.max_prefetches_per_cycle:
+            if issued >= limit:
                 break
-            if not buffer.wants_request:
-                continue
             bid = buffer.next_bid
-            slot = _Slot(bid)
-            if bid in self._pending:
-                # Another buffer already requested it; share the fill.
-                self._pending[bid].append(slot)
-                buffer.slots.append(slot)
-                buffer.next_bid = bid + 1
+            if bid is None or len(buffer.slots) >= buffer.depth:
                 continue
-            if self.memory.oracle_probe(bid) \
-                    or self.memory.mshrs.get(bid) is not None:
+            slot = _Slot(bid)
+            if bid in pending:
+                # Another buffer already requested it; share the fill.
+                pending[bid].append(slot)
+                self._append(buffer, slot)
+                continue
+            if memory.oracle_probe(bid) or memory.mshrs.get(bid) is not None:
                 # Already resident or inbound: the slot is satisfied.
                 slot.arrived = True
-                buffer.slots.append(slot)
-                buffer.next_bid = bid + 1
+                self._append(buffer, slot)
                 self.stats.requests_satisfied_locally += 1
                 continue
-            if not self.memory.try_issue_prefetch(bid, now):
+            if not memory.try_issue_prefetch(bid, now):
                 break  # bus busy / MSHRs full
-            self._pending[bid] = [slot]
-            buffer.slots.append(slot)
-            buffer.next_bid = bid + 1
+            pending[bid] = [slot]
+            self._append(buffer, slot)
             issued += 1
             self.stats.issued += 1
+
+    def _append(self, buffer: _StreamBuffer, slot: _Slot) -> None:
+        """Queue ``slot`` at the tail and advance the stream past it."""
+        buffer.slots.append(slot)
+        buffer.next_bid = slot.bid + 1
+        if len(buffer.slots) >= buffer.depth:
+            self._wanting -= 1

@@ -82,9 +82,11 @@ __all__ = [
 
 SCHEMA = "repro.checkpoint"
 # Bumped whenever the pickled machine changes layout (3: stat-group
-# counters became slots), so an older snapshot is refused before it is
-# unpickled.
-VERSION = 3
+# counters became slots; 4: the FTQ keeps the prefetch scan cursor in
+# place of a flag per entry, the memory system its tag-port count and
+# the stream prefetcher its count of wanting buffers), so an older
+# snapshot is refused before it is unpickled.
+VERSION = 4
 
 #: Snapshot cadence (cycles) when a snapshot directory is given without
 #: one: ``repro run``/``repro stats --machine-checkpoint-dir``,

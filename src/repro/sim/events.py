@@ -28,7 +28,7 @@ counter.  Two mechanisms:
    stream prefetcher's no-op tick still refreshes an internal LRU
    clock, so elision there would not be exact.
 
-2. **Adaptively gated analytic jumps.**  A trace-driven run spends
+2. **Gated analytic jumps.**  A trace-driven run spends
    most of its cycles with every component stalled: fetch blocked on a
    fill, the prediction unit blocked on a full FTQ (or an L2-FTB
    promotion, or an unresolved misprediction), the prefetcher with
@@ -41,14 +41,15 @@ counter.  Two mechanisms:
    bookkeeping the naive loop would have done (the stall counters, the
    occupancy samples, the prefetcher's internal clock).
 
-   A jump needs two gates: the stall proof and
-   :meth:`~repro.prefetch.base.Prefetcher.quiescent`.  They are
-   evaluated last-rejector-first.  On a saturated FDIP run the
-   prefetcher's O(1) PIQ check rejects every attempt and stays in
-   front; on a stream-prefetcher run quiescence walks every buffer, so
-   the proof (which rejects on the FTQ head) moves in front instead.
-   Gate order cannot change the outcome — a jump needs both — so the
-   adaptation is bit-identical by construction.
+   A jump needs two gates: prefetcher quiescence and the stall proof.
+   Every prefetcher answers
+   :meth:`~repro.prefetch.base.Prefetcher.quiescent` in O(1) (FDIP
+   compares its scan cursor with the lookahead window, stream buffers
+   keep a count of the buffers that want a request), so the engine
+   asks it first and builds the proof only for a quiescent prefetcher.
+   A prefetcher with an inert tick is quiescent on every cycle and
+   skips the call.  The order cannot change the outcome, because a
+   jump needs both gates.
 
 Why each stall-proof gate is sound, in cycle-schedule order:
 
@@ -114,9 +115,9 @@ def stall_proof(sim: "Simulator", cycle: int):
     the backend (the next completion), plus the scheduled branch
     resolution.
 
-    The prefetcher is deliberately excluded: the caller combines the
-    proof with :meth:`~repro.prefetch.base.Prefetcher.quiescent` in
-    whichever order is cheaper for the workload.
+    The prefetcher is deliberately excluded: the caller asks
+    :meth:`~repro.prefetch.base.Prefetcher.quiescent` before it builds
+    the proof.
     """
     # Failure checks run before any wake collection so a rejected
     # attempt (the common case on busy stretches) does the least work.
@@ -226,7 +227,6 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
     issue_width = backend.core.issue_width
     bwindow = backend._window
     bwindow_popleft = bwindow.popleft
-    proof_first = False   # adaptive jump-gate order; see the skip gate
 
     # The cycle counter and the occupancy run-length accumulator live
     # in locals; ``sim.cycle`` and the observer fields are synced at
@@ -325,35 +325,20 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             occ_value = occupancy._value
             occ_weight = occupancy._weight
         elif not fetched and retired < total:
-            # A jump needs both gates: the stall proof and prefetcher
-            # quiescence.  Which one is cheap and which one rejects is
-            # workload-dependent (a saturated FDIP rejects on its PIQ
-            # in O(1); a stream prefetcher's quiescence walks every
-            # buffer while the proof rejects on the FTQ head), so the
-            # engine checks the gate that rejected last first —
-            # move-to-front over two gates, bit-identical under either
-            # order.
-            if proof_first:
+            # A jump needs both gates: prefetcher quiescence (O(1), and
+            # implied by an inert tick) and the stall proof.
+            if prefetch_inert or quiescent(ftq):
                 proof = stall_proof(sim, cycle)
-                if proof is not None and not quiescent(ftq):
-                    proof = None
-                    proof_first = False
-            elif quiescent(ftq):
-                proof = stall_proof(sim, cycle)
-                if proof is None:
-                    proof_first = True
-            else:
-                proof = None
-            if proof is not None:
-                plan = _plan_from_proof(proof, cycle, max_cycles)
-                if plan is not None:
-                    sim.cycle = cycle
-                    occupancy._value = occ_value
-                    occupancy._weight = occ_weight
-                    sim._apply_skip(plan, occupancy, sampler)
-                    cycle = sim.cycle
-                    occ_value = occupancy._value
-                    occ_weight = occupancy._weight
+                if proof is not None:
+                    plan = _plan_from_proof(proof, cycle, max_cycles)
+                    if plan is not None:
+                        sim.cycle = cycle
+                        occupancy._value = occ_value
+                        occupancy._weight = occ_weight
+                        sim._apply_skip(plan, occupancy, sampler)
+                        cycle = sim.cycle
+                        occ_value = occupancy._value
+                        occ_weight = occupancy._weight
 
         if watchdog > 0:
             if retired > progress_retired:

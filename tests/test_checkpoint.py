@@ -293,6 +293,15 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError,
                            match="unsupported checkpoint version 2"):
             manager.latest()
+        # And a well-formed version-3 envelope: its FTQ entries carried
+        # a scan flag each and its FTQ no scan cursor.
+        newest = manager.write(_state(30))
+        envelope = json.loads(newest.read_text())
+        envelope["version"] = 3
+        newest.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 3"):
+            manager.latest()
 
     def test_identity_mismatch_raises_not_resumes(self, tmp_path):
         theirs = CheckpointManager(tmp_path, meta={"trace": "a", "seed": 1})

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.config import CacheGeometry, MemoryConfig, PrefetchConfig
 from repro.errors import SimulationError
 from repro.frontend import FetchTargetQueue, FTQEntry
+from repro.memory import MemorySystem
+from repro.prefetch import FdipPrefetcher
 
 
 def entry(seq, start=0x40_0000, n=4, wrong_path=False, **kw) -> FTQEntry:
@@ -34,22 +37,6 @@ class TestFtqBasics:
         with pytest.raises(SimulationError):
             FetchTargetQueue(2).pop_head()
 
-    def test_prefetch_candidates_skip_head(self):
-        ftq = FetchTargetQueue(4)
-        ftq.push(entry(1))
-        ftq.push(entry(2))
-        ftq.push(entry(3))
-        assert [e.seq for e in ftq.prefetch_candidates()] == [2, 3]
-
-    def test_prefetch_candidates_skip_scanned(self):
-        ftq = FetchTargetQueue(4)
-        ftq.push(entry(1))
-        scanned = entry(2)
-        scanned.prefetch_scanned = True
-        ftq.push(scanned)
-        ftq.push(entry(3))
-        assert [e.seq for e in ftq.prefetch_candidates()] == [3]
-
     def test_clear_requires_wrong_path_only(self):
         ftq = FetchTargetQueue(4)
         ftq.push(entry(1, wrong_path=True))
@@ -66,6 +53,94 @@ class TestFtqBasics:
     def test_depth_validated(self):
         with pytest.raises(SimulationError):
             FetchTargetQueue(0)
+
+
+def scanning_fdip(**kw) -> FdipPrefetcher:
+    """An unfiltered FDIP engine over 32-byte blocks whose issue stage
+    stays blocked, so the PIQ shows exactly what the scan enqueued."""
+    memory = MemorySystem(MemoryConfig(
+        icache=CacheGeometry(size_bytes=1024, assoc=2, block_bytes=32),
+        l2=CacheGeometry(size_bytes=64 * 1024, assoc=4, block_bytes=32)))
+    fdip = FdipPrefetcher(memory, PrefetchConfig(
+        kind="fdip", filter_mode="none", **kw))
+    memory.sidecar = fdip.sidecar
+    memory.begin_cycle(1)
+    memory.demand_fetch(0xFFFF, 1)      # the bus is busy: nothing issues
+    return fdip
+
+
+def block_of(seq: int) -> int:
+    return (0x40_0000 + 0x100 * seq) // 32
+
+
+def push_blocks(ftq, *seqs):
+    """One single-block entry per ``seq``, each in its own block."""
+    for seq in seqs:
+        ftq.push(entry(seq, start=0x40_0000 + 0x100 * seq))
+
+
+class TestScanCursor:
+    def test_scan_skips_head(self):
+        ftq = FetchTargetQueue(4)
+        push_blocks(ftq, 1, 2, 3)
+        assert ftq.scan_index == 0
+        fdip = scanning_fdip()
+        fdip.tick(1, ftq)
+        assert list(fdip._piq) == [block_of(2), block_of(3)]
+        assert ftq.scan_index == 3
+
+    def test_scan_resumes_at_cursor(self):
+        ftq = FetchTargetQueue(4)
+        push_blocks(ftq, 1, 2, 3)
+        ftq.scan_index = 2               # entry 2 was scanned earlier
+        fdip = scanning_fdip()
+        fdip.tick(1, ftq)
+        assert list(fdip._piq) == [block_of(3)]
+        assert fdip.stats.get("candidates") == 1
+        assert ftq.scan_index == 3
+
+    def test_pop_head_decrements_cursor(self):
+        ftq = FetchTargetQueue(4)
+        push_blocks(ftq, 1, 2, 3)
+        ftq.scan_index = 2
+        ftq.pop_head()
+        assert ftq.scan_index == 1
+        ftq.pop_head()
+        assert ftq.scan_index == 0
+        ftq.pop_head()
+        assert ftq.scan_index == 0
+
+    def test_clear_zeroes_cursor(self):
+        ftq = FetchTargetQueue(4)
+        for seq in (1, 2, 3):
+            ftq.push(entry(seq, start=0x40_0000 + 0x100 * seq,
+                           wrong_path=True))
+        ftq.scan_index = 3
+        ftq.clear()
+        assert ftq.scan_index == 0
+
+    def test_push_leaves_cursor(self):
+        ftq = FetchTargetQueue(4)
+        push_blocks(ftq, 1, 2)
+        ftq.scan_index = 2
+        push_blocks(ftq, 3)
+        assert ftq.scan_index == 2
+
+    def test_entries_below_min_lookahead_never_scanned(self):
+        ftq = FetchTargetQueue(6)
+        fdip = scanning_fdip(min_lookahead=3)
+        push_blocks(ftq, 1, 2, 3, 4)
+        fdip.tick(1, ftq)
+        assert list(fdip._piq) == [block_of(4)]
+        assert ftq.scan_index == 4
+        # Entries 2 and 3 sat at positions 1 and 2; popping the head
+        # only moves them further down, so no later tick reaches them.
+        for seq in (5, 6, 7):
+            ftq.pop_head()
+            push_blocks(ftq, seq)
+            fdip.tick(1, ftq)
+        assert list(fdip._piq) == [block_of(seq) for seq in (4, 5, 6, 7)]
+        assert fdip.stats.get("candidates") == 4
 
 
 class TestFtqEntry:

@@ -87,6 +87,85 @@ class TestScanning:
         assert fdip.piq_occupancy <= 2
 
 
+    def test_entry_cut_by_full_piq_rescanned_from_start(self):
+        memory = make_memory(ports=2)
+        fdip = make_fdip(memory, filter_mode=FilterMode.REMOVE,
+                         piq_depth=2, per_cycle=1)
+        ftq = FetchTargetQueue(8)
+        first = (BASE + 0x100) // 32
+        push_entry(ftq, 1, BASE, 4)
+        push_entry(ftq, 2, BASE + 0x100, 24)  # three blocks
+        memory.begin_cycle(1)
+        memory.demand_fetch(0xFFFF, 1)   # keep the bus busy: no issue
+        fdip.tick(1, ftq)
+        # The PIQ filled on the entry's second block: the entry is not
+        # passed.
+        assert list(fdip._piq) == [first, first + 1]
+        assert ftq.scan_index == 1
+        assert fdip.stats.get("candidates") == 2
+        # The remove filter frees a slot; the scan restarts the entry at
+        # its first block, which is still queued.
+        memory.l1i.fill(first + 1)
+        memory.begin_cycle(2)
+        fdip.tick(2, ftq)
+        assert fdip.stats.get("filtered_remove") == 1
+        assert fdip.stats.get("duplicate_candidates") == 1
+        assert fdip.stats.get("candidates") == 3
+        assert list(fdip._piq) == [first, first + 1]
+        assert ftq.scan_index == 1
+
+
+class TestQuiescence:
+    def test_empty_queue_and_piq_is_quiescent(self):
+        memory = make_memory()
+        fdip = make_fdip(memory)
+        ftq = FetchTargetQueue(8)
+        assert fdip.quiescent(ftq)
+        push_entry(ftq, 1, BASE, 4)      # the head is never scanned
+        assert fdip.quiescent(ftq)
+
+    def test_unscanned_entry_in_window_is_not_quiescent(self):
+        memory = make_memory()
+        fdip = make_fdip(memory)
+        ftq = FetchTargetQueue(8)
+        push_entry(ftq, 1, BASE, 4)
+        push_entry(ftq, 2, BASE + 0x100, 8)
+        assert not fdip.quiescent(ftq)
+
+    def test_queued_prefetch_is_not_quiescent(self):
+        memory = make_memory()
+        fdip = make_fdip(memory)
+        ftq = FetchTargetQueue(8)
+        push_entry(ftq, 1, BASE, 4)
+        push_entry(ftq, 2, BASE + 0x100, 8)
+        memory.begin_cycle(1)
+        memory.demand_fetch(0xFFFF, 1)   # bus busy: the block waits
+        fdip.tick(1, ftq)
+        assert ftq.scan_index == 2
+        assert fdip.piq_occupancy == 1
+        assert not fdip.quiescent(ftq)
+        memory.begin_cycle(6)
+        fdip.tick(6, ftq)                # issued; nothing left to do
+        assert fdip.piq_occupancy == 0
+        assert fdip.quiescent(ftq)
+
+    def test_entries_beyond_max_lookahead_leave_it_quiescent(self):
+        memory = make_memory()
+        config = PrefetchConfig(kind="fdip", filter_mode=FilterMode.NONE,
+                                max_lookahead=2)
+        fdip = FdipPrefetcher(memory, config)
+        memory.sidecar = fdip.sidecar
+        ftq = FetchTargetQueue(8)
+        for seq in range(1, 5):
+            push_entry(ftq, seq, BASE + 0x100 * seq, 8)
+        memory.begin_cycle(1)
+        fdip.tick(1, ftq)                # scans position 1, issues it
+        assert ftq.scan_index == 2
+        assert fdip.quiescent(ftq)       # positions 2, 3 wait outside
+        ftq.pop_head()                   # position 2 enters the window
+        assert not fdip.quiescent(ftq)
+
+
 class TestIssue:
     def test_issues_to_memory_and_fills_buffer(self):
         memory = make_memory()

@@ -1,13 +1,18 @@
-"""Stream-buffer internals: merges, reallocation, pending hygiene."""
+"""Stream-buffer internals: merges, reallocation, pending hygiene, and
+the count of buffers that want a request."""
 
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CacheGeometry, MemoryConfig, PrefetchConfig
 from repro.frontend import FetchTargetQueue
-from repro.memory import MISS, MemorySystem
+from repro.memory import HIT_L1, MISS, MemorySystem
 from repro.prefetch import StreamBufferPrefetcher
 
 
-def make(buffers=2, depth=3, mshrs=8):
+def make(buffers=2, depth=3, mshrs=8, probe_depth=1,
+         allocation_filter=False):
     config = MemoryConfig(
         icache=CacheGeometry(size_bytes=1024, assoc=2, block_bytes=32),
         l2=CacheGeometry(size_bytes=64 * 1024, assoc=4, block_bytes=32),
@@ -15,7 +20,9 @@ def make(buffers=2, depth=3, mshrs=8):
         mshr_entries=mshrs)
     memory = MemorySystem(config)
     prefetch = PrefetchConfig(kind="stream", stream_buffers=buffers,
-                              stream_depth=depth, allocation_filter=False,
+                              stream_depth=depth,
+                              allocation_filter=allocation_filter,
+                              stream_probe_depth=probe_depth,
                               max_prefetches_per_cycle=1)
     stream = StreamBufferPrefetcher(memory, prefetch)
     memory.sidecar = stream.sidecar
@@ -111,3 +118,53 @@ class TestInactiveBuffers:
         stream.tick(1, FTQ)
         assert stream.stats.get("issued") == 0
         assert all(not b.active for b in stream.buffers)
+
+
+def _wanting(stream) -> bool:
+    """Whether any buffer wants a request, from every buffer's state."""
+    return any(buffer.next_bid is not None
+               and len(buffer.slots) < buffer.depth
+               for buffer in stream.buffers)
+
+
+_stream_steps = st.lists(
+    st.tuples(st.sampled_from(["miss", "hit", "probe", "probe_slot",
+                               "tick", "skip"]),
+              st.integers(0, 12), st.integers(0, 7)),
+    min_size=1, max_size=60)
+
+
+class TestWantCount:
+    @given(buffers=st.integers(1, 4), depth=st.integers(1, 4),
+           probe_depth=st.integers(1, 3), filtered=st.booleans(),
+           steps=_stream_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_quiescent_matches_buffer_state(self, buffers, depth,
+                                            probe_depth, filtered, steps):
+        memory, stream = make(buffers=buffers, depth=depth, mshrs=4,
+                              probe_depth=probe_depth,
+                              allocation_filter=filtered)
+        now = 0
+        for action, offset, pick in steps:
+            now += 1
+            memory.begin_cycle(now)
+            bid = 100 + offset
+            if action == "miss":
+                stream.on_demand(bid, MISS, now)
+            elif action == "hit":
+                stream.on_demand(bid, HIT_L1, now)
+            elif action == "probe":
+                stream.probe_and_claim(bid, now)
+            elif action == "probe_slot":
+                # Claim a block some buffer holds, so hits (and the
+                # skipped-slot shifts past the head) really happen.
+                held = [slot.bid for buffer in stream.buffers
+                        for slot in buffer.slots]
+                if held:
+                    stream.probe_and_claim(held[pick % len(held)], now)
+            elif action == "tick":
+                stream.tick(now, FTQ)
+            else:
+                now += pick
+                stream.on_skip(now)
+            assert stream.quiescent(FTQ) == (not _wanting(stream))
