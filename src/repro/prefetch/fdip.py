@@ -31,6 +31,7 @@ Filtering variants (:class:`~repro.config.FilterMode`):
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 
 from repro.config import FilterMode, PrefetchConfig
@@ -90,7 +91,8 @@ class FdipPrefetcher(Prefetcher):
         self._piq_depth = config.piq_depth
         self._max_issue = config.max_prefetches_per_cycle
         self._min_lookahead = config.min_lookahead
-        self._max_lookahead = config.max_lookahead
+        self._max_lookahead = (sys.maxsize if config.max_lookahead is None
+                               else config.max_lookahead)
 
     @property
     def sidecar(self) -> Sidecar:
@@ -109,9 +111,7 @@ class FdipPrefetcher(Prefetcher):
         # is a no-op.
         if self._piq:
             return False
-        stop = len(ftq._entries)
-        if self._max_lookahead is not None and self._max_lookahead < stop:
-            stop = self._max_lookahead
+        stop = min(len(ftq._entries), self._max_lookahead)
         return max(self._min_lookahead, ftq.scan_index) >= stop
 
     def tick(self, now: int, ftq: FetchTargetQueue) -> None:
@@ -122,7 +122,7 @@ class FdipPrefetcher(Prefetcher):
         # order, and enqueue their blocks through enqueue filtering.
         entries = ftq._entries
         stop = len(entries)
-        if self._max_lookahead is not None and self._max_lookahead < stop:
+        if self._max_lookahead < stop:
             stop = self._max_lookahead
         start = ftq.scan_index
         if start < self._min_lookahead:
