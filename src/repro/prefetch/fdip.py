@@ -124,10 +124,9 @@ class FdipPrefetcher(Prefetcher):
         stop = len(entries)
         if self._max_lookahead < stop:
             stop = self._max_lookahead
-        start = ftq.scan_index
-        if start < self._min_lookahead:
-            start = self._min_lookahead
-        index = start
+        index = ftq.scan_index
+        if index < self._min_lookahead:
+            index = self._min_lookahead
         if index < stop:
             depth = self._piq_depth
             ideal = self._ideal
