@@ -141,3 +141,36 @@ def test_edge_result_digest(golden_trace, kw, expected, engine):
     digest = hashlib.sha256(
         result_to_json(result).encode("utf-8")).hexdigest()
     assert digest[:16] == expected
+
+
+# Front-end paths the default configuration does not take, pinned the
+# same way under the default FDIP/enqueue prefetcher: a two-level FTB
+# (49 L2 promotions on this trace), oracle directions, no wrong-path
+# production, two demand accesses per cycle, wrong-path instructions
+# held in the backend window, and each table-based direction predictor
+# other than the default hybrid.
+FRONTEND_DIGESTS = [
+    ({"frontend.predictor.ftb_sets": 16,
+      "frontend.predictor.ftb_l2_sets": 512}, "2d60a3fa17deb519"),
+    ({"frontend.perfect_direction": True}, "f9fe78da70313cc4"),
+    ({"frontend.model_wrong_path": False}, "1e683203dd07f0d4"),
+    ({"core.fetch_accesses_per_cycle": 2}, "7548f276b28b4fec"),
+    ({"core.wrong_path_in_window": True}, "fd362ce36e16b72c"),
+    ({"frontend.predictor.direction": "gshare"}, "2714585ef3d05a8a"),
+    ({"frontend.predictor.direction": "bimodal"}, "7b838965bc2945f3"),
+    ({"frontend.predictor.direction": "local"}, "843eff14d7efc981"),
+]
+
+
+@pytest.mark.parametrize("engine", ["naive", "event"])
+@pytest.mark.parametrize(
+    "overrides,expected", FRONTEND_DIGESTS,
+    ids=["-".join(f"{k.rpartition('.')[2]}={v}" for k, v in o.items())
+         for o, _ in FRONTEND_DIGESTS])
+def test_frontend_result_digest(golden_trace, overrides, expected, engine):
+    result = simulate(golden_trace,
+                      SimConfig().with_overrides(**overrides),
+                      engine=engine)
+    digest = hashlib.sha256(
+        result_to_json(result).encode("utf-8")).hexdigest()
+    assert digest[:16] == expected
