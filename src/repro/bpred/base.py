@@ -15,15 +15,19 @@ from repro.component import StatsComponent
 from repro.stats import StatGroup
 
 __all__ = ["DirectionPredictor", "PredictorStats", "counter_taken",
-           "counter_update", "COUNTER_INIT", "COUNTER_MAX"]
+           "counter_update", "COUNTER_INIT", "COUNTER_MAX", "COUNTER_TAKEN"]
 
 COUNTER_MAX = 3
 COUNTER_INIT = 1  # weakly not-taken
+COUNTER_TAKEN = 2  # the lowest counter value that predicts taken
 
 
 def counter_taken(counter: int) -> bool:
-    """Interpret a 2-bit saturating counter as a taken prediction."""
-    return counter >= 2
+    """Interpret a 2-bit saturating counter as a taken prediction.
+
+    The predictors compare with :data:`COUNTER_TAKEN` inline instead.
+    """
+    return counter >= COUNTER_TAKEN
 
 
 def counter_update(counter: int, taken: bool) -> int:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.bpred.base import (
     COUNTER_INIT,
+    COUNTER_TAKEN,
     DirectionPredictor,
-    counter_taken,
     counter_update,
 )
 from repro.config import is_power_of_two
@@ -25,12 +25,10 @@ class BimodalPredictor(DirectionPredictor):
         self._mask = entries - 1
         self._table = [COUNTER_INIT] * entries
 
-    def _index(self, pc: int) -> int:
-        return (pc // INSTRUCTION_BYTES) & self._mask
-
     def predict(self, pc: int, history: int) -> bool:
-        return counter_taken(self._table[self._index(pc)])
+        return self._table[(pc // INSTRUCTION_BYTES) & self._mask] \
+            >= COUNTER_TAKEN
 
     def update(self, pc: int, history: int, taken: bool) -> None:
-        index = self._index(pc)
+        index = (pc // INSTRUCTION_BYTES) & self._mask
         self._table[index] = counter_update(self._table[index], taken)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.bpred.base import (
     COUNTER_INIT,
+    COUNTER_TAKEN,
     DirectionPredictor,
-    counter_taken,
     counter_update,
 )
 from repro.config import is_power_of_two
@@ -29,13 +29,15 @@ class GsharePredictor(DirectionPredictor):
         self._mask = entries - 1
         self._table = [COUNTER_INIT] * entries
 
-    def _index(self, pc: int, history: int) -> int:
-        word = pc // INSTRUCTION_BYTES
-        return (word ^ (history & self._history_mask)) & self._mask
+    # A branch's counter is at its word address XOR the masked global
+    # history, masked to the table.
 
     def predict(self, pc: int, history: int) -> bool:
-        return counter_taken(self._table[self._index(pc, history)])
+        index = ((pc // INSTRUCTION_BYTES) ^ (history & self._history_mask)) \
+            & self._mask
+        return self._table[index] >= COUNTER_TAKEN
 
     def update(self, pc: int, history: int, taken: bool) -> None:
-        index = self._index(pc, history)
+        index = ((pc // INSTRUCTION_BYTES) ^ (history & self._history_mask)) \
+            & self._mask
         self._table[index] = counter_update(self._table[index], taken)

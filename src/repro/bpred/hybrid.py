@@ -8,8 +8,8 @@ the two disagree.  This is the combination the paper's front end uses.
 from __future__ import annotations
 
 from repro.bpred.base import (
+    COUNTER_TAKEN,
     DirectionPredictor,
-    counter_taken,
     counter_update,
 )
 from repro.bpred.bimodal import BimodalPredictor
@@ -44,22 +44,33 @@ class HybridPredictor(DirectionPredictor):
                    history_bits=config.history_bits,
                    meta_entries=config.meta_entries)
 
-    def _meta_index(self, pc: int) -> int:
-        return (pc // INSTRUCTION_BYTES) & self._meta_mask
+    # predict and update index the component tables themselves, with
+    # the components' own index arithmetic, so a prediction is one call.
 
     def predict(self, pc: int, history: int) -> bool:
-        use_gshare = counter_taken(self._meta[self._meta_index(pc)])
-        if use_gshare:
-            return self.gshare.predict(pc, history)
-        return self.bimodal.predict(pc, history)
+        word = pc // INSTRUCTION_BYTES
+        if self._meta[word & self._meta_mask] >= COUNTER_TAKEN:
+            gshare = self.gshare
+            counter = gshare._table[
+                (word ^ (history & gshare._history_mask)) & gshare._mask]
+        else:
+            bimodal = self.bimodal
+            counter = bimodal._table[word & bimodal._mask]
+        return counter >= COUNTER_TAKEN
 
     def update(self, pc: int, history: int, taken: bool) -> None:
-        bimodal_pred = self.bimodal.predict(pc, history)
-        gshare_pred = self.gshare.predict(pc, history)
-        if bimodal_pred != gshare_pred:
-            index = self._meta_index(pc)
-            gshare_correct = gshare_pred == taken
+        word = pc // INSTRUCTION_BYTES
+        bimodal, gshare = self.bimodal, self.gshare
+        bimodal_table, gshare_table = bimodal._table, gshare._table
+        bimodal_index = word & bimodal._mask
+        gshare_index = (word ^ (history & gshare._history_mask)) \
+            & gshare._mask
+        gshare_pred = gshare_table[gshare_index] >= COUNTER_TAKEN
+        if (bimodal_table[bimodal_index] >= COUNTER_TAKEN) != gshare_pred:
+            index = word & self._meta_mask
             self._meta[index] = counter_update(self._meta[index],
-                                               gshare_correct)
-        self.bimodal.update(pc, history, taken)
-        self.gshare.update(pc, history, taken)
+                                               gshare_pred == taken)
+        bimodal_table[bimodal_index] = counter_update(
+            bimodal_table[bimodal_index], taken)
+        gshare_table[gshare_index] = counter_update(
+            gshare_table[gshare_index], taken)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from repro.bpred.base import (
     COUNTER_INIT,
+    COUNTER_TAKEN,
     DirectionPredictor,
-    counter_taken,
     counter_update,
 )
 from repro.config import is_power_of_two
@@ -40,18 +40,15 @@ class LocalPredictor(DirectionPredictor):
         self._bht = [0] * history_entries
         self._pht = [COUNTER_INIT] * pattern_entries
 
-    def _bht_index(self, pc: int) -> int:
-        return (pc // INSTRUCTION_BYTES) & self._bht_mask
-
     def predict(self, pc: int, history: int) -> bool:
         """Predict from the branch's own history (global ``history``
         is ignored; the front end still passes it for interface
         uniformity)."""
-        local = self._bht[self._bht_index(pc)]
-        return counter_taken(self._pht[local & self._pht_mask])
+        local = self._bht[(pc // INSTRUCTION_BYTES) & self._bht_mask]
+        return self._pht[local & self._pht_mask] >= COUNTER_TAKEN
 
     def update(self, pc: int, history: int, taken: bool) -> None:
-        index = self._bht_index(pc)
+        index = (pc // INSTRUCTION_BYTES) & self._bht_mask
         local = self._bht[index]
         pht_index = local & self._pht_mask
         self._pht[pht_index] = counter_update(self._pht[pht_index], taken)

@@ -19,7 +19,7 @@ from collections import deque
 
 from repro.component import StatsComponent
 from repro.config import CoreConfig
-from repro.isa import InstrKind
+from repro.isa import LOAD
 from repro.stats import StatGroup
 from repro.trace import TraceRecord
 
@@ -55,15 +55,18 @@ class Backend(StatsComponent):
 
     def deliver(self, records: list[TraceRecord], now: int) -> None:
         """Accept fetched instructions into the window."""
-        if len(records) > self.free_slots:
+        core = self.core
+        window = self._window
+        if len(records) > (core.window_size - len(window)
+                           - self._wrong_path_occupancy):
             raise OverflowError(
                 f"delivered {len(records)} instructions into "
                 f"{self.free_slots} free slots")
-        base = now + self.core.pipeline_depth
-        load_latency = self.core.load_latency
+        base = now + core.pipeline_depth
+        load_latency = core.load_latency
         for record in records:
-            latency = load_latency if record.kind == InstrKind.LOAD else 1
-            self._window.append(base + latency)
+            window.append(base + load_latency if record.kind == LOAD
+                          else base + 1)
         self.stats.delivered += len(records)
 
     def retire(self, now: int) -> int:

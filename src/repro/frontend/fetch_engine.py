@@ -20,7 +20,7 @@ from repro.cpu.backend import Backend
 from repro.errors import SimulationError
 from repro.frontend.ftq import FetchTargetQueue, FTQEntry
 from repro.isa import INSTRUCTION_BYTES
-from repro.memory import MemorySystem, RETRY
+from repro.memory import HIT_L1, HIT_SIDECAR, RETRY, MemorySystem
 from repro.prefetch.base import Prefetcher
 from repro.stats import StatGroup
 from repro.trace import Trace
@@ -54,6 +54,12 @@ class FetchEngine(StatsComponent):
         self._on_terminal_delivered = on_terminal_delivered
         self._block_bytes = memory.block_bytes
         self._waiting_until: int | None = None
+        # Demand feedback goes only to a prefetcher that overrides the
+        # base class's no-op.
+        self._on_demand = (
+            prefetcher.on_demand
+            if type(prefetcher).on_demand is not Prefetcher.on_demand
+            else None)
 
     # ------------------------------------------------------------------
 
@@ -81,96 +87,107 @@ class FetchEngine(StatsComponent):
         instructions total.  Returns whether any instructions were
         delivered — the event engine uses a False return as its cheap
         pre-filter before running the exact stall proof.
+
+        Each access makes one call into the memory system and, for a
+        hit, one into the backend; the window and delivery arithmetic
+        is done here.
         """
+        stats = self.stats
         if self._waiting_until is not None:
             if now < self._waiting_until:
-                self.stats.miss_stall_cycles += 1
+                stats.miss_stall_cycles += 1
                 return False
             self._waiting_until = None
 
-        budget = self.core.fetch_width
+        core = self.core
+        entries = self.ftq._entries
+        backend = self.backend
+        window = backend._window
+        window_size = core.window_size
+        in_window = core.wrong_path_in_window
+        block_bytes = self._block_bytes
+        on_demand = self._on_demand
+        budget = core.fetch_width
         delivered_any = False
         wrong_any = False
-        for access in range(self.core.fetch_accesses_per_cycle):
-            entry = self.ftq.head()
-            if entry is None:
+        for access in range(core.fetch_accesses_per_cycle):
+            if not entries:
                 if access == 0:
-                    self.stats.ftq_empty_cycles += 1
+                    stats.ftq_empty_cycles += 1
                 return delivered_any
-            needs_slots = (not entry.wrong_path
-                           or self.core.wrong_path_in_window)
-            if needs_slots and self.backend.free_slots <= 0:
+            entry = entries[0]
+            wrong_path = entry.wrong_path
+            free_slots = (window_size - len(window)
+                          - backend._wrong_path_occupancy)
+            if (not wrong_path or in_window) and free_slots <= 0:
                 if access == 0:
-                    self.stats.window_stall_cycles += 1
+                    stats.window_stall_cycles += 1
                 return delivered_any
             if budget <= 0:
                 return delivered_any
 
-            addr = entry.next_fetch_pc
-            bid = addr // self._block_bytes
+            addr = entry.start + entry.fetch_offset
+            bid = addr // block_bytes
             result = self.memory.demand_fetch(bid, now)
-            self.prefetcher.on_demand(bid, result.outcome, now)
+            outcome = result.outcome
+            if on_demand is not None:
+                on_demand(bid, outcome, now)
 
-            if result.outcome == RETRY:
+            if outcome == RETRY:
                 if access == 0:
-                    self.stats.mshr_stall_cycles += 1
+                    stats.mshr_stall_cycles += 1
                 return delivered_any
-            if not result.is_hit:
+            if outcome != HIT_L1 and outcome != HIT_SIDECAR:
                 self._waiting_until = result.ready_cycle
-                self.stats.demand_misses += 1
+                stats.demand_misses += 1
                 if access == 0:
-                    self.stats.miss_stall_cycles += 1
+                    stats.miss_stall_cycles += 1
                 return delivered_any
-            budget -= self._deliver(entry, addr, bid, now, budget)
+
+            # Deliver from the hit block: to the end of the fetch
+            # block, the cache block, or the cycle's width budget.
+            end = entry.end
+            line_end = (bid + 1) * block_bytes
+            if line_end < end:
+                end = line_end
+            width_end = addr + budget * INSTRUCTION_BYTES
+            if width_end < end:
+                end = width_end
+            n = (end - addr) // INSTRUCTION_BYTES
+            if n <= 0:
+                raise SimulationError(
+                    f"fetch delivered no instructions at {addr:#x} "
+                    f"(entry {entry!r})")
+            if wrong_path:
+                if in_window:
+                    if free_slots < n:
+                        n = free_slots
+                    backend.deliver_wrong_path(n)
+                stats.wrong_path_instrs += n
+            else:
+                if free_slots < n:
+                    n = free_slots
+                first = entry.first_index + entry.fetch_offset \
+                    // INSTRUCTION_BYTES
+                backend.deliver(self.trace.records[first:first + n], now)
+                stats.instrs_delivered += n
+            entry.fetch_offset += n * INSTRUCTION_BYTES
+            if entry.start + entry.fetch_offset >= entry.end:
+                if self.ftq.pop_head() is not entry:
+                    raise SimulationError("FTQ head changed mid-fetch")
+                if entry.mispredict and not wrong_path:
+                    self._on_terminal_delivered(
+                        entry, now + core.pipeline_depth
+                        + core.branch_resolve_latency)
+
+            budget -= n
             if not delivered_any:
-                self.stats.active_cycles += 1
+                stats.active_cycles += 1
                 delivered_any = True
-            if entry.wrong_path and not wrong_any:
-                self.stats.wrong_path_cycles += 1
+            if wrong_path and not wrong_any:
+                stats.wrong_path_cycles += 1
                 wrong_any = True
         return delivered_any
-
-    # ------------------------------------------------------------------
-
-    def _deliver(self, entry: FTQEntry, addr: int, bid: int,
-                 now: int, budget: int) -> int:
-        """Deliver instructions from the hit cache block.
-
-        Returns how many instructions were consumed from the cycle's
-        ``budget``.
-        """
-        line_end = (bid + 1) * self._block_bytes
-        width_end = addr + budget * INSTRUCTION_BYTES
-        deliver_end = min(entry.end, line_end, width_end)
-        n = (deliver_end - addr) // INSTRUCTION_BYTES
-        if n <= 0:
-            raise SimulationError(
-                f"fetch delivered no instructions at {addr:#x} "
-                f"(entry {entry!r})")
-
-        if entry.wrong_path:
-            if self.core.wrong_path_in_window:
-                n = min(n, self.backend.free_slots)
-                self.backend.deliver_wrong_path(n)
-            self.stats.wrong_path_instrs += n
-        else:
-            n = min(n, self.backend.free_slots)
-            first = entry.first_index + entry.fetch_offset \
-                // INSTRUCTION_BYTES
-            records = self.trace.records[first:first + n]
-            self.backend.deliver(records, now)
-            self.stats.instrs_delivered += n
-
-        entry.fetch_offset += n * INSTRUCTION_BYTES
-        if entry.fully_fetched:
-            popped = self.ftq.pop_head()
-            if popped is not entry:
-                raise SimulationError("FTQ head changed mid-fetch")
-            if popped.mispredict and not popped.wrong_path:
-                resolve_at = (now + self.core.pipeline_depth
-                              + self.core.branch_resolve_latency)
-                self._on_terminal_delivered(popped, resolve_at)
-        return n
 
     # ------------------------------------------------------------------
 

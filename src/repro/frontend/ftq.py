@@ -112,9 +112,10 @@ class FetchTargetQueue(StatsComponent):
         return not self._entries
 
     def push(self, entry: FTQEntry) -> None:
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.depth:
             raise SimulationError("push into a full FTQ")
-        self._entries.append(entry)
+        entries.append(entry)
         self.stats.pushes += 1
 
     def head(self) -> FTQEntry | None:

@@ -27,13 +27,15 @@ wrong-path blocks are never validated.
 
 from __future__ import annotations
 
-from repro.bpred import DirectionPredictor, ReturnAddressStack
+from repro.bpred import DirectionPredictor, RasSnapshot, \
+    ReturnAddressStack
 from repro.component import StatsComponent
 from repro.config import FrontEndConfig
 from repro.errors import SimulationError
-from repro.ftb import FetchTargetBuffer, FTBEntry
+from repro.ftb import L2, FetchTargetBuffer, FTBEntry, TwoLevelFTB
 from repro.frontend.ftq import FetchTargetQueue, FTQEntry
-from repro.isa import INSTRUCTION_BYTES, InstrKind
+from repro.isa import BRANCH_COND, CALL, CALL_INDIRECT, \
+    INSTRUCTION_BYTES, JUMP_INDIRECT, RETURN
 from repro.stats import StatGroup
 from repro.trace import Trace
 
@@ -61,7 +63,7 @@ class PredictUnit(StatsComponent):
     def sub_components(self):
         return (self.predictor, self.ras)
 
-    def __init__(self, trace: Trace, ftb: FetchTargetBuffer,
+    def __init__(self, trace: Trace, ftb: FetchTargetBuffer | TwoLevelFTB,
                  predictor: DirectionPredictor, ras: ReturnAddressStack,
                  config: FrontEndConfig):
         # Records are read through the trace, never kept in an alias:
@@ -69,6 +71,9 @@ class PredictUnit(StatsComponent):
         # alias of its record list by value.
         self.trace = trace
         self.ftb = ftb
+        # A two-level FTB answers through probe(), which can ask for
+        # the L2 latency; a monolithic one through lookup().
+        self._two_level_ftb = isinstance(ftb, TwoLevelFTB)
         self.predictor = predictor
         self.ras = ras
         self.config = config
@@ -113,44 +118,101 @@ class PredictUnit(StatsComponent):
         return self._cursor >= len(self.trace)
 
     def tick(self, now: int, ftq: FetchTargetQueue) -> FTQEntry | None:
-        """Produce at most one fetch block into ``ftq``."""
-        if ftq.full:
-            self.stats.ftq_full_stalls += 1
+        """Produce at most one fetch block into ``ftq``.
+
+        One call into the FTB and, for a predicted conditional branch,
+        one into the direction predictor; the RAS and history updates
+        and the wrong-path block are done inline.  A correct-path block
+        is validated against the trace by :meth:`_produce_correct_block`.
+        """
+        stats = self.stats
+        if len(ftq._entries) >= ftq.depth:
+            stats.ftq_full_stalls += 1
             return None
         if self._ftb_wait_until is not None:
             if now < self._ftb_wait_until:
-                self.stats.ftb_l2_stall_cycles += 1
+                stats.ftb_l2_stall_cycles += 1
                 return None
             self._ftb_wait_until = None
 
         wrong_path = self._pending_mispredict is not None
         if wrong_path:
             if not self.config.model_wrong_path:
-                self.stats.mispredict_stall_cycles += 1
+                stats.mispredict_stall_cycles += 1
                 return None
             start = self._wrong_pc
-        elif self._cursor >= len(self.trace):
-            return None
         else:
-            start = self.trace.records[self._cursor].pc
+            records = self.trace.records
+            cursor = self._cursor
+            if cursor >= len(records):
+                return None
+            start = records[cursor].pc
 
-        level, ftb_entry = self.ftb.probe(start)
-        if level == "l2":
-            # Two-level FTB: the entry was promoted but using it costs
-            # the L2 access latency; stall prediction until then.
-            latency = self.ftb.l2_latency
-            self._ftb_wait_until = now + latency
-            self.stats.ftb_l2_promotions += 1
-            return None
+        ftb = self.ftb
+        if self._two_level_ftb:
+            level, ftb_entry = ftb.probe(start)
+            if level == L2:
+                # The entry was promoted, but using it costs the L2
+                # access latency; stall prediction until then.
+                self._ftb_wait_until = now + ftb.l2_latency
+                stats.ftb_l2_promotions += 1
+                return None
+        else:
+            ftb_entry = ftb.lookup(start)
 
+        if not wrong_path:
+            # Checkpoint before the speculative updates below.
+            ckpt_history = self._history
+            ckpt_ras = self.ras.snapshot()
+
+        # Consult the FTB entry: predictors, RAS and speculative history.
+        pred_taken = False
+        if ftb_entry is None:
+            end = predicted_next = start + self._block_bytes
+        else:
+            end = ftb_entry.fallthrough
+            kind = ftb_entry.kind
+            if kind == BRANCH_COND:
+                terminator = end - INSTRUCTION_BYTES
+                history = self._history
+                oracle = None
+                if not wrong_path and self.config.perfect_direction:
+                    # Perfect mode reads the true outcome when the
+                    # trace reaches the predicted terminator.
+                    index = cursor + (terminator - start) \
+                        // INSTRUCTION_BYTES
+                    if index < len(records) \
+                            and records[index].pc == terminator:
+                        oracle = records[index]
+                if oracle is not None:
+                    pred_taken = oracle.taken
+                else:
+                    pred_taken = self.predictor.predict(terminator, history)
+                predicted_next = ftb_entry.target if pred_taken else end
+                self._history = ((history << 1) | pred_taken) \
+                    & self._history_mask
+            elif kind == RETURN:
+                popped = self.ras.pop()
+                predicted_next = popped if popped is not None else end
+            else:
+                if kind == CALL or kind == CALL_INDIRECT:
+                    self.ras.push(end)
+                target = ftb_entry.target
+                predicted_next = target if target is not None else end
+
+        self._seq = seq = self._seq + 1
         if wrong_path:
-            entry = self._produce_wrong_block(ftb_entry)
+            self._wrong_pc = predicted_next
+            # Positional (seq, start, end, predicted_next, wrong_path):
+            # half the cost of keywords on the most frequent block.
+            entry = FTQEntry(seq, start, end, predicted_next, True)
+            stats.wrong_path_blocks += 1
         else:
-            entry = self._produce_correct_block(ftb_entry)
+            entry = self._produce_correct_block(
+                seq, start, ftb_entry, end, predicted_next, pred_taken,
+                ckpt_history, ckpt_ras)
         ftq.push(entry)
-        self.stats.blocks_produced += 1
-        if entry.wrong_path:
-            self.stats.wrong_path_blocks += 1
+        stats.blocks_produced += 1
         return entry
 
     def on_resolve(self, entry: FTQEntry) -> None:
@@ -164,11 +226,13 @@ class PredictUnit(StatsComponent):
         self.ras.restore(entry.ckpt_ras)
         kind = entry.terminal_kind
         if kind is not None:
-            if kind == InstrKind.BRANCH_COND:
-                self._push_history(entry.terminal_taken)
-            elif kind.is_call:
+            if kind == BRANCH_COND:
+                self._history = ((self._history << 1)
+                                 | entry.terminal_taken) \
+                    & self._history_mask
+            elif kind == CALL or kind == CALL_INDIRECT:
                 self.ras.push(entry.terminal_pc + INSTRUCTION_BYTES)
-            elif kind.is_return:
+            elif kind == RETURN:
                 self.ras.pop()
         self._cursor = entry.resume_cursor
         self._pending_mispredict = None
@@ -179,19 +243,22 @@ class PredictUnit(StatsComponent):
     # Correct-path production and validation
     # ------------------------------------------------------------------
 
-    def _produce_correct_block(self, ftb_entry: FTBEntry | None,
-                               ) -> FTQEntry:
+    def _produce_correct_block(
+            self, seq: int, start: int, ftb_entry: FTBEntry | None,
+            end: int, predicted_next: int, pred_taken: bool,
+            ckpt_history: int, ckpt_ras: RasSnapshot) -> FTQEntry:
+        """Validate the block :meth:`tick` predicted at the trace cursor.
+
+        ``end``, ``predicted_next`` and ``pred_taken`` are the
+        prediction made from ``ftb_entry`` (None on an FTB miss);
+        ``ckpt_history`` and ``ckpt_ras`` the state before it.  Trains
+        the FTB and the direction predictor with the true outcome.
+        """
         records = self.trace.records
         cursor = self._cursor
-        start = records[cursor].pc
-
-        ckpt_history = self._history
-        ckpt_ras = self.ras.snapshot()
-
-        entry, end, predicted_next, pred_taken = self._consult_ftb(
-            start, ftb_entry, oracle_index=cursor)
-        predicted_cond = (entry is not None
-                          and entry.kind == InstrKind.BRANCH_COND)
+        predicted_cond = (ftb_entry is not None
+                          and ftb_entry.kind == BRANCH_COND)
+        boundary = end - INSTRUCTION_BYTES
 
         # Walk the committed trace against the prediction.
         j = cursor
@@ -201,24 +268,27 @@ class PredictUnit(StatsComponent):
             record = records[j]
             if record.next_pc != record.pc + INSTRUCTION_BYTES:
                 break  # redirecting control: the true block ends here
-            if record.pc == end - INSTRUCTION_BYTES:
+            if record.pc == boundary:
                 break  # reached the predicted boundary sequentially
             if j == last_index:
                 truncated = True
                 break
             j += 1
-        terminal = records[j]
+        terminal = record
+        terminal_pc = terminal.pc
+        kind = terminal.kind
+        redirects = terminal.next_pc != terminal_pc + INSTRUCTION_BYTES
         n_records = j - cursor + 1
 
         if truncated:
             true_next = None
             mispredict = False
-            block_end = terminal.pc + INSTRUCTION_BYTES
-        elif terminal.redirects:
+            block_end = terminal_pc + INSTRUCTION_BYTES
+        elif redirects:
             true_next = terminal.next_pc
-            block_end = terminal.pc + INSTRUCTION_BYTES
-            correct = (entry is not None
-                       and terminal.pc == end - INSTRUCTION_BYTES
+            block_end = terminal_pc + INSTRUCTION_BYTES
+            correct = (ftb_entry is not None
+                       and terminal_pc == boundary
                        and predicted_next == true_next)
             mispredict = not correct
         else:
@@ -227,7 +297,7 @@ class PredictUnit(StatsComponent):
             mispredict = predicted_next != end
 
         ftq_entry = FTQEntry(
-            seq=self._next_seq(),
+            seq=seq,
             start=start,
             end=block_end,
             predicted_next=predicted_next,
@@ -236,14 +306,30 @@ class PredictUnit(StatsComponent):
             mispredict=mispredict,
             true_next=true_next,
             resume_cursor=j + 1,
-            terminal_pc=terminal.pc,
-            terminal_kind=terminal.kind if terminal.kind.is_control
-            else None,
+            terminal_pc=terminal_pc,
+            terminal_kind=kind if kind >= BRANCH_COND else None,
             terminal_taken=terminal.taken,
         )
 
-        self._train(entry, start, terminal, ckpt_history, mispredict,
-                    predicted_cond, pred_taken)
+        # Train the FTB and the direction predictor with the true
+        # outcome.
+        if kind == BRANCH_COND:
+            self.predictor.update(terminal_pc, ckpt_history, terminal.taken)
+            if predicted_cond and terminal_pc == boundary:
+                self.predictor.record_outcome(pred_taken == terminal.taken)
+            elif not mispredict:
+                # Correct path: speculative history already holds the
+                # (correct) predicted bit when a prediction was made;
+                # otherwise push the true outcome now.
+                self._history = ((self._history << 1) | terminal.taken) \
+                    & self._history_mask
+        if mispredict and redirects:
+            self.ftb.install(FTBEntry(
+                start=start,
+                fallthrough=terminal_pc + INSTRUCTION_BYTES,
+                target=None if kind == RETURN else terminal.next_pc,
+                kind=kind,
+            ))
         self.stats.histogram("fetch_block_instrs").observe(n_records)
 
         if mispredict:
@@ -253,126 +339,24 @@ class PredictUnit(StatsComponent):
             self._pending_mispredict = ftq_entry
             self._wrong_pc = predicted_next
             self.stats.mispredicts += 1
-            self._classify_mispredict(entry, terminal, end)
+            self._classify_mispredict(ftb_entry, terminal, boundary)
         else:
             self._cursor = j + 1
 
         return ftq_entry
 
-    def _consult_ftb(
-            self, start: int, entry: FTBEntry | None,
-            oracle_index: int | None = None,
-    ) -> tuple[FTBEntry | None, int, int, bool]:
-        """Apply predictors + speculative RAS/history updates to a probed
-        FTB ``entry`` (None on FTB miss).
-
-        ``oracle_index`` is the trace cursor for correct-path production;
-        with ``perfect_direction`` enabled it lets the unit read the true
-        outcome of the block's terminating conditional branch.  Returns
-        (ftb_entry, predicted_end, predicted_next, pred_taken).
-        """
-        if entry is None:
-            end = start + self._block_bytes
-            return None, end, end, False
-
-        end = entry.fallthrough
-        kind = entry.kind
-        pred_taken = False
-        if kind == InstrKind.BRANCH_COND:
-            pred_taken = self._predict_direction(entry, start, oracle_index)
-            predicted_next = entry.target if pred_taken else end
-            self._push_history(pred_taken)
-        elif kind.is_return:
-            popped = self.ras.pop()
-            predicted_next = popped if popped is not None else end
-        elif kind.is_call:
-            self.ras.push(end)
-            predicted_next = entry.target if entry.target is not None else end
-        else:
-            predicted_next = entry.target if entry.target is not None else end
-        return entry, end, predicted_next, pred_taken
-
-    def _predict_direction(self, entry: FTBEntry, start: int,
-                           oracle_index: int | None) -> bool:
-        """Hybrid predictor, or the true outcome in perfect mode."""
-        if self.config.perfect_direction and oracle_index is not None:
-            offset = (entry.terminator_pc - start) // INSTRUCTION_BYTES
-            index = oracle_index + offset
-            if index < len(self.trace):
-                record = self.trace.records[index]
-                if record.pc == entry.terminator_pc:
-                    return record.taken
-        return self.predictor.predict(entry.terminator_pc, self._history)
-
-    def _train(self, entry: FTBEntry | None, start: int, terminal,
-               ckpt_history: int, mispredict: bool, predicted_cond: bool,
-               pred_taken: bool) -> None:
-        """Train FTB and direction predictor with the true outcome."""
-        kind = terminal.kind
-        terminal_predicted = (entry is not None and
-                              terminal.pc == entry.terminator_pc)
-
-        if kind == InstrKind.BRANCH_COND:
-            self.predictor.update(terminal.pc, ckpt_history, terminal.taken)
-            if terminal_predicted and predicted_cond:
-                self.predictor.record_outcome(pred_taken == terminal.taken)
-            if not mispredict:
-                # Correct path: speculative history already holds the
-                # (correct) predicted bit when a prediction was made;
-                # otherwise push the true outcome now.
-                if not (terminal_predicted and predicted_cond):
-                    self._push_history(terminal.taken)
-
-        if mispredict and terminal.redirects:
-            target = None if kind.is_return else terminal.next_pc
-            self.ftb.install(FTBEntry(
-                start=start,
-                fallthrough=terminal.pc + INSTRUCTION_BYTES,
-                target=target,
-                kind=kind,
-            ))
-
     def _classify_mispredict(self, entry: FTBEntry | None, terminal,
-                             end: int) -> None:
+                             boundary: int) -> None:
         kind = terminal.kind
         if entry is None:
             self.stats.mispredict_ftb_miss += 1
-        elif terminal.pc != end - INSTRUCTION_BYTES:
+        elif terminal.pc != boundary:
             self.stats.mispredict_embedded_branch += 1
-        elif kind == InstrKind.BRANCH_COND:
+        elif kind == BRANCH_COND:
             self.stats.mispredict_direction += 1
-        elif kind.is_return:
+        elif kind == RETURN:
             self.stats.mispredict_return += 1
-        elif kind.is_indirect:
+        elif kind == JUMP_INDIRECT or kind == CALL_INDIRECT:
             self.stats.mispredict_indirect_target += 1
         else:
             self.stats.mispredict_other += 1
-
-    # ------------------------------------------------------------------
-    # Wrong-path production
-    # ------------------------------------------------------------------
-
-    def _produce_wrong_block(self, ftb_entry: FTBEntry | None,
-                             ) -> FTQEntry:
-        start = self._wrong_pc
-        entry, end, predicted_next, _ = self._consult_ftb(start, ftb_entry)
-        self._wrong_pc = predicted_next
-        return FTQEntry(
-            seq=self._next_seq(),
-            start=start,
-            end=end,
-            predicted_next=predicted_next,
-            wrong_path=True,
-        )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _push_history(self, taken: bool) -> None:
-        self._history = ((self._history << 1) | int(taken)) \
-            & self._history_mask
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq

@@ -68,19 +68,18 @@ class FetchTargetBuffer(StatsComponent):
         self.ways = ways
         self.stats = FTBStats("ftb")
         # Per-set mapping start-pc -> entry; iteration order is LRU order
-        # (dicts preserve insertion order; re-inserting refreshes).
+        # (dicts preserve insertion order; re-inserting refreshes).  A
+        # block start's set is its word address masked by _set_mask.
         self._table: list[dict[int, FTBEntry]] = [{} for _ in range(sets)]
+        self._set_mask = sets - 1
 
     @property
     def capacity(self) -> int:
         return self.sets * self.ways
 
-    def _set_for(self, pc: int) -> dict[int, FTBEntry]:
-        return self._table[(pc // INSTRUCTION_BYTES) & (self.sets - 1)]
-
     def lookup(self, pc: int) -> FTBEntry | None:
         """Query the block starting at ``pc``; refreshes LRU on hit."""
-        entry_set = self._set_for(pc)
+        entry_set = self._table[(pc // INSTRUCTION_BYTES) & self._set_mask]
         entry = entry_set.get(pc)
         if entry is None:
             self.stats.misses += 1
@@ -107,9 +106,11 @@ class FetchTargetBuffer(StatsComponent):
         if entry.fallthrough <= entry.start:
             raise ConfigError(
                 f"FTB entry with non-positive extent: {entry!r}")
-        entry_set = self._set_for(entry.start)
-        if entry.start in entry_set:
-            del entry_set[entry.start]
+        start = entry.start
+        entry_set = self._table[(start // INSTRUCTION_BYTES)
+                                & self._set_mask]
+        if start in entry_set:
+            del entry_set[start]
             self.stats.updates += 1
         else:
             self.stats.installs += 1
@@ -117,7 +118,7 @@ class FetchTargetBuffer(StatsComponent):
                 oldest = next(iter(entry_set))
                 del entry_set[oldest]
                 self.stats.evictions += 1
-        entry_set[entry.start] = entry
+        entry_set[start] = entry
 
     def resident_entries(self) -> int:
         return sum(len(entry_set) for entry_set in self._table)

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-__all__ = ["INSTRUCTION_BYTES", "InstrKind", "StaticInstr"]
+__all__ = ["INSTRUCTION_BYTES", "InstrKind", "StaticInstr", "LOAD",
+           "BRANCH_COND", "JUMP_INDIRECT", "CALL", "CALL_INDIRECT",
+           "RETURN"]
 
 INSTRUCTION_BYTES = 4
 """Size of every instruction in bytes (word aligned, RISC style)."""
@@ -67,6 +69,19 @@ class InstrKind(IntEnum):
     @property
     def is_memory(self) -> bool:
         return self in (InstrKind.LOAD, InstrKind.STORE)
+
+
+# Module-level names for the kinds the simulator's per-block path tests.
+# Reading a module global takes about 20 ns, against about 190 ns for
+# ``InstrKind.BRANCH_COND`` and 200-500 ns for a property such as
+# ``kind.is_return`` or ``kind.is_call`` (timeit, CPython 3.11).  The
+# kinds are ordered so that ``kind >= BRANCH_COND`` is ``is_control``.
+LOAD = InstrKind.LOAD
+BRANCH_COND = InstrKind.BRANCH_COND
+JUMP_INDIRECT = InstrKind.JUMP_INDIRECT
+CALL = InstrKind.CALL
+CALL_INDIRECT = InstrKind.CALL_INDIRECT
+RETURN = InstrKind.RETURN
 
 
 @dataclass(frozen=True)

@@ -30,24 +30,22 @@ class SetAssociativeCache(StatsComponent):
 
     # "name" stays a slot (shadowing the StatsComponent property) so the
     # hot lookup path keeps its direct attribute access.
-    __slots__ = ("geometry", "name", "stats", "_num_sets", "_assoc",
+    __slots__ = ("geometry", "name", "stats", "_set_mask", "_assoc",
                  "_sets")
 
     def __init__(self, geometry: CacheGeometry, name: str = "cache"):
         self.geometry = geometry
         self.name = name
         self.stats = CacheStats(name)
-        self._num_sets = geometry.num_sets
+        # A block's set is its id masked by _set_mask.
+        self._set_mask = geometry.num_sets - 1
         self._assoc = geometry.assoc
         # Per-set list of block ids, most-recently-used last.
-        self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
-
-    def _set_for(self, bid: int) -> list[int]:
-        return self._sets[bid & (self._num_sets - 1)]
+        self._sets: list[list[int]] = [[] for _ in range(geometry.num_sets)]
 
     def lookup(self, bid: int) -> bool:
         """Demand access: hit/miss, promoting the block to MRU on hit."""
-        entry_set = self._set_for(bid)
+        entry_set = self._sets[bid & self._set_mask]
         if bid in entry_set:
             if entry_set[-1] != bid:
                 entry_set.remove(bid)
@@ -60,11 +58,11 @@ class SetAssociativeCache(StatsComponent):
     def probe(self, bid: int) -> bool:
         """Tag probe: hit/miss without touching replacement state."""
         self.stats.probes += 1
-        return bid in self._set_for(bid)
+        return bid in self._sets[bid & self._set_mask]
 
     def contains(self, bid: int) -> bool:
         """Like :meth:`probe` but without statistics (for assertions)."""
-        return bid in self._set_for(bid)
+        return bid in self._sets[bid & self._set_mask]
 
     def fill(self, bid: int) -> int | None:
         """Insert ``bid`` as MRU; return the evicted block id, if any.
@@ -72,7 +70,7 @@ class SetAssociativeCache(StatsComponent):
         Filling a block that is already present just refreshes its
         recency (no duplicate entries, no eviction).
         """
-        entry_set = self._set_for(bid)
+        entry_set = self._sets[bid & self._set_mask]
         if bid in entry_set:
             if entry_set[-1] != bid:
                 entry_set.remove(bid)
@@ -88,7 +86,7 @@ class SetAssociativeCache(StatsComponent):
 
     def invalidate(self, bid: int) -> bool:
         """Remove ``bid`` if present; True when something was removed."""
-        entry_set = self._set_for(bid)
+        entry_set = self._sets[bid & self._set_mask]
         if bid in entry_set:
             entry_set.remove(bid)
             self.stats.invalidations += 1
@@ -107,4 +105,4 @@ class SetAssociativeCache(StatsComponent):
     def __repr__(self) -> str:
         return (f"SetAssociativeCache({self.name!r}, "
                 f"{self.geometry.size_bytes // 1024}KB, "
-                f"{self._num_sets}x{self._assoc})")
+                f"{self.geometry.num_sets}x{self._assoc})")

@@ -185,16 +185,17 @@ class MemorySystem(StatsComponent):
             self.l1i.fill(bid)
             self.stats.sidecar_promotions += 1
             return DemandResult(HIT_SIDECAR, now)
-        in_flight = self.mshrs.get(bid)
+        mshrs = self.mshrs
+        in_flight = mshrs._entries.get(bid)
         if in_flight is not None:
-            self.mshrs.merge_demand(bid)
+            mshrs.merge_demand(bid)
             return DemandResult(MERGED, in_flight.ready_cycle)
-        if self.mshrs.full:
+        if len(mshrs._entries) >= mshrs.capacity:
             self.stats.demand_mshr_stalls += 1
             return DemandResult(RETRY, None)
         start = self.bus.acquire_demand(now)
         ready = start + self.bus.transfer_cycles + self._backing_latency(bid)
-        self.mshrs.allocate(bid, ready, is_prefetch=False)
+        mshrs.allocate(bid, ready, is_prefetch=False)
         heapq.heappush(self._events, (ready, bid))
         self.stats.demand_misses += 1
         return DemandResult(MISS, ready)

@@ -5,7 +5,8 @@ A prefetcher plugs into the simulator at three points:
 - ``sidecar`` — its storage (prefetch buffer or stream buffers), probed by
   the memory system in parallel with the L1-I on every demand access;
 - :meth:`on_demand` — feedback about each demand access (next-line and
-  stream-buffer prefetchers are demand driven);
+  stream-buffer prefetchers are demand driven; the fetch engine skips
+  the call for a prefetcher that keeps the base class's no-op);
 - :meth:`tick` — a once-per-cycle opportunity to scan the FTQ and issue
   prefetches (FDIP), or to drain internal request queues.
 
@@ -81,7 +82,8 @@ class Prefetcher(StatsComponent, ABC):
         """Issue this cycle's prefetch work."""
 
     def on_demand(self, bid: int, outcome: str, now: int) -> None:
-        """Feedback for one demand access (default: ignore)."""
+        """Feedback for one demand access (default: ignore, and the
+        fetch engine does not call it unless a subclass overrides it)."""
 
     def quiescent(self, ftq: FetchTargetQueue) -> bool:
         """True when :meth:`tick` would be a complete no-op.

@@ -14,7 +14,8 @@ The FDIP prefetch engine watches the FTQ.  Every cycle it:
    from its start once the PIQ has room;
 3. issues up to ``max_prefetches_per_cycle`` PIQ-head blocks to the L2 —
    only when the bus is idle and an MSHR is free, preserving demand
-   priority.
+   priority.  Heads already in the prefetch buffer or in flight are
+   dropped on the way.
 
 Prefetched blocks fill the fully-associative prefetch buffer, which the
 memory system probes in parallel with the L1-I on demand fetches.
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict
+from itertools import islice
 
 from repro.config import FilterMode, PrefetchConfig
 from repro.errors import SimulationError
 from repro.frontend.ftq import FetchTargetQueue
-from repro.memory.block import blocks_spanning
 from repro.memory.hierarchy import MemorySystem, Sidecar
 from repro.memory.mshr import MshrEntry
 from repro.memory.prefetch_buffer import PrefetchBuffer
@@ -116,6 +117,9 @@ class FdipPrefetcher(Prefetcher):
 
     def tick(self, now: int, ftq: FetchTargetQueue) -> None:
         piq = self._piq
+        memory = self.memory
+        stats = self.stats
+        buffered = self.buffer._blocks
         if self._remove and piq:
             self._remove_filter()
         # Stage 2: scan the entries the cursor has not passed, in queue
@@ -128,25 +132,24 @@ class FdipPrefetcher(Prefetcher):
         if index < self._min_lookahead:
             index = self._min_lookahead
         if index < stop:
-            depth = self._piq_depth
+            room = self._piq_depth - len(piq)
             ideal = self._ideal
             probe = self._probe
-            memory = self.memory
             block_bytes = memory.block_bytes
-            buffered = self.buffer.contains
-            stats = self.stats
-            while index < stop and len(piq) < depth:
+            while index < stop and room > 0:
                 entry = entries[index]
                 wrong_path = entry.wrong_path
-                for bid in blocks_spanning(entry.start, entry.end,
-                                           block_bytes):
-                    if len(piq) >= depth:
+                # The cache blocks of [start, end); a block is never
+                # empty.
+                for bid in range(entry.start // block_bytes,
+                                 (entry.end - 1) // block_bytes + 1):
+                    if not room:
                         break
                     if bid in piq:
                         stats.duplicate_candidates += 1
                         continue
                     stats.candidates += 1
-                    if buffered(bid):
+                    if bid in buffered:
                         stats.filtered_in_buffer += 1
                         continue
                     if ideal:
@@ -161,13 +164,40 @@ class FdipPrefetcher(Prefetcher):
                         if resident is None:
                             stats.enqueued_unfiltered += 1
                     piq[bid] = wrong_path
+                    room -= 1
                 else:
                     index += 1
                     continue
                 break  # PIQ filled up mid-entry; rescan it next cycle
             ftq.scan_index = index
-        if piq:
-            self._issue(now)
+        if not piq:
+            return
+        # Stage 3: issue up to max_prefetches_per_cycle PIQ heads to the
+        # L2, dropping heads already buffered or in flight on the way.
+        # Nothing here changes the PIQ, so the walk counts the heads it
+        # is done with and they leave the queue after it.
+        in_flight = memory.mshrs._entries
+        issued = done = 0
+        for bid, wrong_path in piq.items():
+            if bid in buffered:
+                stats.filtered_in_buffer += 1
+            elif self._ideal and memory.oracle_probe(bid):
+                stats.filtered_ideal += 1
+            elif bid in in_flight:
+                stats.dropped_in_flight += 1
+            elif memory.try_issue_prefetch(bid, now, wrong_path):
+                issued += 1
+                stats.issued += 1
+                if wrong_path:
+                    stats.issued_wrong_path += 1
+            else:
+                break  # bus busy or MSHRs full; retry next cycle
+            done += 1
+            if issued == self._max_issue:
+                break
+        while done:
+            piq.popitem(last=False)
+            done -= 1
 
     def squash(self) -> None:
         """Pipeline flush: pending (unissued) prefetches are discarded."""
@@ -179,48 +209,20 @@ class FdipPrefetcher(Prefetcher):
     # ------------------------------------------------------------------
 
     def _remove_filter(self) -> None:
-        """Probe PIQ entries with idle tag ports; drop resident blocks."""
-        for bid in list(self._piq):
-            if self.memory.idle_tag_ports == 0:
-                break
-            resident = self.memory.cpf_probe(bid)
-            if resident is None:
-                break
-            if resident:
-                del self._piq[bid]
-                self.stats.filtered_remove += 1
+        """Probe PIQ heads with this cycle's idle tag ports; drop the
+        resident ones.
 
-    # ------------------------------------------------------------------
-    # Stage 3: issue
-    # ------------------------------------------------------------------
-
-    def _issue(self, now: int) -> None:
+        Each probe takes one idle port, so the heads probed are the
+        first ``idle_tag_ports`` of the queue.
+        """
+        idle = self.memory.idle_tag_ports
+        if not idle:
+            return
         piq = self._piq
-        memory = self.memory
-        stats = self.stats
-        issued = 0
-        while piq and issued < self._max_issue:
-            bid, wrong_path = next(iter(piq.items()))
-            if self.buffer.contains(bid):
+        for bid in list(islice(piq, idle)):
+            if self.memory.cpf_probe(bid):
                 del piq[bid]
-                stats.filtered_in_buffer += 1
-                continue
-            if self._ideal and memory.oracle_probe(bid):
-                del piq[bid]
-                stats.filtered_ideal += 1
-                continue
-            if memory.mshrs.get(bid) is not None:
-                del piq[bid]
-                stats.dropped_in_flight += 1
-                continue
-            if not memory.try_issue_prefetch(bid, now,
-                                             wrong_path=wrong_path):
-                break  # bus busy or MSHRs full; retry next cycle
-            del piq[bid]
-            issued += 1
-            stats.issued += 1
-            if wrong_path:
-                stats.issued_wrong_path += 1
+                self.stats.filtered_remove += 1
 
     # ------------------------------------------------------------------
 

@@ -84,9 +84,11 @@ SCHEMA = "repro.checkpoint"
 # Bumped whenever the pickled machine changes layout (3: stat-group
 # counters became slots; 4: the FTQ keeps the prefetch scan cursor in
 # place of a flag per entry, the memory system its tag-port count and
-# the stream prefetcher its count of wanting buffers), so an older
-# snapshot is refused before it is unpickled.
-VERSION = 4
+# the stream prefetcher its count of wanting buffers; 5: the caches and
+# FTBs keep a set mask, the prediction unit whether its FTB has two
+# levels and the fetch engine its prefetcher's demand hook), so an
+# older snapshot is refused before it is unpickled.
+VERSION = 5
 
 #: Snapshot cadence (cycles) when a snapshot directory is given without
 #: one: ``repro run``/``repro stats --machine-checkpoint-dir``,

@@ -123,15 +123,19 @@ def stall_proof(sim: "Simulator", cycle: int):
     # attempt (the common case on busy stretches) does the least work.
 
     # --- fetch engine ------------------------------------------------
+    # The FTQ and window checks are the ones FetchEngine.tick makes.
+    ftq_entries = sim.ftq._entries
     fetch_wake = sim.fetch_engine.next_wake_cycle(cycle)
     if fetch_wake is not None:
         fetch_counter = "miss_stall_cycles"
+    elif not ftq_entries:
+        fetch_counter = "ftq_empty_cycles"
     else:
-        head = sim.ftq.head()
-        if head is None:
-            fetch_counter = "ftq_empty_cycles"
-        elif ((not head.wrong_path or sim.config.core.wrong_path_in_window)
-                and sim.backend.free_slots <= 0):
+        core = sim.config.core
+        backend = sim.backend
+        if ((not ftq_entries[0].wrong_path or core.wrong_path_in_window)
+                and core.window_size - len(backend._window)
+                - backend._wrong_path_occupancy <= 0):
             fetch_counter = "window_stall_cycles"
         else:
             return None   # fetch would access the memory system
@@ -139,7 +143,7 @@ def stall_proof(sim: "Simulator", cycle: int):
     # --- prediction unit ---------------------------------------------
     predict = sim.predict_unit
     predict_wake = None
-    if sim.ftq.full:
+    if len(ftq_entries) >= sim.ftq.depth:
         # tick checks FTQ-full before the L2-FTB wait, so a pending
         # promotion neither clears nor bounds anything while full.
         predict_counter: str | None = "ftq_full_stalls"

@@ -259,7 +259,7 @@ class Simulator:
         are reset afterwards so the measured region starts clean.
         """
         from repro.ftb import FTBEntry
-        from repro.isa import INSTRUCTION_BYTES, InstrKind
+        from repro.isa import BRANCH_COND, INSTRUCTION_BYTES, RETURN
 
         block_bytes = self.memory.block_bytes
         cap_bytes = self.config.frontend.max_fetch_block \
@@ -277,12 +277,12 @@ class Simulator:
                 l1i.fill(bid)
                 l2.fill(bid)
             kind = record.kind
-            if kind == InstrKind.BRANCH_COND:
+            if kind == BRANCH_COND:
                 predictor.update(record.pc, history, record.taken)
                 history = ((history << 1) | int(record.taken)) \
                     & history_mask
             if record.next_pc != record.pc + INSTRUCTION_BYTES:
-                target = None if kind.is_return else record.next_pc
+                target = None if kind == RETURN else record.next_pc
                 ftb.install(FTBEntry(
                     start=block_start,
                     fallthrough=record.pc + INSTRUCTION_BYTES,
