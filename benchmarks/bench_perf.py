@@ -28,7 +28,7 @@ _BASELINE = Path(__file__).parent / "perf_baseline.json"
 def test_perf_matrix(benchmark):
     report = benchmark.pedantic(
         perf.run_perf,
-        kwargs={"length": perf.QUICK_LENGTH, "reps": 3, "warmup": 1},
+        kwargs={"length": perf.QUICK_LENGTH, "reps": 7, "warmup": 1},
         rounds=1, iterations=1)
     text = perf.format_report(report)
     sys.__stdout__.write("\n" + text + "\n")
