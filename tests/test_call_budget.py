@@ -1,0 +1,80 @@
+"""A deterministic guard on how many Python calls one simulation makes.
+
+The simulator's speed is bounded by calls into Python functions, each
+of which costs tens of nanoseconds before its body runs.  The
+per-block path (prediction unit, FTB, direction predictor, FTQ, FDIP
+scan and issue, fetch engine, L1-I, backend) makes one call into each
+layer's entry point and does its own arithmetic inline.  A one-line
+helper or property that comes back onto that path adds thousands of
+calls per run: a slowdown of a few percent, which the timing gate
+(``benchmarks/bench_perf.py``) cannot resolve but a call count sees
+exactly.
+
+Each test counts, under cProfile, the calls to functions defined in
+the ``repro`` package during one golden-trace run (event engine, no
+warm-up), after one unprofiled run so that first-use work is not
+counted.  The count is deterministic for a given tree and interpreter.
+Each budget is 5% above the count measured on CPython 3.11, and it
+bounds from above only: an interpreter that inlines comprehensions
+(3.12) reads lower.  Before the per-block path was inlined, the same
+runs made 324,117 (``fdip``/``enqueue``) and 279,689 (``none``) calls.
+
+To see which function a failure added, profile the same run::
+
+    python -m cProfile -s ncalls -m repro run -w gcc_like --length 10000
+"""
+
+from __future__ import annotations
+
+import cProfile
+import os
+import pstats
+
+import pytest
+
+import repro
+from repro import PrefetchConfig, SimConfig, simulate
+from repro.cfg import ProgramShape, generate_program
+from repro.trace import Trace
+
+#: (prefetcher kind, filter mode) -> calls measured on CPython 3.11.
+MEASURED = {
+    ("fdip", "enqueue"): 122_832,
+    ("none", "none"): 102_478,
+}
+SLACK = 0.05
+
+_PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+@pytest.fixture(scope="module")
+def golden_trace():
+    shape = ProgramShape(target_instrs=2048, n_functions=16,
+                         n_levels=5, dispatcher_fanout=4)
+    program = generate_program(shape, seed=42, name="small")
+    return Trace.from_program(program, 10000, seed=7)
+
+
+def repro_calls(trace: Trace, config: SimConfig) -> int:
+    """Calls to ``repro`` functions in one profiled run of ``trace``."""
+    simulate(trace, config, engine="event")
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        simulate(trace, config, engine="event")
+    finally:
+        profile.disable()
+    return sum(calls for (filename, _, _), (_, calls, *_)
+               in pstats.Stats(profile).stats.items()
+               if os.path.abspath(filename).startswith(_PACKAGE))
+
+
+@pytest.mark.parametrize("kind,filter_mode", sorted(MEASURED))
+def test_calls_within_budget(golden_trace, kind, filter_mode):
+    budget = int(MEASURED[kind, filter_mode] * (1 + SLACK))
+    calls = repro_calls(golden_trace, SimConfig(prefetch=PrefetchConfig(
+        kind=kind, filter_mode=filter_mode)))
+    assert calls <= budget, (
+        f"{kind}/{filter_mode}: {calls:,} calls to repro functions, "
+        f"over the budget of {budget:,}; a helper call is back on the "
+        f"per-block path")
