@@ -121,7 +121,15 @@ class FdipPrefetcher(Prefetcher):
         stats = self.stats
         buffered = self.buffer._blocks
         if self._remove and piq:
-            self._remove_filter()
+            # Stage 1: probe PIQ heads with this cycle's idle tag ports
+            # and drop the resident ones.  Each probe takes one port, so
+            # the heads probed are the first idle_tag_ports of the PIQ.
+            idle = memory.idle_tag_ports
+            if idle:
+                for bid in list(islice(piq, idle)):
+                    if memory.cpf_probe(bid):
+                        del piq[bid]
+                        stats.filtered_remove += 1
         # Stage 2: scan the entries the cursor has not passed, in queue
         # order, and enqueue their blocks through enqueue filtering.
         entries = ftq._entries
@@ -203,26 +211,6 @@ class FdipPrefetcher(Prefetcher):
         """Pipeline flush: pending (unissued) prefetches are discarded."""
         self.stats.piq_squashed += len(self._piq)
         self._piq.clear()
-
-    # ------------------------------------------------------------------
-    # Stage 1: remove filtering of queued candidates
-    # ------------------------------------------------------------------
-
-    def _remove_filter(self) -> None:
-        """Probe PIQ heads with this cycle's idle tag ports; drop the
-        resident ones.
-
-        Each probe takes one idle port, so the heads probed are the
-        first ``idle_tag_ports`` of the queue.
-        """
-        idle = self.memory.idle_tag_ports
-        if not idle:
-            return
-        piq = self._piq
-        for bid in list(islice(piq, idle)):
-            if self.memory.cpf_probe(bid):
-                del piq[bid]
-                self.stats.filtered_remove += 1
 
     # ------------------------------------------------------------------
 
