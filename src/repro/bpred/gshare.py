@@ -29,9 +29,6 @@ class GsharePredictor(DirectionPredictor):
         self._mask = entries - 1
         self._table = [COUNTER_INIT] * entries
 
-    # A branch's counter is at its word address XOR the masked global
-    # history, masked to the table.
-
     def predict(self, pc: int, history: int) -> bool:
         index = ((pc // INSTRUCTION_BYTES) ^ (history & self._history_mask)) \
             & self._mask

@@ -68,8 +68,7 @@ class FetchTargetBuffer(StatsComponent):
         self.ways = ways
         self.stats = FTBStats("ftb")
         # Per-set mapping start-pc -> entry; iteration order is LRU order
-        # (dicts preserve insertion order; re-inserting refreshes).  A
-        # block start's set is its word address masked by _set_mask.
+        # (dicts preserve insertion order; re-inserting refreshes).
         self._table: list[dict[int, FTBEntry]] = [{} for _ in range(sets)]
         self._set_mask = sets - 1
 

@@ -37,7 +37,6 @@ class SetAssociativeCache(StatsComponent):
         self.geometry = geometry
         self.name = name
         self.stats = CacheStats(name)
-        # A block's set is its id masked by _set_mask.
         self._set_mask = geometry.num_sets - 1
         self._assoc = geometry.assoc
         # Per-set list of block ids, most-recently-used last.
