@@ -48,7 +48,6 @@ class FetchEngine(StatsComponent):
         self.memory = memory
         self.ftq = ftq
         self.backend = backend
-        self.prefetcher = prefetcher
         self.core = core
         self.stats = FetchStats("fetch")
         self._on_terminal_delivered = on_terminal_delivered

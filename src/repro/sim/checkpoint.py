@@ -86,8 +86,9 @@ SCHEMA = "repro.checkpoint"
 # place of a flag per entry, the memory system its tag-port count and
 # the stream prefetcher its count of wanting buffers; 5: the caches and
 # FTBs keep a set mask, the prediction unit whether its FTB has two
-# levels and the fetch engine its prefetcher's demand hook), so an
-# older snapshot is refused before it is unpickled.
+# levels and the fetch engine its prefetcher's demand hook in place of
+# the prefetcher), so an older snapshot is refused before it is
+# unpickled.
 VERSION = 5
 
 #: Snapshot cadence (cycles) when a snapshot directory is given without
