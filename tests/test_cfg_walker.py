@@ -17,6 +17,7 @@ from repro.errors import SimulationError
 from repro.isa import INSTRUCTION_BYTES, InstrKind, StaticInstr
 from repro.trace import Trace
 from repro.workloads.suite import ALL_WORKLOADS, build_program
+from tests._reference_walker import ReferenceWalker
 
 
 def build_loop_program(trips: int) -> Program:
@@ -258,6 +259,64 @@ class TestSharedRecords:
         bodies = [r for r in records if r.pc == TEXT_BASE]
         assert len(bodies) == 4
         assert all(r is bodies[0] for r in bodies)
+
+
+class TestSharedCompile:
+    """Every walker of a program shares the program's compiled blocks;
+    position, call stack, loop trip counts and random stream stay per
+    walker."""
+
+    LENGTH = 3000
+
+    @pytest.mark.parametrize("name", ["compress_like", "li_like",
+                                      "gcc_like"])
+    def test_back_to_back_walkers_match_reference(self, name):
+        program = build_program(name)
+        for seed in (1, 2):
+            expected = ReferenceWalker(program, seed=seed).walk(self.LENGTH)
+            assert TraceWalker(program, seed=seed).walk(self.LENGTH) \
+                == expected, f"seed {seed}"
+
+    @pytest.mark.parametrize("name", ["loop", "compress_like", "li_like"])
+    def test_interleaved_walkers_match_reference(self, name):
+        # Chunks of uneven length cut loops at different trip counts in
+        # the two walkers, so a trip counter shared between them would
+        # move a loop exit.
+        program = (build_loop_program(trips=5) if name == "loop"
+                   else build_program(name))
+        walkers = {seed: TraceWalker(program, seed=seed) for seed in (1, 2)}
+        walked = {seed: [] for seed in walkers}
+        chunks = itertools.cycle([(1, 7), (2, 3), (1, 11), (2, 1)])
+        while any(len(out) < self.LENGTH for out in walked.values()):
+            seed, n = next(chunks)
+            walked[seed] += walkers[seed].walk(n)
+        for seed, out in walked.items():
+            expected = ReferenceWalker(program, seed=seed).walk(self.LENGTH)
+            assert out[:self.LENGTH] == expected, f"seed {seed}"
+
+    def test_compiled_blocks_are_the_blocks_entered(self):
+        program = build_program("gcc_like")
+        entered = set()
+        for seed in range(1, 5):
+            for record in TraceWalker(program, seed=seed).walk(5000):
+                if program.block_at(record.pc).start == record.pc:
+                    entered.add(record.pc)
+        assert set(program.compiled_blocks) == entered
+        assert len(program.compiled_blocks) == len(entered)
+
+    def test_later_walker_compiles_nothing_again(self):
+        program = build_program("compress_like")
+        first = TraceWalker(program, seed=1).walk(2000)
+        compiled = dict(program.compiled_blocks)
+        assert TraceWalker(program, seed=1).walk(2000) == first
+        assert program.compiled_blocks.keys() == compiled.keys()
+        assert all(program.compiled_blocks[pc] is block
+                   for pc, block in compiled.items())
+
+    def test_programs_do_not_share_compiled_blocks(self):
+        a, b = build_program("li_like"), build_program("li_like")
+        TraceWalker(a, seed=1).walk(500)
+        assert a.compiled_blocks and not b.compiled_blocks
 
 
 class TestWalkErrors:
