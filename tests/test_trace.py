@@ -169,6 +169,43 @@ class TestTraceIO:
             with pytest.raises(TraceError, match="corrupt record payload"):
                 read_trace(path)
 
+    def test_corrupt_kind_in_a_later_record(self, tmp_path, small_trace):
+        # Records are built once per distinct value; a bad kind byte in
+        # the last record, whose other fields repeat earlier ones, must
+        # still be caught.
+        path = tmp_path / "t.trace.gz"
+        write_trace(small_trace, path)
+        payload = bytearray(gzip.decompress(path.read_bytes()))
+        payload[len(payload) - 18 + 8] = 0xEE
+        with gzip.open(path, "wb") as out:
+            out.write(bytes(payload))
+        with pytest.raises(TraceError, match="corrupt record payload"):
+            read_trace(path)
+
+    def test_equal_records_read_as_one_object(self, tmp_path, small_trace):
+        path = tmp_path / "t.trace.gz"
+        write_trace(small_trace, path)
+        loaded = read_trace(path)
+        assert loaded.records == small_trace.records
+        distinct = set(small_trace.records)
+        assert len(distinct) < len(small_trace) // 4
+        assert len({id(record) for record in loaded}) == len(distinct)
+
+    def test_any_nonzero_taken_byte_reads_true(self, tmp_path):
+        path = tmp_path / "t.trace.gz"
+        header = {"magic": "repro-trace", "version": 1, "name": "x",
+                  "seed": 0, "count": 3}
+        record = struct.Struct("<QBBQ")
+        with gzip.open(path, "wb") as out:
+            out.write(json.dumps(header).encode("utf-8") + b"\n"
+                      + record.pack(0x1000, InstrKind.BRANCH_COND, 1, 0x2000)
+                      + record.pack(0x1000, InstrKind.BRANCH_COND, 2, 0x2000)
+                      + record.pack(0x1000, InstrKind.BRANCH_COND, 0,
+                                    0x1004))
+        loaded = read_trace(path)
+        assert [r.taken for r in loaded] == [True, True, False]
+        assert all(type(r.taken) is bool for r in loaded)
+
     def test_reads_file_written_record_by_record(self, tmp_path,
                                                  small_trace):
         # Cache files already on disk were written with one gzip write
