@@ -19,6 +19,13 @@ bounds from above only: an interpreter that inlines comprehensions
 (3.12) reads lower.  Before the per-block path was inlined, the same
 runs made 324,117 (``fdip``/``enqueue``) and 279,689 (``none``) calls.
 
+The build path has a budget of its own: generating ``gcc_like`` and
+walking it four times, 2,000 instructions per walk (seeds 1-4), from
+one program object.  Before planning drew from per-level callee tables,
+instructions were slotted, validation compared kinds with the
+``repro.isa`` constants and walkers shared the program's compiled
+blocks, the same run made 257,755 calls.
+
 To see which function a failure added, profile the same run::
 
     python -m cProfile -s ncalls -m repro run -w gcc_like --length 10000
@@ -34,14 +41,17 @@ import pytest
 
 import repro
 from repro import PrefetchConfig, SimConfig, simulate
-from repro.cfg import ProgramShape, generate_program
+from repro.cfg import ProgramShape, TraceWalker, generate_program
 from repro.trace import Trace
+from repro.workloads.suite import build_program
 
 #: (prefetcher kind, filter mode) -> calls measured on CPython 3.11.
 MEASURED = {
     ("fdip", "enqueue"): 122_832,
     ("none", "none"): 102_478,
 }
+#: Calls of the build path (see the module docstring) on CPython 3.11.
+BUILD_MEASURED = 119_949
 SLACK = 0.05
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -55,18 +65,30 @@ def golden_trace():
     return Trace.from_program(program, 10000, seed=7)
 
 
-def repro_calls(trace: Trace, config: SimConfig) -> int:
-    """Calls to ``repro`` functions in one profiled run of ``trace``."""
-    simulate(trace, config, engine="event")
+def profiled_calls(run) -> int:
+    """Calls to ``repro`` functions in one profiled ``run()``, after an
+    unprofiled one."""
+    run()
     profile = cProfile.Profile()
     profile.enable()
     try:
-        simulate(trace, config, engine="event")
+        run()
     finally:
         profile.disable()
     return sum(calls for (filename, _, _), (_, calls, *_)
                in pstats.Stats(profile).stats.items()
                if os.path.abspath(filename).startswith(_PACKAGE))
+
+
+def repro_calls(trace: Trace, config: SimConfig) -> int:
+    """Calls to ``repro`` functions in one profiled run of ``trace``."""
+    return profiled_calls(lambda: simulate(trace, config, engine="event"))
+
+
+def build_path() -> None:
+    program = build_program("gcc_like")
+    for seed in (1, 2, 3, 4):
+        TraceWalker(program, seed=seed).walk(2000)
 
 
 @pytest.mark.parametrize("kind,filter_mode", sorted(MEASURED))
@@ -78,3 +100,12 @@ def test_calls_within_budget(golden_trace, kind, filter_mode):
         f"{kind}/{filter_mode}: {calls:,} calls to repro functions, "
         f"over the budget of {budget:,}; a helper call is back on the "
         f"per-block path")
+
+
+def test_build_path_within_budget():
+    budget = int(BUILD_MEASURED * (1 + SLACK))
+    calls = profiled_calls(build_path)
+    assert calls <= budget, (
+        f"build path: {calls:,} calls to repro functions, over the "
+        f"budget of {budget:,}; a helper or property call is back in "
+        f"program generation, validation or the walker's compile")
