@@ -83,10 +83,10 @@ class BasicBlock:
     def validate(self) -> None:
         """Check internal consistency; raise GenerationError on violation.
 
-        Kinds are compared with the :mod:`repro.isa` constants
-        (``kind >= BRANCH_COND`` is ``is_control``): every block of a
-        generated program is validated, and a property read per
-        instruction cost more than the comparison.
+        Every block of every generated program passes through here, so
+        kinds compare with the :mod:`repro.isa` constants (``kind >=
+        BRANCH_COND`` is ``is_control``), not through ``InstrKind``
+        properties.
         """
         instrs = self.instrs
         if not instrs:
@@ -111,7 +111,7 @@ class BasicBlock:
                     f"block at {self.start:#x} has no terminator and no "
                     f"fallthrough")
         else:
-            if kind == JUMP_INDIRECT or kind == CALL_INDIRECT:
+            if kind in (JUMP_INDIRECT, CALL_INDIRECT):
                 if not self.indirect_targets:
                     raise GenerationError(
                         f"indirect terminator at {term.pc:#x} has no "
@@ -257,8 +257,7 @@ class Program:
                 kind = term.kind
                 if kind < BRANCH_COND:
                     continue
-                if (kind == CALL or kind == CALL_INDIRECT) \
-                        and term.target is not None:
+                if kind in (CALL, CALL_INDIRECT) and term.target is not None:
                     if term.target not in self._entry_index:
                         raise GenerationError(
                             f"call at {term.pc:#x} targets {term.target:#x} "

@@ -95,8 +95,8 @@ class StaticInstr:
     targets are chosen dynamically by the trace walker).
 
     Slotted: a program holds one per static instruction (43,206 for
-    ``gcc_like``), and without a ``__dict__`` each is built in about 40%
-    less time and takes about a third of the memory.
+    ``gcc_like``), and without a ``__dict__`` each takes 56 bytes
+    instead of 96 (tracemalloc, CPython 3.11).
     """
 
     pc: int

@@ -1,11 +1,13 @@
 """On-disk trace cache.
 
-Walking a synthetic program emits about 1.5 million instructions per
-second once the program is generated (a million-instruction ``gcc_like``
-walk takes 0.65 s under CPython 3.11 on a two-CPU container); benchmark
-sweeps re-use the same traces dozens of times.  The cache stores traces
-under a key derived from how they were built, so any change to the build
-parameters produces a different file.
+Building a trace generates its program and walks it; reading the trace
+back costs less than that at every length.  For ``gcc_like`` (CPython
+3.11, two-CPU container, best of 5): generating the program takes
+0.12 s, and walking 20,000, 200,000 and 1,000,000 instructions takes
+0.004, 0.042 and 0.22 s, while reading those traces takes 0.007, 0.052
+and 0.23 s.  Benchmark sweeps re-use the same traces dozens of times.
+The cache stores traces under a key derived from how they were built,
+so any change to the build parameters produces a different file.
 
 The cache directory defaults to ``.trace_cache`` in the current working
 directory and can be overridden with the ``REPRO_TRACE_CACHE`` environment
