@@ -20,12 +20,16 @@ identical trace.
 The walker pays per visited block.  A block is compiled the first time
 a walk of the program enters it; the records of its non-terminator
 instructions do not depend on the path taken, so they are built once,
-as one tuple that every visit shares, and only the terminator's record
-is built per visit.  A compiled block depends only on the program, so
-it is kept on the program (:attr:`Program.compiled_blocks`) and every
-walker of that program shares it; a walker keeps only its own position,
-call stack, loop trip counts and random stream.  Records are immutable,
-so the sharing is invisible to their readers.
+as one tuple that every visit shares.  So are the terminator's possible
+records: a conditional branch's taken and not-taken record, a direct
+jump's or call's one record, and one record per target of an indirect
+jump or call.  A visit resolves its terminator inline and appends the
+shared record; only a return, whose target comes from the call stack,
+builds its record per visit.  A compiled block depends only on the
+program, so it is kept on the program (:attr:`Program.compiled_blocks`)
+and every walker of that program shares it; a walker keeps only its own
+position, call stack, loop trip counts and random stream.  Records are
+immutable, so the sharing is invisible to their readers.
 """
 
 from __future__ import annotations
@@ -38,7 +42,16 @@ from typing import Iterator
 
 from repro.cfg.model import Program
 from repro.errors import SimulationError
-from repro.isa import BRANCH_COND, INSTRUCTION_BYTES, InstrKind
+from repro.isa import (
+    BRANCH_COND,
+    CALL,
+    CALL_INDIRECT,
+    INSTRUCTION_BYTES,
+    JUMP_DIRECT,
+    JUMP_INDIRECT,
+    RETURN,
+    InstrKind,
+)
 from repro.trace.records import TraceRecord
 
 __all__ = ["TraceWalker", "MAX_CALL_DEPTH"]
@@ -52,18 +65,25 @@ class _CompiledBlock:
     """A basic block pre-flattened for the walker's hot loop.
 
     ``body`` holds the shared records of every instruction before the
-    terminator; ``term_kind`` is None when the block falls through.
+    terminator; ``kind`` is the terminator's kind, None when the block
+    falls through to ``fallthrough``.  The terminator's possible records
+    are built here once: a conditional branch's ``taken`` and
+    ``not_taken``, a direct jump's or call's ``taken``, an indirect jump's
+    or call's ``targets`` (one per target, drawn by ``cumweights``).  A
+    return's target comes from the call stack, so its record is built
+    per visit from ``term_pc``.
     """
 
     body: tuple[TraceRecord, ...]
+    kind: InstrKind | None
     term_pc: int
-    term_kind: InstrKind | None
-    term_target: int | None
     fallthrough: int | None
+    taken: TraceRecord | None
+    not_taken: TraceRecord | None
     taken_bias: float
     loop_trips: int | None
-    indirect_targets: tuple[int, ...]
-    indirect_cumweights: tuple[float, ...]
+    targets: tuple[TraceRecord, ...]
+    cumweights: tuple[float, ...]
 
 
 class TraceWalker:
@@ -95,22 +115,35 @@ class TraceWalker:
                     f"control instruction mid-block at {instr.pc:#x}")
         if term is None and block.fallthrough is None:
             raise SimulationError(f"block at {pc:#x} fell off the end")
+        term_pc = block.instrs[-1].pc
+        kind = term.kind if term is not None else None
+        taken = not_taken = None
+        targets: tuple[TraceRecord, ...] = ()
         cumweights: tuple[float, ...] = ()
-        if block.indirect_targets:
+        if kind == BRANCH_COND:
+            taken = TraceRecord(term_pc, kind, True, term.target)
+            not_taken = TraceRecord(term_pc, kind, False,
+                                    term_pc + INSTRUCTION_BYTES)
+        elif kind == JUMP_DIRECT or kind == CALL:
+            taken = TraceRecord(term_pc, kind, True, term.target)
+        elif kind == JUMP_INDIRECT or kind == CALL_INDIRECT:
+            targets = tuple(TraceRecord(term_pc, kind, True, target)
+                            for target in block.indirect_targets)
             cumweights = tuple(
                 itertools.accumulate(block.indirect_weights))
         compiled = _CompiledBlock(
             body=tuple(TraceRecord(i.pc, i.kind, False,
                                    i.pc + INSTRUCTION_BYTES)
                        for i in body),
-            term_pc=block.instrs[-1].pc,
-            term_kind=term.kind if term is not None else None,
-            term_target=term.target if term is not None else None,
+            kind=kind,
+            term_pc=term_pc,
             fallthrough=block.fallthrough,
+            taken=taken,
+            not_taken=not_taken,
             taken_bias=block.taken_bias,
             loop_trips=block.loop_trips,
-            indirect_targets=block.indirect_targets,
-            indirect_cumweights=cumweights,
+            targets=targets,
+            cumweights=cumweights,
         )
         self._blocks[pc] = compiled
         return compiled
@@ -136,68 +169,63 @@ class TraceWalker:
         out = self._carry[:n]
         del self._carry[:n]
         blocks = self._blocks
+        draw = self._rng.random
+        loop_counts = self._loop_counts
+        stack = self._stack
+        pc = self._pc
         while len(out) < n:
-            pc = self._pc
             block = blocks.get(pc) or self._compile(pc)
             out += block.body
-            kind = block.term_kind
-            if kind is None:
-                self._pc = block.fallthrough
+            kind = block.kind
+            if kind == BRANCH_COND:
+                trips = block.loop_trips
+                if trips is None:
+                    record = (block.taken if draw() < block.taken_bias
+                              else block.not_taken)
+                else:
+                    # Loop back edge: taken trips - 1 times, then not
+                    # taken once.
+                    count = loop_counts.get(pc, 0) + 1
+                    if count < trips:
+                        loop_counts[pc] = count
+                        record = block.taken
+                    else:
+                        loop_counts[pc] = 0
+                        record = block.not_taken
+            elif kind is None:
+                pc = block.fallthrough
                 continue
-            next_pc, taken = self._resolve(block, kind)
-            out.append(TraceRecord(block.term_pc, kind, taken, next_pc))
-            self._pc = next_pc
+            elif kind == JUMP_DIRECT:
+                record = block.taken
+            elif kind == RETURN:
+                record = TraceRecord(
+                    block.term_pc, kind, True,
+                    # main returned: restart
+                    stack.pop() if stack else self.program.entry)
+            else:
+                if kind == CALL or kind == CALL_INDIRECT:
+                    if len(stack) >= MAX_CALL_DEPTH:
+                        raise SimulationError(
+                            f"call depth exceeded {MAX_CALL_DEPTH}; the "
+                            f"generator produced an unbounded call chain")
+                    stack.append(block.term_pc + INSTRUCTION_BYTES)
+                if kind == CALL:
+                    record = block.taken
+                elif kind == CALL_INDIRECT or kind == JUMP_INDIRECT:
+                    cumweights = block.cumweights
+                    index = bisect.bisect_left(cumweights,
+                                               draw() * cumweights[-1])
+                    targets = block.targets
+                    record = targets[min(index, len(targets) - 1)]
+                else:
+                    raise SimulationError(
+                        f"unhandled control kind {kind!r} at "
+                        f"{block.term_pc:#x}")
+            out.append(record)
+            pc = record.next_pc
+        self._pc = pc
         if len(out) > n:
             self._carry = out[n:]
             del out[n:]
         return out
 
-    def _resolve(self, block: _CompiledBlock,
-                 kind: InstrKind) -> tuple[int, bool]:
-        """Compute (next_pc, taken) for ``block``'s terminator."""
-        pc = block.term_pc
-        sequential = pc + INSTRUCTION_BYTES
-        if kind == InstrKind.BRANCH_COND:
-            if self._cond_outcome(block, pc):
-                return block.term_target, True
-            return sequential, False
-        if kind == InstrKind.JUMP_DIRECT:
-            return block.term_target, True
-        if kind == InstrKind.CALL:
-            self._push(sequential)
-            return block.term_target, True
-        if kind == InstrKind.CALL_INDIRECT:
-            self._push(sequential)
-            return self._pick_indirect(block), True
-        if kind == InstrKind.JUMP_INDIRECT:
-            return self._pick_indirect(block), True
-        if kind == InstrKind.RETURN:
-            if self._stack:
-                return self._stack.pop(), True
-            return self.program.entry, True  # main returned: restart
-        raise SimulationError(f"unhandled control kind {kind!r} at {pc:#x}")
-
-    def _cond_outcome(self, block: _CompiledBlock, pc: int) -> bool:
-        trips = block.loop_trips
-        if trips is not None:
-            count = self._loop_counts.get(pc, 0) + 1
-            if count < trips:
-                self._loop_counts[pc] = count
-                return True
-            self._loop_counts[pc] = 0
-            return False
-        return self._rng.random() < block.taken_bias
-
-    def _pick_indirect(self, block: _CompiledBlock) -> int:
-        index = bisect.bisect_left(block.indirect_cumweights,
-                                   self._rng.random() *
-                                   block.indirect_cumweights[-1])
-        index = min(index, len(block.indirect_targets) - 1)
-        return block.indirect_targets[index]
-
-    def _push(self, return_pc: int) -> None:
-        if len(self._stack) >= MAX_CALL_DEPTH:
-            raise SimulationError(
-                f"call depth exceeded {MAX_CALL_DEPTH}; the generator "
-                f"produced an unbounded call chain")
-        self._stack.append(return_pc)

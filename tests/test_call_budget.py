@@ -26,6 +26,13 @@ instructions were slotted, validation compared kinds with the
 ``repro.isa`` constants and walkers shared the program's compiled
 blocks, the same run made 257,755 calls.
 
+The walk path has one too: four 20,000-instruction walks (seeds 1-4)
+of one ``gcc_like`` program whose blocks are already compiled.  Each
+compiled block holds its terminator's possible records and the walk
+resolves every terminator inline, so only the walker's set-up is
+counted; when the walk resolved terminators through helper methods and
+built a record per terminator visit, the same walks made 30,177 calls.
+
 To see which function a failure added, profile the same run::
 
     python -m cProfile -s ncalls -m repro run -w gcc_like --length 10000
@@ -51,7 +58,9 @@ MEASURED = {
     ("none", "none"): 102_478,
 }
 #: Calls of the build path (see the module docstring) on CPython 3.11.
-BUILD_MEASURED = 119_949
+BUILD_MEASURED = 117_348
+#: Calls of the walk path (see the module docstring) on CPython 3.11.
+WALK_MEASURED = 16
 SLACK = 0.05
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -91,6 +100,11 @@ def build_path() -> None:
         TraceWalker(program, seed=seed).walk(2000)
 
 
+def walk_path(program) -> None:
+    for seed in (1, 2, 3, 4):
+        TraceWalker(program, seed=seed).walk(20_000)
+
+
 @pytest.mark.parametrize("kind,filter_mode", sorted(MEASURED))
 def test_calls_within_budget(golden_trace, kind, filter_mode):
     budget = int(MEASURED[kind, filter_mode] * (1 + SLACK))
@@ -109,3 +123,14 @@ def test_build_path_within_budget():
         f"build path: {calls:,} calls to repro functions, over the "
         f"budget of {budget:,}; a helper or property call is back in "
         f"program generation, validation or the walker's compile")
+
+
+def test_walk_path_within_budget():
+    # The unprofiled first pass compiles every block these walks enter.
+    program = build_program("gcc_like")
+    budget = int(WALK_MEASURED * (1 + SLACK))
+    calls = profiled_calls(lambda: walk_path(program))
+    assert calls <= budget, (
+        f"walk path: {calls:,} calls to repro functions, over the "
+        f"budget of {budget:,}; a helper call is back in the walker's "
+        f"loop")

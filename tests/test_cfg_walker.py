@@ -260,6 +260,42 @@ class TestSharedRecords:
         assert len(bodies) == 4
         assert all(r is bodies[0] for r in bodies)
 
+    def test_conditional_outcomes_shared_between_visits(self, small_program):
+        # Loop back edges and biased branches alike: one taken and one
+        # not-taken record per branch, whatever the visit.
+        by_outcome = {}
+        for record in TraceWalker(small_program, seed=5).walk(5000):
+            if record.kind == InstrKind.BRANCH_COND:
+                by_outcome.setdefault((record.pc, record.taken),
+                                      []).append(record)
+        assert {taken for _, taken in by_outcome} == {True, False}
+        assert any(len(visits) > 1 for visits in by_outcome.values())
+        for visits in by_outcome.values():
+            assert all(r is visits[0] for r in visits)
+
+    def test_direct_call_shared_between_visits_and_walkers(self):
+        program = build_call_program()
+        calls = [r for seed in (0, 1)
+                 for r in TraceWalker(program, seed=seed).walk(12)
+                 if r.kind == InstrKind.CALL]
+        assert len(calls) == 8
+        assert all(r is calls[0] for r in calls)
+
+    def test_indirect_targets_shared_between_visits(self):
+        program = build_indirect_program()
+        by_target = {}
+        for record in TraceWalker(program, seed=2).walk(200):
+            if record.kind in (InstrKind.CALL_INDIRECT,
+                               InstrKind.JUMP_INDIRECT):
+                by_target.setdefault((record.pc, record.next_pc),
+                                     []).append(record)
+        b = TEXT_BASE
+        assert set(by_target) == {(b + 4, b + 16), (b + 4, b + 28),
+                                  (b + 32, b + 36), (b + 32, b + 44)}
+        for visits in by_target.values():
+            assert len(visits) > 1
+            assert all(r is visits[0] for r in visits)
+
 
 class TestSharedCompile:
     """Every walker of a program shares the program's compiled blocks;
