@@ -24,17 +24,39 @@ Every request transition is emitted to the ``repro.events/v2`` log
 ``serve_scheduled`` → ``serve_running`` → ``serve_done`` /
 ``serve_failed`` / ``serve_rejected``), correlated by job id and the
 request's cache key.  See ``docs/serving.md``.
+
+The package resolves each export on first use (a module ``__getattr__``),
+so a process that only runs the service in-process, importing
+:class:`ResultCache` or :class:`SimulationService`, never loads the HTTP
+client and daemon (``http.client``, ``http.server``, ``ssl``, ``email``).
+``from repro.serve import X`` works as before.
 """
 
-from repro.serve.cache import ResultCache
-from repro.serve.client import Client
-from repro.serve.daemon import ServiceDaemon
-from repro.serve.service import Job, SimulationService
+from __future__ import annotations
 
-__all__ = [
-    "ResultCache",
-    "SimulationService",
-    "ServiceDaemon",
-    "Client",
-    "Job",
-]
+import importlib
+
+#: Exported name -> the module that defines it.
+_EXPORTS = {
+    "ResultCache": "repro.serve.cache",
+    "SimulationService": "repro.serve.service",
+    "ServiceDaemon": "repro.serve.daemon",
+    "Client": "repro.serve.client",
+    "Job": "repro.serve.service",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
