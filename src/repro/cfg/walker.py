@@ -198,10 +198,10 @@ class TraceWalker:
             elif kind == JUMP_DIRECT:
                 record = block.taken
             elif kind == RETURN:
-                record = TraceRecord(
-                    block.term_pc, kind, True,
-                    # main returned: restart
-                    stack.pop() if stack else self.program.entry)
+                # An empty stack means main returned: restart it.
+                record = TraceRecord(block.term_pc, kind, True,
+                                     stack.pop() if stack
+                                     else self.program.entry)
             else:
                 if kind == CALL or kind == CALL_INDIRECT:
                     if len(stack) >= MAX_CALL_DEPTH:
@@ -228,4 +228,3 @@ class TraceWalker:
             self._carry = out[n:]
             del out[n:]
         return out
-

@@ -1,11 +1,14 @@
 """On-disk trace cache.
 
 Building a trace generates its program and walks it; reading the trace
-back costs less than that at every length.  For ``gcc_like`` (CPython
-3.11, two-CPU container, best of 5): generating the program takes
-0.12 s, and walking 20,000, 200,000 and 1,000,000 instructions takes
-0.004, 0.042 and 0.22 s, while reading those traces takes 0.007, 0.052
-and 0.23 s.  Benchmark sweeps re-use the same traces dozens of times.
+back skips both.  For ``gcc_like`` (CPython 3.11, two-CPU container,
+best of 5): generating the program takes 0.14 s, and walking 20,000,
+200,000 and 1,000,000 instructions of a freshly generated program,
+compiling its blocks on the way, takes 0.008, 0.03 and 0.11 s, while
+reading those traces takes 0.008, 0.05 and 0.23-0.26 s.  So a hit saves
+most of a rebuild up to a few hundred thousand instructions, but at a
+million it costs about as much as generating and walking (0.25-0.26 s).
+Benchmark sweeps re-use the same traces dozens of times.
 The cache stores traces under a key derived from how they were built,
 so any change to the build parameters produces a different file.
 
