@@ -13,10 +13,16 @@ contract:
 3. a repeat of the same request after completion is a pure cache hit
    (zero additional simulations) and the served result is
    **bit-identical** to a direct in-process ``api.simulate()`` run;
-4. the wire form is checked: a body whose ``config`` names
-   ``event_log`` (a run option, not part of the machine) and a body
-   tagged ``repro.request/v2`` are both refused with HTTP 400;
-5. ``POST /v1/shutdown`` drains the service and the daemon exits 0,
+4. one store serves both layers: a result that ``repro sweep
+   --checkpoint-dir D`` wrote, in another process before the daemon
+   started, is served by ``repro serve --cache-dir D`` as a ``cache``
+   hit, bit-identical to a direct run;
+5. the wire form is checked: a body whose ``config`` names
+   ``event_log`` (a run option, not part of the machine) or
+   ``max_instructions`` (the request's ``trace_length`` states the
+   length), and a body tagged ``repro.request/v2`` or
+   ``repro.request/v3``, are all refused with HTTP 400;
+6. ``POST /v1/shutdown`` drains the service and the daemon exits 0,
    emitting ``serve_stop``.
 
 Exits non-zero on the first violation.  Pure standard library, a few
@@ -39,6 +45,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 LENGTH = 20_000
 DUPLICATES = 4
+SWEPT_TECHNIQUE = "fdip_enqueue"
 
 
 def _fail(message: str) -> None:
@@ -58,20 +65,49 @@ def _submit_status(host: str, port: int, body: dict) -> int:
         connection.close()
 
 
+def _sweep_into(cache_dir: str, env: dict) -> None:
+    """Store one point with ``repro sweep`` in its own process."""
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "-w", "compress_like",
+         "-t", SWEPT_TECHNIQUE, "--length", str(LENGTH), "--seed", "1",
+         "--processes", "1", "--checkpoint-dir", cache_dir],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    if completed.returncode != 0:
+        _fail(f"repro sweep exited {completed.returncode}: "
+              f"{completed.stderr.strip()}")
+    entries = [name for name in os.listdir(cache_dir)
+               if name.endswith(".result.json")]
+    if len(entries) != 1:
+        _fail(f"expected the sweep to store 1 entry, found {entries}")
+    with open(os.path.join(cache_dir, entries[0]),
+              encoding="utf-8") as handle:
+        envelope = json.load(handle)
+    missing = {"schema_version", "request", "checksum", "payload"} \
+        - set(envelope)
+    if missing:
+        _fail(f"the sweep's entry lacks {sorted(missing)}")
+
+
 def main() -> int:
     from repro.config import SimConfig
+    from repro.harness.parallel import effective_config
+    from repro.harness.techniques import technique_config
     from repro.obs import read_events
     from repro.serve import Client
     from repro.spec import RunRequest
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as work:
         events_path = os.path.join(work, "events.jsonl")
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.join(ROOT, "src"),
-                   REPRO_LOG_FILE=events_path)
+        cache_dir = os.path.join(work, "cache")
+        sweep_env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        sweep_env.pop("REPRO_LOG_FILE", None)
+        _sweep_into(cache_dir, sweep_env)
+        print(f"serve-smoke: repro sweep stored compress_like/"
+              f"{SWEPT_TECHNIQUE} in {cache_dir}")
+        env = dict(sweep_env, REPRO_LOG_FILE=events_path)
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--cache-dir", os.path.join(work, "cache")],
+             "--cache-dir", cache_dir],
             stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT)
         try:
             line = daemon.stdout.readline().strip()
@@ -127,14 +163,38 @@ def main() -> int:
             print("serve-smoke: served results bit-identical to a "
                   "direct run")
 
+            # -- the sweep's stored result is a cache hit ------------
+            swept_config = effective_config(
+                technique_config(SWEPT_TECHNIQUE), LENGTH // 5)
+            swept = client.run(
+                RunRequest("compress_like", swept_config,
+                           trace_length=LENGTH, seed=1),
+                wait=300)
+            if swept.source != "cache":
+                _fail(f"the sweep's point came back {swept.source!r}, "
+                      f"expected 'cache'")
+            direct = simulate(build_trace("compress_like", LENGTH,
+                                          seed=1),
+                              swept_config, name="compress_like")
+            if result_to_json(swept.result) != result_to_json(direct):
+                _fail("the sweep's stored result is not bit-identical "
+                      "to a direct api.simulate() run")
+            print("serve-smoke: the sweep's stored result served as a "
+                  "bit-identical cache hit")
+
             # -- the wire form refuses run options and old schemas ---
             wire = request.to_dict()
             bodies = {
                 "a config naming event_log": dict(wire, config=dict(
                     wire["config"],
                     event_log=os.path.join(work, "wire.jsonl"))),
+                "a config naming max_instructions": dict(
+                    wire, config=dict(wire["config"],
+                                      max_instructions=LENGTH // 2)),
                 "a repro.request/v2 body": dict(
                     wire, schema="repro.request/v2"),
+                "a repro.request/v3 body": dict(
+                    wire, schema="repro.request/v3"),
             }
             for what, body in bodies.items():
                 status = _submit_status(match.group(1),
@@ -167,14 +227,16 @@ def main() -> int:
                   f"got {counts.get('serve_running', 0)}")
         duplicates_accounted = counts.get("serve_coalesced", 0) \
             + counts.get("serve_cache_hit", 0)
-        # DUPLICATES-1 duplicates plus the post-completion repeat all
-        # avoided a simulation, whichever path each one took.
-        if duplicates_accounted != DUPLICATES:
-            _fail(f"expected {DUPLICATES} coalesced/cache-hit "
+        # DUPLICATES-1 duplicates, the post-completion repeat and the
+        # sweep's point all avoided a simulation, whichever path each
+        # duplicate took.
+        if duplicates_accounted != DUPLICATES + 1:
+            _fail(f"expected {DUPLICATES + 1} coalesced/cache-hit "
                   f"submissions, got {duplicates_accounted} "
                   f"(counts {counts})")
-        if counts.get("serve_cache_hit", 0) < 1:
-            _fail("the post-completion repeat never hit the cache")
+        if counts.get("serve_cache_hit", 0) < 2:
+            _fail("the post-completion repeat or the sweep's point "
+                  "never hit the cache")
         for kind in ("serve_start", "serve_enqueued", "serve_scheduled",
                      "serve_done", "serve_stop"):
             if counts.get(kind, 0) < 1:

@@ -12,7 +12,6 @@ from repro.bpred.factory import make_direction_predictor
 from repro.bpred.gshare import GsharePredictor
 from repro.bpred.hybrid import HybridPredictor
 from repro.bpred.local import LocalPredictor
-from repro.bpred.perfect import PerfectPredictor
 from repro.bpred.ras import RasSnapshot, ReturnAddressStack
 from repro.bpred.static import (
     AlwaysNotTakenPredictor,
@@ -27,7 +26,6 @@ __all__ = [
     "LocalPredictor",
     "AlwaysTakenPredictor",
     "AlwaysNotTakenPredictor",
-    "PerfectPredictor",
     "make_direction_predictor",
     "ReturnAddressStack",
     "RasSnapshot",

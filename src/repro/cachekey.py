@@ -1,11 +1,11 @@
 """Canonical simulation-point identity digests.
 
-Every result cache in the system — the :class:`~repro.harness.persist.
-ResultStore` behind ``REPRO_RESULT_CACHE`` that sweeps resume from, the
-memoizing :class:`~repro.harness.runner.Runner`, and the serving
-layer's content-addressed :class:`~repro.serve.cache.ResultCache` —
-keys entries by the same question: *which simulation is this?*  This
-module is the single source of the answer.
+The one result store (:class:`~repro.harness.persist.ResultStore`,
+which the memoizing :class:`~repro.harness.runner.Runner`, sweeps and
+the serving layer share, the last as
+:class:`~repro.serve.cache.ResultCache`) keys entries by one question:
+*which simulation is this?*  This module is the single source of the
+answer.
 
 :func:`cache_key` digests the **canonical dict form** of the
 configuration (:meth:`~repro.config.SimConfig.to_dict`, serialized
@@ -61,9 +61,6 @@ def cache_key(workload: str, config: "SimConfig", trace_length: int,
         "trace_length": int(trace_length),
         "seed": int(seed),
         "config": config.to_dict(),
-        # Always empty: the field once tagged alternative executions
-        # of a point, and every key ever written carries it.
-        "variant": "",
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:KEY_LENGTH]

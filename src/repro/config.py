@@ -318,7 +318,10 @@ class SimConfig:
 
     Every field describes the machine or the measured part of the
     trace, so cache keys and snapshot identity digest the whole config.
-    How a run executes — cycle engine, profiling, checkpoint cadence,
+    The trace's length is not a field: a
+    :class:`~repro.spec.RunRequest` states it once, as
+    ``trace_length``, and a caller holding a trace simulates a prefix
+    by passing ``trace.slice(0, n)``.  How a run executes — cycle engine, profiling, checkpoint cadence,
     watchdog — is chosen where the run starts (see
     :class:`~repro.sim.simulator.Simulator`), and where its events go
     by :func:`repro.obs.configure_logging`.
@@ -336,7 +339,6 @@ class SimConfig:
     frontend: FrontEndConfig = field(default_factory=FrontEndConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     prefetch: PrefetchConfig = field(default_factory=PrefetchConfig)
-    max_instructions: int | None = None
     warmup_instructions: int = 0
     # Functional fast-forward: warm caches/FTB/predictor over this many
     # leading trace records without timing them, then simulate the rest
@@ -352,9 +354,6 @@ class SimConfig:
     telemetry_window: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_instructions is not None:
-            _require(self.max_instructions >= 1,
-                     "max_instructions must be >= 1 when given")
         _require(self.warmup_instructions >= 0,
                  "warmup_instructions must be >= 0")
         _require(self.fast_forward_instructions >= 0,

@@ -26,7 +26,6 @@ _EXPORTS = {
     "TaskFailure": "repro.harness.supervise",
     "run_supervised": "repro.harness.supervise",
     "ResultStore": "repro.harness.persist",
-    "result_key": "repro.harness.persist",
     "cache_key": "repro.cachekey",
     "generate_report": "repro.harness.report",
     "default_trace_length": "repro.harness.runner",

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.config import SimConfig
-from repro.harness.persist import ResultStore, result_key
+from repro.harness.persist import ResultStore
 from repro.harness.supervise import (
     AttemptRecord,
     RetryPolicy,
@@ -49,6 +49,7 @@ from repro.errors import RetryExhaustedError
 from repro.obs import events as obs_events
 from repro.sim import SimResult, guard_invariants
 from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
+from repro.spec import RunRequest
 from repro.stats.sweep import merge_counters, summary_line
 from repro.workloads import build_trace
 
@@ -203,13 +204,13 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
                              point_timeout=point_timeout)
 
     keys: dict[SweepPoint, str] = {}
-    runs: dict[str, SweepPoint] = {}    # key -> (workload, run config)
+    runs: dict[str, RunRequest] = {}
     for point in points:
         if point not in keys:
-            config = effective_config(point[1], warmup)
-            key = result_key(point[0], config, trace_length, seed)
-            keys[point] = key
-            runs.setdefault(key, (point[0], config))
+            request = RunRequest(point[0], effective_config(point[1], warmup),
+                                 trace_length, seed)
+            keys[point] = request.cache_key()
+            runs.setdefault(keys[point], request)
 
     done: dict[str, SimResult] = {}
     failed: dict[str, TaskFailure] = {}
@@ -220,12 +221,12 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
         return Path(machine_checkpoints) / key
 
     todo = []
-    for key, (workload, config) in runs.items():
-        cached = store.load_key(key) if store is not None else None
+    for key, request in runs.items():
+        cached = store.get(request) if store is not None else None
         if cached is not None:
             done[key] = cached
             continue
-        args = (workload, config, trace_length, seed)
+        args = (request.workload, request.config, trace_length, seed)
         if machine_checkpoints is not None:
             args += (str(point_dir(key)), checkpoint_interval)
         todo.append((key, args))
@@ -246,7 +247,7 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
     def on_success(key: str, result: SimResult) -> None:
         done[key] = result
         if store is not None:
-            store.store_key(key, result)
+            store.put(runs[key], result)
         if machine_checkpoints is not None:
             from repro.sim.checkpoint import read_summary
 

@@ -1,21 +1,31 @@
 """Persistent, content-addressed simulation-result store.
 
 Long (``REPRO_FULL=1``) sweeps are expensive; :class:`ResultStore` keeps
-each :class:`SimResult` on disk keyed by everything that determines it —
-the workload/trace identity, the full configuration, and the package
-version (so any model change invalidates old results).  Results are
-deterministic, so a stored entry *is* the point's result: the store is
-also the only record of sweep progress, and a sweep rerun over the same
-store simulates only the points it does not hold.
+each :class:`SimResult` on disk under its request's
+:meth:`~repro.spec.RunRequest.cache_key`, which covers everything that
+determines the result — the workload/trace identity, the full
+configuration, and the package version (so any model change invalidates
+old results).  Results are deterministic, so a stored entry *is* the
+point's result: the store is also the only record of sweep progress,
+and a sweep rerun over the same store simulates only the points it does
+not hold.  The Runner, the sweep and the simulation service
+(:class:`repro.serve.ResultCache` is this class) share it.
+
+Each entry is one JSON envelope: ``schema_version`` (the result schema
+of the build that wrote it), ``request`` (the request's wire form, for
+post-mortem), ``checksum`` (SHA-256 of the payload) and ``payload``
+(the serialized result).
 
 The store is hardened for concurrent, crash-prone use:
 
 - writes go through a **unique per-writer temp file** plus atomic
   ``os.replace`` (a shared ``.tmp`` path would race when two workers
   store the same key);
-- entries embed a **content checksum**; a truncated or garbled file is
-  **quarantined** under ``<dir>/quarantine/`` for post-mortem instead of
-  being silently deleted, and the load simply misses.
+- a truncated or garbled entry, one whose checksum does not match, and
+  one written under another ``schema_version`` are **quarantined**
+  under ``<dir>/quarantine/`` for post-mortem instead of being silently
+  deleted, and the load simply misses.  An entry without
+  ``schema_version`` (as older sweeps wrote) still loads.
 
 Enable the store for the benchmark suite by setting
 ``REPRO_RESULT_CACHE`` to a directory path.
@@ -27,53 +37,34 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.cachekey import cache_key
-from repro.config import SimConfig
+# The store's keys are cache_key digests; perfbench traces the name here.
+from repro.cachekey import cache_key  # noqa: F401
 from repro.errors import CacheCorruptionError
 from repro.fsutil import QUARANTINE_DIR, atomic_write_text, quarantine
 from repro.obs import events as obs_events
 from repro.sim import SimResult
-from repro.sim.serialize import result_from_json, result_to_json
+from repro.sim.serialize import SCHEMA_VERSION, result_from_json, \
+    result_to_json
+from repro.spec import RunRequest
 
-__all__ = ["ResultStore", "result_key"]
-
-
-def result_key(workload: str, config: SimConfig, trace_length: int,
-               seed: int) -> str:
-    """Stable identity of one simulation point (its store key).
-
-    A thin alias of :func:`repro.cachekey.cache_key` — the Runner, the
-    sweep, and the serving layer's content-addressed cache all derive
-    their keys from that one helper, so no two layers can ever disagree
-    about a point's identity.
-    """
-    return cache_key(workload, config, trace_length, seed)
+__all__ = ["ResultStore"]
 
 
 class ResultStore:
-    """Directory-backed map from run identity to SimResult.
-
-    :meth:`load_key` / :meth:`store_key` take a point's
-    :func:`result_key` (a :func:`~repro.cachekey.cache_key` digest) —
-    the serving layer's content-addressed
-    :class:`~repro.serve.cache.ResultCache` layers on top of these,
-    inheriting the atomic-write / checksum / quarantine discipline
-    wholesale.
-    """
+    """Directory-backed map from :class:`~repro.spec.RunRequest` to
+    :class:`SimResult`, counting hits, misses, stores, refused entries
+    (another ``schema_version``) and quarantined entries."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.refused = 0
         self.quarantined = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.result.json"
-
-    def _check_envelope(self, path: Path, envelope: dict) -> None:
-        """Hook for subclasses to vet envelope metadata before parsing.
-
-        Raise :class:`~repro.errors.CacheCorruptionError` to refuse the
-        entry; the loader then quarantines the file.
-        """
 
     def _parse(self, path: Path, text: str) -> SimResult:
         try:
@@ -83,21 +74,34 @@ class ResultStore:
                                        f"not valid JSON ({exc})") from None
         if not isinstance(envelope, dict) or "payload" not in envelope:
             raise CacheCorruptionError(str(path), "no checksummed payload")
-        self._check_envelope(path, envelope)
+        version = envelope.get("schema_version")
+        if version is not None and version != SCHEMA_VERSION:
+            self.refused += 1
+            raise CacheCorruptionError(
+                str(path),
+                f"result schema_version {version!r} does not match this "
+                f"build's ({SCHEMA_VERSION}); entry quarantined")
         payload = envelope["payload"]
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         if digest != envelope.get("checksum"):
             raise CacheCorruptionError(str(path), "checksum mismatch")
         return result_from_json(payload)
 
-    def load_key(self, key: str) -> SimResult | None:
-        """Return the result stored under ``key`` or None.
+    def get(self, request: RunRequest) -> SimResult | None:
+        """The stored result for ``request``, or None (counted).
 
         Corrupt or refused entries are quarantined under
         ``<dir>/quarantine/`` and counted on :attr:`quarantined`; the
-        load simply misses.
+        lookup then misses.
         """
-        path = self._path(key)
+        result = self._load(self._path(request.cache_key()))
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
+
+    def _load(self, path: Path) -> SimResult | None:
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -121,23 +125,20 @@ class ResultStore:
         except OSError:
             pass
 
-    def store_key(self, key: str, result: SimResult,
-                  meta: dict | None = None) -> None:
-        """Store ``result`` under a precomputed key.
-
-        ``meta`` adds envelope fields alongside ``checksum``/``payload``
-        (the serving cache records the originating request and the
-        result schema version there); the payload checksum always wins
-        on conflict.
-        """
-        path = self._path(key)
+    def put(self, request: RunRequest, result: SimResult) -> str:
+        """Store ``result`` under ``request``'s key; returns the key."""
+        key = request.cache_key()
         payload = result_to_json(result)
-        fields = dict(meta) if meta else {}
-        fields.update({
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "request": request.to_dict(),
             "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
             "payload": payload,
-        })
-        atomic_write_text(self.directory, path, json.dumps(fields))
+        }
+        atomic_write_text(self.directory, self._path(key),
+                          json.dumps(envelope))
+        self.stores += 1
+        return key
 
     def clear(self) -> int:
         """Delete all stored results; returns the number removed."""

@@ -18,8 +18,8 @@ from repro.api import simulate
 from repro.config import SimConfig
 from repro.harness.parallel import SweepOutcome, effective_config, \
     parallel_sweep
-from repro.harness.persist import ResultStore, result_key
-from repro.spec import ExperimentSpec, Point, normalize_points
+from repro.harness.persist import ResultStore
+from repro.spec import ExperimentSpec, Point, RunRequest, normalize_points
 from repro.sim import SimResult, guard_invariants
 from repro.stats.sweep import merge_counters
 from repro.trace import Trace
@@ -63,8 +63,8 @@ class Runner:
     trace as warm-up.  Results are memoized in memory and, with
     ``persist_dir``/``store`` (default: ``REPRO_RESULT_CACHE``), in a
     :class:`~repro.harness.persist.ResultStore` under the point's
-    :func:`~repro.harness.persist.result_key`, the key
-    :func:`~repro.harness.parallel.parallel_sweep` uses too.
+    :class:`~repro.spec.RunRequest`, as
+    :func:`~repro.harness.parallel.parallel_sweep` keys it.
     ``processes`` is the default worker budget of :meth:`sweep`.
     """
 
@@ -116,16 +116,15 @@ class Runner:
         result = self._results.get((workload, config))
         if result is not None:
             return result
-        key = None
+        request = RunRequest(workload, config, self.trace_length, self.seed)
         if self._store is not None:
-            key = result_key(workload, config, self.trace_length, self.seed)
-            result = self._store.load_key(key)
+            result = self._store.get(request)
         if result is None:
             result = guard_invariants(
                 simulate(self.trace(workload), config, name=workload),
                 warmed_up=config.warmup_instructions > 0, context=workload)
             if self._store is not None:
-                self._store.store_key(key, result)
+                self._store.put(request, result)
         self._results[(workload, config)] = result
         return result
 

@@ -3,12 +3,10 @@
 The serving layer turns the library's run API into a long-lived
 process:
 
-- :class:`~repro.serve.cache.ResultCache` — a content-addressed result
-  store keyed by :meth:`~repro.spec.RunRequest.cache_key`, layered on
-  the harness's :class:`~repro.harness.persist.ResultStore` (same
-  atomic-write / checksum / quarantine discipline) and additionally
-  refusing entries whose recorded result schema version does not match
-  this build;
+- :class:`~repro.serve.cache.ResultCache` — the content-addressed
+  result store keyed by :meth:`~repro.spec.RunRequest.cache_key`: the
+  harness's :class:`~repro.harness.persist.ResultStore` itself, so a
+  result a sweep stored is a cache hit here;
 - :class:`~repro.serve.service.SimulationService` — the in-process
   scheduler: a priority queue with bounded admission (overflow raises
   :class:`~repro.errors.QueueFullError` instead of blocking),

@@ -48,7 +48,6 @@ from repro.errors import QueueFullError, ServeError
 from repro.obs import events as obs_events
 from repro.serve.cache import ResultCache
 from repro.spec import RunRequest, RunResponse, resolve_request
-from repro.stats.telemetry import TelemetryNode
 
 __all__ = ["Job", "SimulationService", "JOB_STATES"]
 
@@ -343,18 +342,6 @@ class SimulationService:
                 "refused": self.cache.refused,
                 "quarantined": self.cache.quarantined}
         return stats
-
-    def telemetry(self) -> TelemetryNode:
-        """The service's counters as a telemetry (sub)tree."""
-        with self._lock:
-            counters = dict(self.counters)
-            counters["queue_depth"] = len(self._heap)
-            counters["inflight"] = len(self._inflight)
-        children = []
-        if self.cache is not None:
-            children.append(self.cache.telemetry())
-        return TelemetryNode(name="serve", counters=counters,
-                             children=children)
 
     # ------------------------------------------------------------------
     # Execution (worker threads)

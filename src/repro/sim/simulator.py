@@ -48,9 +48,6 @@ _DEFAULT_CYCLE_CAP_PER_INSTR = 200
 
 def _cut_trace(trace: Trace, config: SimConfig) -> tuple[list, Trace]:
     """Cut ``trace`` as ``config`` asks: (fast-forward records, the rest)."""
-    if config.max_instructions is not None \
-            and config.max_instructions < len(trace):
-        trace = trace.slice(0, config.max_instructions)
     if config.fast_forward_instructions <= 0:
         return [], trace
     cut = min(config.fast_forward_instructions, len(trace) - 1)

@@ -35,7 +35,7 @@ __all__ = ["Point", "ExperimentSpec", "normalize_points",
            "RunRequest", "RunResponse", "resolve_request"]
 
 #: Wire-format tag of one serialized :class:`RunRequest`.
-REQUEST_SCHEMA = "repro.request/v3"
+REQUEST_SCHEMA = "repro.request/v4"
 
 
 @dataclass(frozen=True)

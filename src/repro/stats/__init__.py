@@ -12,7 +12,6 @@ from repro.stats.sweep import (
     merge_counters,
     merge_snapshots,
     summary_line,
-    sweep_stat_group,
 )
 from repro.stats.telemetry import (
     SCHEMA,
@@ -43,5 +42,4 @@ __all__ = [
     "telemetry_table",
     "merge_counters",
     "summary_line",
-    "sweep_stat_group",
 ]

@@ -3,32 +3,20 @@
 The fault-tolerant sweep executor reports how a batch actually ran —
 completed / retried / failed points, plus the failure-mode breakdown
 (timeouts, worker crashes, pool rebuilds) and how many points were
-resumed, i.e. served from the result store.  This module owns the
-counter vocabulary and its rendering so the harness, report generator,
-and CLI all agree.
+resumed, i.e. served from the result store.  The counters are plain
+dicts; this module merges and renders them so the harness, report
+generator, and CLI all agree.
 """
 
 from __future__ import annotations
 
-from repro.stats.counters import StatGroup
 from repro.stats.telemetry import (
     IntervalSeries,
     TelemetrySnapshot,
     merge_nodes,
 )
 
-__all__ = ["COUNTER_NAMES", "merge_counters", "merge_snapshots",
-           "sweep_stat_group", "summary_line"]
-
-# Canonical counter vocabulary, in display order.  The last three come
-# from in-run machine checkpointing (repro.sim.checkpoint): snapshots
-# written, points resumed from a mid-run snapshot, and deadline
-# extensions granted to slow-but-progressing workers ("stalls").
-COUNTER_NAMES: tuple[str, ...] = (
-    "points", "completed", "resumed", "retried", "failed",
-    "timeouts", "crashes", "rebuilds",
-    "snapshots", "ckpt_resumes", "stalls",
-)
+__all__ = ["merge_counters", "merge_snapshots", "summary_line"]
 
 
 def merge_counters(*sources: dict[str, int]) -> dict[str, int]:
@@ -73,20 +61,6 @@ def merge_snapshots(snapshots: "list[TelemetrySnapshot]",
         intervals = IntervalSeries(window=series[0].window,
                                    samples=samples)
     return TelemetrySnapshot(root=root, meta=meta, intervals=intervals)
-
-
-class SweepStats(StatGroup):
-    """The sweep counters as a stat group."""
-
-    __slots__ = COUNTER_NAMES
-
-
-def sweep_stat_group(counters: dict[str, int]) -> SweepStats:
-    """The counters as a ``SweepStats('sweep')`` for stats merging."""
-    group = SweepStats("sweep")
-    for name in COUNTER_NAMES:
-        group.set(name, counters.get(name, 0))
-    return group
 
 
 def summary_line(counters: dict[str, int]) -> str:

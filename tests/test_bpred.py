@@ -8,7 +8,6 @@ from repro.bpred import (
     BimodalPredictor,
     GsharePredictor,
     HybridPredictor,
-    PerfectPredictor,
     ReturnAddressStack,
     counter_taken,
     counter_update,
@@ -128,15 +127,6 @@ class TestHybrid:
         from repro.config import PredictorConfig
         hybrid = HybridPredictor.from_config(PredictorConfig())
         assert hybrid.predict(0x40_0000, 0) in (True, False)
-
-
-class TestPerfect:
-    def test_primed_outcome_returned(self):
-        perfect = PerfectPredictor()
-        perfect.prime(True)
-        assert perfect.predict(0, 0)
-        perfect.prime(False)
-        assert not perfect.predict(0, 0)
 
 
 class TestRas:

@@ -8,7 +8,6 @@ import sys
 
 from repro.cachekey import KEY_LENGTH, cache_key
 from repro.config import PrefetchConfig, SimConfig
-from repro.harness.persist import result_key
 from repro.spec import RunRequest
 
 
@@ -95,11 +94,6 @@ class TestCacheKey:
             for _ in range(2)}
         assert keys == {cache_key("gcc_like", SimConfig(), 60_000, 1)}
 
-    def test_result_key_is_an_alias(self):
-        config = SimConfig()
-        assert result_key("gcc_like", config, 60_000, 1) == \
-            cache_key("gcc_like", config, 60_000, 1)
-
     def test_request_cache_key_matches_helper(self):
         request = RunRequest("gcc_like", SimConfig(),
                              trace_length=60_000, seed=1)
@@ -141,7 +135,6 @@ class TestVersionBinding:
             "trace_length": 60_000,
             "seed": 1,
             "config": config.to_dict(),
-            "variant": "",
         }
         blob = json.dumps(identity, sort_keys=True,
                           separators=(",", ":"))

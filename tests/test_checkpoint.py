@@ -89,7 +89,6 @@ _CONFIG_VARIANTS = [
                             "prefetch.allocation_filter": False}, {}),
     ("fast_forward_warmup", {"fast_forward_instructions": 800,
                              "warmup_instructions": 400}, {}),
-    ("max_instructions", {"max_instructions": 1800}, {}),
     ("local_direction", {"frontend.predictor.direction": "local"}, {}),
     ("profile", {}, {"profile": True}),
 ]

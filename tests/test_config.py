@@ -173,9 +173,13 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(warmup_instructions=-1)
 
-    def test_max_instructions_validated(self):
-        with pytest.raises(ConfigError):
-            SimConfig(max_instructions=0)
+    def test_max_instructions_is_not_a_field(self):
+        """A point's trace length is stated once, by the request."""
+        with pytest.raises(TypeError):
+            SimConfig(max_instructions=1_000)
+        with pytest.raises(ConfigError, match="unknown config key "
+                                              "'max_instructions'"):
+            SimConfig.from_dict({"max_instructions": 1_000})
 
     def test_max_cycles_validated(self):
         with pytest.raises(ConfigError):
@@ -208,7 +212,6 @@ def _exotic_config() -> SimConfig:
                                  block_bytes=32),
             memory_latency=200),
         prefetch=PrefetchConfig(kind="nlp", nlp_degree=2),
-        max_instructions=5_000,
         warmup_instructions=100,
         fast_forward_instructions=50,
         max_cycles=1_000_000,

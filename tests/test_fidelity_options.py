@@ -43,12 +43,12 @@ class TestWrongPathWindowBackend:
 class TestWrongPathWindowEndToEnd:
     def config(self, wrong_path_in_window):
         config = SimConfig(prefetch=PrefetchConfig(
-            kind=PrefetcherKind.FDIP), max_instructions=8000)
+            kind=PrefetcherKind.FDIP))
         return config.replace(core=dataclasses.replace(
             config.core, wrong_path_in_window=wrong_path_in_window))
 
     def test_completes_and_consistent(self, small_trace):
-        result = simulate(small_trace, self.config(True))
+        result = simulate(small_trace.slice(0, 8000), self.config(True))
         assert result.instructions == 8000
         assert check_invariants(result) == []
         assert result.get("backend.wrong_path_delivered") > 0
@@ -56,38 +56,37 @@ class TestWrongPathWindowEndToEnd:
             result.get("backend.wrong_path_delivered")
 
     def test_occupancy_pressure_never_speeds_up(self, small_trace):
-        off = simulate(small_trace, self.config(False))
-        on = simulate(small_trace, self.config(True))
+        off = simulate(small_trace.slice(0, 8000), self.config(False))
+        on = simulate(small_trace.slice(0, 8000), self.config(True))
         # Wrong-path occupancy can only add pressure.
         assert on.ipc <= off.ipc * 1.01
 
     def test_default_off_matches_legacy(self, small_trace):
         legacy = SimConfig(prefetch=PrefetchConfig(
-            kind=PrefetcherKind.FDIP), max_instructions=8000)
-        result = simulate(small_trace, legacy)
+            kind=PrefetcherKind.FDIP))
+        result = simulate(small_trace.slice(0, 8000), legacy)
         assert result.get("backend.wrong_path_delivered") == 0
 
 
 class TestStreamProbeDepth:
     def config(self, probe_depth):
         return SimConfig(prefetch=PrefetchConfig(
-            kind=PrefetcherKind.STREAM, stream_probe_depth=probe_depth),
-            max_instructions=8000)
+            kind=PrefetcherKind.STREAM, stream_probe_depth=probe_depth))
 
     def test_deeper_probe_completes_and_consistent(self, small_trace):
-        result = simulate(small_trace, self.config(4))
+        result = simulate(small_trace.slice(0, 8000), self.config(4))
         assert result.instructions == 8000
         assert check_invariants(result) == []
 
     def test_deeper_probe_not_worse(self, small_trace):
-        head_only = simulate(small_trace, self.config(1))
-        deep = simulate(small_trace, self.config(4))
+        head_only = simulate(small_trace.slice(0, 8000), self.config(1))
+        deep = simulate(small_trace.slice(0, 8000), self.config(4))
         # Lookup-variant stream buffers tolerate small skips; they
         # should never lose to head-only compare.
         assert deep.ipc >= head_only.ipc * 0.99
 
     def test_non_head_hits_counted(self, small_trace):
-        deep = simulate(small_trace, self.config(4))
-        head_only = simulate(small_trace, self.config(1))
+        deep = simulate(small_trace.slice(0, 8000), self.config(4))
+        head_only = simulate(small_trace.slice(0, 8000), self.config(1))
         assert head_only.get("stream.non_head_hits") == 0
         assert deep.get("stream.non_head_hits") >= 0

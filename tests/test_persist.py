@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.harness import ResultStore, Runner, result_key, \
-    technique_config
+from repro.harness import ResultStore, Runner, technique_config
 from repro.sim import (
     SimResult,
     result_from_dict,
@@ -12,6 +11,7 @@ from repro.sim import (
     result_to_dict,
     result_to_json,
 )
+from repro.spec import RunRequest
 
 
 def make_result(**overrides):
@@ -103,51 +103,61 @@ class TestSchemaVersioning:
         assert restored == original
 
 
-def _key(workload="w", technique="none", length=1000, seed=1):
-    return result_key(workload, technique_config(technique), length, seed)
+def _request(workload="w", technique="none", length=1000, seed=1):
+    return RunRequest(workload, technique_config(technique), length, seed)
 
 
 class TestResultStore:
     def test_store_and_load(self, tmp_path):
         store = ResultStore(tmp_path)
         result = make_result()
-        store.store_key(_key(), result)
-        loaded = store.load_key(_key())
+        key = store.put(_request(), result)
+        assert key == _request().cache_key()
+        loaded = store.get(_request())
         assert loaded == result
+        assert (store.hits, store.misses, store.stores) == (1, 0, 1)
 
     def test_distinct_identities_distinct_entries(self, tmp_path):
         store = ResultStore(tmp_path)
         result = make_result()
-        store.store_key(_key(), result)
-        assert store.load_key(_key(technique="nlp")) is None
-        assert store.load_key(_key(length=2000)) is None
-        assert store.load_key(_key(workload="x")) is None
+        store.put(_request(), result)
+        assert store.get(_request(technique="nlp")) is None
+        assert store.get(_request(length=2000)) is None
+        assert store.get(_request(workload="x")) is None
+        assert store.misses == 3
+
+    def test_label_is_not_identity(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(_request(), make_result())
+        labelled = RunRequest("w", technique_config("none"), 1000, 1,
+                              label="shown")
+        assert store.get(labelled) == make_result()
 
     def test_corrupt_entry_ignored_and_removed(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.store_key(_key(), make_result())
+        store.put(_request(), make_result())
         victim = next(tmp_path.glob("*.result.json"))
         victim.write_text("garbage")
-        assert store.load_key(_key()) is None
+        assert store.get(_request()) is None
         assert not victim.exists()
 
     def test_undecodable_entry_quarantined(self, tmp_path):
         # A flipped byte can break UTF-8 itself, not just the JSON or
         # the checksum; that must quarantine too, never raise.
         store = ResultStore(tmp_path)
-        store.store_key(_key(), make_result())
+        store.put(_request(), make_result())
         victim = next(tmp_path.glob("*.result.json"))
         blob = bytearray(victim.read_bytes())
         blob[len(blob) // 2] = 0xA3
         victim.write_bytes(bytes(blob))
-        assert store.load_key(_key()) is None
+        assert store.get(_request()) is None
         assert not victim.exists()
         assert store.quarantined == 1
         assert [p.name for p in store.quarantined_files()] == [victim.name]
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.store_key(_key(), make_result())
+        store.put(_request(), make_result())
         assert store.clear() == 1
         assert store.clear() == 0
 

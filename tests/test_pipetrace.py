@@ -9,9 +9,8 @@ from repro.analysis import PipeTracer
 @pytest.fixture
 def traced(small_trace):
     tracer = PipeTracer(start=1, length=150)
-    config = SimConfig(prefetch=PrefetchConfig(kind=PrefetcherKind.FDIP),
-                       max_instructions=2000)
-    simulator = Simulator(small_trace, config, tracer=tracer)
+    config = SimConfig(prefetch=PrefetchConfig(kind=PrefetcherKind.FDIP))
+    simulator = Simulator(small_trace.slice(0, 2000), config, tracer=tracer)
     simulator.run()
     return tracer
 
@@ -51,6 +50,6 @@ class TestPipeTracer:
 
     def test_no_tracer_unaffected(self, small_trace):
         config = SimConfig(prefetch=PrefetchConfig(
-            kind=PrefetcherKind.NONE), max_instructions=1000)
-        result = Simulator(small_trace, config).run()
+            kind=PrefetcherKind.NONE))
+        result = Simulator(small_trace.slice(0, 1000), config).run()
         assert result.instructions == 1000

@@ -100,9 +100,20 @@ class TestWireForm:
                   config=dict(payload["config"], engine="event",
                               checkpoint_interval=0, watchdog_interval=0,
                               profile=False, event_log=None))
-        for body in (dict(payload, schema="repro.request/v99"), v1, v2):
+        # A v3 body's config also stated the trace length.
+        v3 = dict(payload, schema="repro.request/v3",
+                  config=dict(payload["config"], max_instructions=None))
+        for body in (dict(payload, schema="repro.request/v99"), v1, v2,
+                     v3):
             with pytest.raises(ConfigError, match="schema"):
                 RunRequest.from_dict(body)
+
+    def test_config_naming_max_instructions_rejected(self):
+        payload = RunRequest("gcc_like").to_dict()
+        body = dict(payload, config=dict(payload["config"],
+                                         max_instructions=1_000))
+        with pytest.raises(ConfigError, match="max_instructions"):
+            RunRequest.from_dict(body)
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):

@@ -27,13 +27,14 @@ from repro.harness import (
     Runner,
     RetryPolicy,
     parallel_sweep,
-    result_key,
     run_supervised,
     technique_config,
 )
 from repro.api import simulate
 from repro.sim import InvariantViolation, guard_invariants
-from repro.stats.sweep import merge_counters, summary_line, sweep_stat_group
+from repro.sim.serialize import SCHEMA_VERSION
+from repro.spec import RunRequest
+from repro.stats.sweep import merge_counters, summary_line
 from tests import _faulty
 
 FAST = RetryPolicy(max_retries=2, backoff_base=0.0)
@@ -225,37 +226,37 @@ def _result(workload="w", length=1000, seed=1, store=None):
 class TestStoreHardening:
     def _roundtrip_store(self, tmp_path):
         store = ResultStore(tmp_path / "results")
-        key = result_key("w", technique_config("none"), 1000, 1)
-        store.store_key(key, _result())
-        return store, key
+        request = RunRequest("w", technique_config("none"), 1000, 1)
+        store.put(request, _result())
+        return store, request
 
     def test_truncated_entry_quarantined_not_deleted(self, tmp_path):
-        store, key = self._roundtrip_store(tmp_path)
+        store, request = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         victim.write_text(victim.read_text()[:40])
-        assert store.load_key(key) is None
+        assert store.get(request) is None
         assert not victim.exists()
         assert len(store.quarantined_files()) == 1
         assert store.quarantined == 1
 
     def test_checksum_mismatch_quarantined(self, tmp_path):
-        store, key = self._roundtrip_store(tmp_path)
+        store, request = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         envelope = json.loads(victim.read_text())
         envelope["payload"] = envelope["payload"].replace(
             '"cycles": 1000', '"cycles": 9999')
         victim.write_text(json.dumps(envelope))
-        assert store.load_key(key) is None
+        assert store.get(request) is None
         assert len(store.quarantined_files()) == 1
 
     def test_unchecksummed_entry_quarantined(self, tmp_path):
         # A bare payload without the checksum envelope is not trusted:
         # it is quarantined like any other corrupt entry.
         from repro.sim.serialize import result_to_json
-        store, key = self._roundtrip_store(tmp_path)
+        store, request = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         victim.write_text(result_to_json(_result()))
-        assert store.load_key(key) is None
+        assert store.get(request) is None
         assert not victim.exists()
         assert [p.name for p in store.quarantined_files()] == [victim.name]
         assert store.quarantined == 1
@@ -265,7 +266,7 @@ class TestStoreHardening:
         # collides across concurrent writers of the same key; the
         # hardened writer must never leave that shared name behind and
         # must not leave temp droppings after a successful store.
-        store, _key = self._roundtrip_store(tmp_path)
+        store, _request = self._roundtrip_store(tmp_path)
         leftovers = list((tmp_path / "results").glob("*.tmp"))
         assert leftovers == []
 
@@ -409,7 +410,8 @@ class TestCheckpointResume:
             warmup_instructions=400)) for t in ("none", "nlp")]
         first = parallel_sweep(points, trace_length=2000, processes=1,
                                store=store)
-        victim = result_key("compress_like", points[1][1], 2000, 1)
+        victim = RunRequest("compress_like", points[1][1], 2000,
+                            1).cache_key()
         (tmp_path / "results" / f"{victim}.result.json").unlink()
         second = parallel_sweep(points, trace_length=2000, processes=1,
                                 store=store)
@@ -425,6 +427,59 @@ class TestCheckpointResume:
         outcome = parallel_sweep(points, trace_length=2000, processes=1)
         assert counting.calls == 2
         assert outcome.counters["resumed"] == 0
+
+    def test_sweep_entry_records_schema_and_request(self, tmp_path):
+        store = ResultStore(tmp_path / "results")
+        config = technique_config("nlp")
+        parallel_sweep([("compress_like", config)], trace_length=2000,
+                       processes=1, store=store)
+        request = RunRequest("compress_like",
+                             config.replace(warmup_instructions=400),
+                             2000, 1)
+        entry = tmp_path / "results" / f"{request.cache_key()}.result.json"
+        envelope = json.loads(entry.read_text(encoding="utf-8"))
+        assert envelope["schema_version"] == SCHEMA_VERSION
+        assert envelope["request"] == request.to_dict()
+        assert store.stores == 1
+
+    def test_other_schema_version_refused_and_resimulated(
+            self, tmp_path, monkeypatch):
+        counting = self._count_sims(monkeypatch)
+        points = [("compress_like", technique_config("none"))]
+        parallel_sweep(points, trace_length=2000, processes=1,
+                       store=ResultStore(tmp_path / "results"))
+        entry = next((tmp_path / "results").glob("*.result.json"))
+        envelope = json.loads(entry.read_text(encoding="utf-8"))
+        envelope["schema_version"] = SCHEMA_VERSION + 1
+        entry.write_text(json.dumps(envelope), encoding="utf-8")
+
+        store = ResultStore(tmp_path / "results")
+        outcome = parallel_sweep(points, trace_length=2000, processes=1,
+                                 store=store)
+        assert outcome.ok and counting.calls == 2
+        assert outcome.counters["resumed"] == 0
+        assert (store.refused, store.quarantined) == (1, 1)
+        assert [p.name for p in store.quarantined_files()] == [entry.name]
+        assert json.loads(entry.read_text(encoding="utf-8"))[
+            "schema_version"] == SCHEMA_VERSION
+
+    def test_entry_without_schema_version_still_loads(self, tmp_path,
+                                                      monkeypatch):
+        counting = self._count_sims(monkeypatch)
+        points = [("compress_like", technique_config("none"))]
+        first = parallel_sweep(points, trace_length=2000, processes=1,
+                               store=ResultStore(tmp_path / "results"))
+        entry = next((tmp_path / "results").glob("*.result.json"))
+        envelope = json.loads(entry.read_text(encoding="utf-8"))
+        entry.write_text(json.dumps({
+            "checksum": envelope["checksum"],
+            "payload": envelope["payload"]}), encoding="utf-8")
+
+        second = parallel_sweep(points, trace_length=2000, processes=1,
+                                store=ResultStore(tmp_path / "results"))
+        assert counting.calls == 1
+        assert second.counters["resumed"] == 1
+        assert dict(second) == dict(first)
 
     def test_resume_survives_lost_store_entry(self, tmp_path, monkeypatch):
         counting = self._count_sims(monkeypatch)
@@ -442,12 +497,6 @@ class TestSweepCounters:
         merged = merge_counters({"completed": 1, "retried": 2},
                                 {"completed": 3, "failed": 1})
         assert merged == {"completed": 4, "retried": 2, "failed": 1}
-
-    def test_stat_group(self):
-        group = sweep_stat_group({"completed": 5})
-        assert group.name == "sweep"
-        assert group.get("completed") == 5
-        assert group.get("failed") == 0
 
     def test_summary_line_full(self):
         line = summary_line({"points": 12, "completed": 8, "resumed": 2,

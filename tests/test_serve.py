@@ -148,8 +148,11 @@ class TestCacheServing:
         kinds = _serve_kinds(event_log)
         assert kinds.count("serve_running") == 1
         assert kinds.count("serve_cache_hit") == 1
-        assert service.cache.hits == 1
-        assert service.cache.stores == 1
+        stats = service.stats()
+        assert (stats["submitted"], stats["completed"],
+                stats["cache_hits"]) == (2, 2, 1)
+        assert stats["cache"] == {"hits": 1, "misses": 1, "stores": 1,
+                                  "refused": 0, "quarantined": 0}
 
     def test_cache_survives_service_restart(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -318,6 +321,14 @@ class TestJobTable:
 
 
 class TestSchemaRefusal:
+    def test_result_cache_is_the_result_store(self):
+        import repro.harness.persist
+        import repro.serve.cache
+
+        assert repro.serve.cache.ResultCache \
+            is repro.harness.persist.ResultStore
+        assert ResultCache is repro.harness.persist.ResultStore
+
     def test_mismatched_schema_version_is_refused_and_quarantined(
             self, tmp_path, small_result):
         cache = ResultCache(tmp_path / "cache")
@@ -445,27 +456,6 @@ class TestServiceErrors:
         service.shutdown()
         with pytest.raises(ServeError, match="shutting down"):
             service.submit(_request())
-
-
-class TestTelemetry:
-    def test_counters_in_tree(self, tmp_path, small_result):
-        executor = _GatedExecutor(small_result)
-        executor.gate.set()
-        service = SimulationService(cache_dir=str(tmp_path / "cache"),
-                                    workers=1, executor=executor)
-        service.result(service.submit(_request()), timeout=30)
-        service.result(service.submit(_request()), timeout=30)
-        service.shutdown()
-        node = service.telemetry()
-        assert node.name == "serve"
-        assert node.counters["submitted"] == 2
-        assert node.counters["cache_hits"] == 1
-        cache_node = node.child("cache")
-        assert cache_node is not None
-        assert cache_node.counters["stores"] == 1
-        stats = service.stats()
-        assert stats["completed"] == 2
-        assert stats["cache"]["hits"] == 1
 
 
 class TestHTTPRoundtrip:

@@ -108,12 +108,37 @@ class TestFiltering:
             results[FilterMode.NONE].bus_utilization
 
 
+def _unnamed(result):
+    """A result's dict form without its two copies of the run name."""
+    from repro.sim.serialize import result_to_dict
+
+    data = result_to_dict(result)
+    del data["name"]
+    del data["telemetry"]["meta"]["name"]
+    return data
+
+
 class TestOptions:
-    def test_max_instructions_truncates(self, small_trace_module):
-        config = config_for(PrefetcherKind.NONE).replace(
-            max_instructions=1000)
-        result = simulate(small_trace_module, config)
-        assert result.instructions == 1000
+    def test_shorter_trace_length_matches_a_sliced_trace(self, tmp_path,
+                                                         monkeypatch):
+        """A point's prefix is a shorter trace_length, or a slice of a
+        longer trace: both simulate the same instructions."""
+        from repro.api import execute
+        from repro.spec import RunRequest
+        from repro.workloads import build_trace
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        config = config_for(PrefetcherKind.FDIP).replace(
+            warmup_instructions=500)
+        for seed in (1, 2):
+            computed = execute(RunRequest("gcc_like", config,
+                                          trace_length=2_500,
+                                          seed=seed)).result
+            sliced = simulate(build_trace("gcc_like", 6_000, seed=seed)
+                              .slice(0, 2_500), config)
+            assert sliced.name != computed.name
+            assert sliced.counters == computed.counters
+            assert _unnamed(sliced) == _unnamed(computed)
 
     def test_warmup_shrinks_measured_instructions(self,
                                                   small_trace_module):

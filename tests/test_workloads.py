@@ -65,6 +65,15 @@ class TestTraces:
                             cache=TraceCache(tmp_path))
         assert len(trace) == 1234
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_walks_are_prefix_stable(self, tmp_path, seed):
+        """A shorter walk is a prefix of a longer one, so a request's
+        trace_length alone says which instructions a point simulates."""
+        cache = TraceCache(tmp_path)
+        long = build_trace("gcc_like", 20_000, seed=seed, cache=cache)
+        short = build_trace("gcc_like", 7_000, seed=seed, cache=cache)
+        assert long.records[:7_000] == short.records
+
     def test_server_dynamic_footprint_exceeds_l1(self, tmp_path):
         trace = build_trace("vortex_like", 60_000,
                             cache=TraceCache(tmp_path))
