@@ -137,7 +137,6 @@ class TestOptions:
             sliced = simulate(build_trace("gcc_like", 6_000, seed=seed)
                               .slice(0, 2_500), config)
             assert sliced.name != computed.name
-            assert sliced.counters == computed.counters
             assert _unnamed(sliced) == _unnamed(computed)
 
     def test_warmup_shrinks_measured_instructions(self,
