@@ -148,11 +148,8 @@ class TestCacheServing:
         kinds = _serve_kinds(event_log)
         assert kinds.count("serve_running") == 1
         assert kinds.count("serve_cache_hit") == 1
-        stats = service.stats()
-        assert (stats["submitted"], stats["completed"],
-                stats["cache_hits"]) == (2, 2, 1)
-        assert stats["cache"] == {"hits": 1, "misses": 1, "stores": 1,
-                                  "refused": 0, "quarantined": 0}
+        assert service.cache.hits == 1
+        assert service.cache.stores == 1
 
     def test_cache_survives_service_restart(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -456,6 +453,25 @@ class TestServiceErrors:
         service.shutdown()
         with pytest.raises(ServeError, match="shutting down"):
             service.submit(_request())
+
+
+class TestTelemetry:
+    def test_counters_in_tree(self, tmp_path, small_result):
+        # stats() is the service's one counter view: its own counters at
+        # the top level and the result store's under "cache".
+        executor = _GatedExecutor(small_result)
+        executor.gate.set()
+        service = SimulationService(cache_dir=str(tmp_path / "cache"),
+                                    workers=1, executor=executor)
+        service.result(service.submit(_request()), timeout=30)
+        service.result(service.submit(_request()), timeout=30)
+        service.shutdown()
+        assert not hasattr(service, "telemetry")
+        stats = service.stats()
+        assert (stats["submitted"], stats["completed"],
+                stats["cache_hits"]) == (2, 2, 1)
+        assert stats["cache"] == {"hits": 1, "misses": 1, "stores": 1,
+                                  "refused": 0, "quarantined": 0}
 
 
 class TestHTTPRoundtrip:
