@@ -174,3 +174,41 @@ def test_frontend_result_digest(golden_trace, overrides, expected, engine):
     digest = hashlib.sha256(
         result_to_json(result).encode("utf-8")).hexdigest()
     assert digest[:16] == expected
+
+
+# Memory-system corners, pinned the same way under the default
+# FDIP/enqueue prefetcher unless the row says otherwise, each with a
+# counter that shows the corner is reached: one tag port (the enqueue
+# filter's probe finds none free), one MSHR (demand retries and
+# prefetch MSHR stalls), a slow bus (prefetches refused the grant),
+# prefetches filled straight into the L1-I, and NLP, the bus grant's
+# second user, on the slow bus (its default-memory digest is the nlp
+# row of GOLDEN_DIGESTS).
+MEMORY_DIGESTS = [
+    ({"memory.icache_tag_ports": 1}, "mem.cpf_no_port",
+     "f8e9c69032a447e0"),
+    ({"memory.mshr_entries": 1}, "mem.demand_mshr_stalls",
+     "b0beaff60f54a732"),
+    ({"memory.bus_transfer_cycles": 8}, "bus.prefetch_rejected",
+     "d2f9a7e757031ddd"),
+    ({"prefetch.fill_l1_directly": True}, "mem.prefetch_fills_to_l1",
+     "b175491d93cefa99"),
+    ({"prefetch.kind": "nlp", "memory.bus_transfer_cycles": 8},
+     "bus.prefetch_rejected", "3c90a0faa3e8ebbe"),
+]
+
+
+@pytest.mark.parametrize("engine", ["naive", "event"])
+@pytest.mark.parametrize(
+    "overrides,reached,expected", MEMORY_DIGESTS,
+    ids=["-".join(f"{k.rpartition('.')[2]}={v}" for k, v in o.items())
+         for o, _, _ in MEMORY_DIGESTS])
+def test_memory_result_digest(golden_trace, overrides, reached, expected,
+                              engine):
+    result = simulate(golden_trace,
+                      SimConfig().with_overrides(**overrides),
+                      engine=engine)
+    assert result.counters.get(reached, 0) > 0
+    digest = hashlib.sha256(
+        result_to_json(result).encode("utf-8")).hexdigest()
+    assert digest[:16] == expected
