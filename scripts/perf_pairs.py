@@ -18,8 +18,17 @@ the two runs of a pair print a different ``results sha256``: a change
 that moves results has no speed to compare.  Otherwise it prints, for
 each end-to-end metric ``BENCHMARK.json`` declares, each side's median
 and quartiles (``statistics.quantiles``, exclusive method), the change
-of the median in percent, and in how many pairs the checkout was
-better in the metric's declared direction.
+of the median in percent, in how many pairs the checkout was better in
+the metric's declared direction, and a verdict:
+
+- ``gain``: the checkout won at least nine tenths of the pairs (ties
+  count for neither side) and its median is better than the base's by
+  more than the base's q1-q3 spread;
+- ``worse``: its median is worse than the base's by more than the
+  metric's ``bound``, a fraction of the base median;
+- ``unresolved``: the base's own q1-q3 spread, as a fraction of its
+  median, exceeds that bound, so the runs cannot tell;
+- ``held``: otherwise.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ class Row:
     delta_pct: float | None               # median change; None from 0
     wins: int
     pairs: int
+    verdict: str
 
 
 def parse_run(stdout: str) -> Run:
@@ -79,6 +89,28 @@ def _spread(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, statistics.median(values), q3
+
+
+def verdict(better: str, bound: float | None,
+            base: tuple[float, float, float],
+            change: tuple[float, float, float], wins: int,
+            pairs: int) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``held`` (module docstring).
+
+    A metric without a ``bound`` is never ``worse`` or ``unresolved``.
+    """
+    q1, base_median, q3 = base
+    gain = change[1] - base_median
+    if better != "higher":
+        gain = -gain
+    if wins * 10 >= 9 * pairs and gain > q3 - q1:
+        return "gain"
+    if bound is not None and base_median:
+        if -gain / abs(base_median) > bound:
+            return "worse"
+        if (q3 - q1) / abs(base_median) > bound:
+            return "unresolved"
+    return "held"
 
 
 def summarize(pairs: list[tuple[Run, Run]],
@@ -105,7 +137,10 @@ def summarize(pairs: list[tuple[Run, Run]],
         rows.append(Row(name=name, unit=metric.get("unit", ""),
                         better=better, base=base_spread,
                         change=change_spread, delta_pct=delta, wins=wins,
-                        pairs=len(present)))
+                        pairs=len(present),
+                        verdict=verdict(better, metric.get("bound"),
+                                        base_spread, change_spread, wins,
+                                        len(present))))
     return rows
 
 
@@ -116,12 +151,12 @@ def format_summary(rows: list[Row]) -> str:
         return f"{median:.6g} ({q1:.6g}-{q3:.6g})"
 
     table = [("metric", "better", "base median (q1-q3)",
-              "change median (q1-q3)", "change", "won")]
+              "change median (q1-q3)", "change", "won", "verdict")]
     for row in rows:
         delta = "n/a" if row.delta_pct is None else f"{row.delta_pct:+.1f}%"
         table.append((f"{row.name} [{row.unit}]", row.better,
                       cell(row.base), cell(row.change), delta,
-                      f"{row.wins}/{row.pairs}"))
+                      f"{row.wins}/{row.pairs}", row.verdict))
     widths = [max(len(line[i]) for line in table)
               for i in range(len(table[0]))]
     return "\n".join("  ".join(text.ljust(width)

@@ -127,8 +127,7 @@ class FetchEngine(StatsComponent):
 
             addr = entry.start + entry.fetch_offset
             bid = addr // block_bytes
-            result = self.memory.demand_fetch(bid, now)
-            outcome = result.outcome
+            outcome, ready = self.memory.demand_fetch(bid, now)
             if on_demand is not None:
                 on_demand(bid, outcome, now)
 
@@ -137,7 +136,7 @@ class FetchEngine(StatsComponent):
                     stats.mshr_stall_cycles += 1
                 return delivered_any
             if outcome != HIT_L1 and outcome != HIT_SIDECAR:
-                self._waiting_until = result.ready_cycle
+                self._waiting_until = ready
                 stats.demand_misses += 1
                 if access == 0:
                     stats.miss_stall_cycles += 1

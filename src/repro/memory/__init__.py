@@ -9,7 +9,6 @@ from repro.memory.hierarchy import (
     MERGED,
     MISS,
     RETRY,
-    DemandResult,
     MemorySystem,
     Sidecar,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "PrefetchBuffer",
     "MemorySystem",
     "Sidecar",
-    "DemandResult",
     "HIT_L1",
     "HIT_SIDECAR",
     "MERGED",

@@ -35,7 +35,7 @@ from repro.memory.cache import SetAssociativeCache
 from repro.memory.mshr import MshrEntry, MshrFile
 from repro.stats import StatGroup
 
-__all__ = ["MemorySystem", "Sidecar", "DemandResult",
+__all__ = ["MemorySystem", "Sidecar",
            "HIT_L1", "HIT_SIDECAR", "MERGED", "MISS", "RETRY"]
 
 HIT_L1 = "l1"
@@ -58,23 +58,6 @@ class Sidecar(Protocol):
     def fill_merged(self, bid: int) -> None:
         """A prefetch the owner issued completed, but a demand access
         merged into it in flight; the block went to the L1-I instead."""
-
-
-class DemandResult:
-    """Outcome of one demand fetch access (plain value object)."""
-
-    __slots__ = ("outcome", "ready_cycle")
-
-    def __init__(self, outcome: str, ready_cycle: int | None):
-        self.outcome = outcome
-        self.ready_cycle = ready_cycle
-
-    @property
-    def is_hit(self) -> bool:
-        return self.outcome in (HIT_L1, HIT_SIDECAR)
-
-    def __repr__(self) -> str:
-        return f"DemandResult({self.outcome}, ready={self.ready_cycle})"
 
 
 class MemoryStats(StatGroup):
@@ -169,36 +152,46 @@ class MemorySystem(StatsComponent):
     # Demand path (fetch engine)
     # ------------------------------------------------------------------
 
-    def demand_fetch(self, bid: int, now: int) -> DemandResult:
+    def demand_fetch(self, bid: int, now: int) -> tuple[str, int | None]:
         """One demand access to block ``bid`` at cycle ``now``.
 
-        Consumes an L1-I tag port.  Returns the outcome and, for misses,
-        the cycle at which the fill completes (``RETRY`` means the MSHR
-        file was full and the access must be retried next cycle).
+        Consumes an L1-I tag port.  Returns ``(outcome, ready_cycle)``:
+        ``now`` for a hit, the cycle the fill completes for a miss or a
+        merge, and None for ``RETRY`` (the MSHR file was full and the
+        access must be retried next cycle).  The L1-I lookup is
+        :meth:`SetAssociativeCache.lookup` inline.
         """
         self._ports_used += 1
-        self.stats.demand_accesses += 1
-        if self.l1i.lookup(bid):
-            return DemandResult(HIT_L1, now)
+        stats = self.stats
+        stats.demand_accesses += 1
+        l1i = self.l1i
+        entry_set = l1i._sets[bid & l1i._set_mask]
+        if bid in entry_set:
+            if entry_set[-1] != bid:
+                entry_set.remove(bid)
+                entry_set.append(bid)
+            l1i.stats.hits += 1
+            return HIT_L1, now
+        l1i.stats.misses += 1
         if self.sidecar is not None \
                 and self.sidecar.probe_and_claim(bid, now):
-            self.l1i.fill(bid)
-            self.stats.sidecar_promotions += 1
-            return DemandResult(HIT_SIDECAR, now)
+            l1i.fill(bid)
+            stats.sidecar_promotions += 1
+            return HIT_SIDECAR, now
         mshrs = self.mshrs
         in_flight = mshrs._entries.get(bid)
         if in_flight is not None:
             mshrs.merge_demand(bid)
-            return DemandResult(MERGED, in_flight.ready_cycle)
+            return MERGED, in_flight.ready_cycle
         if len(mshrs._entries) >= mshrs.capacity:
-            self.stats.demand_mshr_stalls += 1
-            return DemandResult(RETRY, None)
+            stats.demand_mshr_stalls += 1
+            return RETRY, None
         start = self.bus.acquire_demand(now)
         ready = start + self.bus.transfer_cycles + self._backing_latency(bid)
         mshrs.allocate(bid, ready, is_prefetch=False)
         heapq.heappush(self._events, (ready, bid))
-        self.stats.demand_misses += 1
-        return DemandResult(MISS, ready)
+        stats.demand_misses += 1
+        return MISS, ready
 
     def _backing_latency(self, bid: int) -> int:
         """L2 lookup for latency; memory fills install into the L2."""
@@ -218,6 +211,7 @@ class MemorySystem(StatsComponent):
 
         Fails (returns False) when the block is already in flight, the
         MSHR file is full, or the bus is not idle (demand priority).
+        The bus grant is :meth:`Bus.try_acquire_prefetch` inline.
         """
         mshrs = self.mshrs
         in_flight = mshrs._entries
@@ -227,10 +221,16 @@ class MemorySystem(StatsComponent):
         if len(in_flight) >= mshrs.capacity:
             self.stats.prefetch_mshr_stalls += 1
             return False
-        start = self.bus.try_acquire_prefetch(now)
-        if start is None:
+        bus = self.bus
+        if bus._busy_until > now:
+            bus.stats.prefetch_rejected += 1
             return False
-        ready = start + self.bus.transfer_cycles + self._backing_latency(bid)
+        transfer = bus.transfer_cycles
+        bus._busy_until = now + transfer
+        bus_stats = bus.stats
+        bus_stats.prefetch_transfers += 1
+        bus_stats.busy_cycles += transfer
+        ready = now + transfer + self._backing_latency(bid)
         mshrs.allocate(bid, ready, is_prefetch=True, wrong_path=wrong_path)
         heapq.heappush(self._events, (ready, bid))
         self.stats.prefetches_issued += 1
@@ -251,14 +251,17 @@ class MemorySystem(StatsComponent):
         """Cache-probe-filter probe using one idle tag port.
 
         Returns None when no idle port remains this cycle; otherwise
-        consumes a port and answers whether ``bid`` is in the L1-I.
+        consumes a port and answers whether ``bid`` is in the L1-I (the
+        tag probe is :meth:`SetAssociativeCache.probe` inline).
         """
         if self._ports_used >= self._tag_ports:
             self.stats.cpf_no_port += 1
             return None
         self._ports_used += 1
         self.stats.cpf_probes += 1
-        return self.l1i.probe(bid)
+        l1i = self.l1i
+        l1i.stats.probes += 1
+        return bid in l1i._sets[bid & l1i._set_mask]
 
     def oracle_probe(self, bid: int) -> bool:
         """Port-free, stat-free residence check (ideal filtering)."""

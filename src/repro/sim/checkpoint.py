@@ -87,9 +87,10 @@ SCHEMA = "repro.checkpoint"
 # the stream prefetcher its count of wanting buffers; 5: the caches and
 # FTBs keep a set mask, the prediction unit whether its FTB has two
 # levels and the fetch engine its prefetcher's demand hook in place of
-# the prefetcher), so an older snapshot is refused before it is
-# unpickled.
-VERSION = 5
+# the prefetcher; 6: the FTQ occupancy is a list of counts, one per
+# occupancy, in place of a run-length observer), so an older snapshot
+# is refused before it is unpickled.
+VERSION = 6
 
 #: Snapshot cadence (cycles) when a snapshot directory is given without
 #: one: ``repro run``/``repro stats --machine-checkpoint-dir``,

@@ -33,13 +33,13 @@ counter.  Two mechanisms:
    fill, the prediction unit blocked on a full FTQ (or an L2-FTB
    promotion, or an unresolved misprediction), the prefetcher with
    nothing queued.  Each such cycle does nothing but bump one stall
-   counter per stalled component and record an unchanged FTQ
-   occupancy sample.  :func:`stall_proof` recognises exactly those
+   counter per stalled component and count an unchanged FTQ
+   occupancy.  :func:`stall_proof` recognises exactly those
    cycles *by proof*, not by heuristic, and returns the earliest
    self-scheduled wake bound; the loop jumps the clock to one cycle
    before it and ``Simulator._apply_skip`` batch-applies the
    bookkeeping the naive loop would have done (the stall counters, the
-   occupancy samples, the prefetcher's internal clock).
+   occupancy counts, the prefetcher's internal clock).
 
    A jump needs two gates: prefetcher quiescence and the stall proof.
    Every prefetcher answers
@@ -82,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.stats import IntervalSampler, RunLengthObserver
+from repro.stats import IntervalSampler
 
 if TYPE_CHECKING:
     from repro.sim.simulator import Simulator
@@ -119,13 +119,40 @@ def stall_proof(sim: "Simulator", cycle: int):
     :meth:`~repro.prefetch.base.Prefetcher.quiescent` before it builds
     the proof.
     """
-    # Failure checks run before any wake collection so a rejected
-    # attempt (the common case on busy stretches) does the least work.
+    # Rejection checks run before any wake collection, the prediction
+    # unit's first: on a busy stretch it is the gate that fails most
+    # (it keeps producing wrong-path blocks until a misprediction
+    # resolves), and each of its checks is a field read.  A jump needs
+    # every gate, so the order cannot change a plan.  The wake fields
+    # are read directly, as the FTQ and the backend window are; they
+    # are what each component's ``next_wake_cycle`` returns.
+
+    # --- prediction unit ---------------------------------------------
+    # The checks PredictUnit.tick makes, in its order.
+    ftq = sim.ftq
+    ftq_entries = ftq._entries
+    predict = sim.predict_unit
+    predict_wake = None
+    if len(ftq_entries) >= ftq.depth:
+        # tick checks FTQ-full before the L2-FTB wait, so a pending
+        # promotion neither clears nor bounds anything while full.
+        predict_counter: str | None = "ftq_full_stalls"
+    else:
+        predict_wake = predict._ftb_wait_until
+        if predict_wake is not None:
+            predict_counter = "ftb_l2_stall_cycles"
+        elif predict._pending_mispredict is not None:
+            if predict.config.model_wrong_path:
+                return None   # producing wrong-path blocks every cycle
+            predict_counter = "mispredict_stall_cycles"
+        elif predict._cursor >= len(predict.trace.records):
+            predict_counter = None   # exhausted trace: silent no-op
+        else:
+            return None   # would produce a fetch block
 
     # --- fetch engine ------------------------------------------------
     # The FTQ and window checks are the ones FetchEngine.tick makes.
-    ftq_entries = sim.ftq._entries
-    fetch_wake = sim.fetch_engine.next_wake_cycle(cycle)
+    fetch_wake = sim.fetch_engine._waiting_until
     if fetch_wake is not None:
         fetch_counter = "miss_stall_cycles"
     elif not ftq_entries:
@@ -139,26 +166,6 @@ def stall_proof(sim: "Simulator", cycle: int):
             fetch_counter = "window_stall_cycles"
         else:
             return None   # fetch would access the memory system
-
-    # --- prediction unit ---------------------------------------------
-    predict = sim.predict_unit
-    predict_wake = None
-    if len(ftq_entries) >= sim.ftq.depth:
-        # tick checks FTQ-full before the L2-FTB wait, so a pending
-        # promotion neither clears nor bounds anything while full.
-        predict_counter: str | None = "ftq_full_stalls"
-    else:
-        predict_wake = predict.next_wake_cycle(cycle)
-        if predict_wake is not None:
-            predict_counter = "ftb_l2_stall_cycles"
-        elif predict.awaiting_resolution:
-            if sim.config.frontend.model_wrong_path:
-                return None   # producing wrong-path blocks every cycle
-            predict_counter = "mispredict_stall_cycles"
-        elif predict.out_of_records:
-            predict_counter = None   # exhausted trace: silent no-op
-        else:
-            return None   # would produce a fetch block
 
     # --- self-scheduled progress bounds -------------------------------
     wake = sim.memory.next_wake_cycle(cycle)
@@ -191,19 +198,20 @@ def _plan_from_proof(proof, cycle: int, max_cycles: int) -> SkipPlan | None:
 
 
 def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
-                   max_cycles: int, occupancy: RunLengthObserver,
+                   max_cycles: int, occupancy: list[int],
                    sampler: IntervalSampler | None,
                    next_ckpt: int | None, watchdog: int,
-                   ) -> tuple[RunLengthObserver, IntervalSampler | None]:
+                   ) -> IntervalSampler | None:
     """Drive ``sim`` to completion under wake scheduling.
 
     Mirrors the naive loop's per-cycle schedule exactly — same
     component order, same one-stall-counter-per-cycle accounting — and
     shares its run bookkeeping (cycle cap, warm-up reset, watchdog,
     checkpoint) through the ``Simulator`` helpers, while eliding ticks
-    the wake contracts prove to be pure stall bumps.  Returns the
-    (possibly warm-up-rebound) occupancy observer and interval sampler
-    for the caller's finalization.
+    the wake contracts prove to be pure stall bumps.  ``occupancy``
+    holds one count per FTQ occupancy, incremented in place.  Returns
+    the (possibly warm-up-rebound) interval sampler for the caller's
+    finalization.
     """
     profiler = sim.profiler
     memory = sim.memory
@@ -232,16 +240,12 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
     bwindow = backend._window
     bwindow_popleft = bwindow.popleft
 
-    # The cycle counter and the occupancy run-length accumulator live
-    # in locals; ``sim.cycle`` and the observer fields are synced at
-    # every boundary where other code can read them (warm-up reset,
+    # The cycle counter lives in a local; ``sim.cycle`` is synced at
+    # every boundary where other code can read it (warm-up reset,
     # analytic jumps, watchdog trips, checkpoint snapshots, the cycle
     # cap, loop exit).
     cycle = sim.cycle
     warmed = sim._warmed
-    occ_hist = occupancy._histogram
-    occ_value = occupancy._value
-    occ_weight = occupancy._weight
     # A single ``cycle >= ckpt_at`` compare per cycle; the sentinel
     # sits past the cycle-cap error so it can never trigger.
     ckpt_at = next_ckpt if next_ckpt is not None else max_cycles + 2
@@ -249,14 +253,12 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
     progress_cycle = cycle
     progress_retired = backend.retired
     if backend.retired >= total:
-        return occupancy, sampler
+        return sampler
 
     while True:
         cycle += 1
         if cycle > max_cycles:
             sim.cycle = cycle
-            occupancy._value = occ_value
-            occupancy._weight = occ_weight
             raise sim._cycle_cap_error(max_cycles, total)
         # memory: wake only when a fill is due; otherwise inline the
         # input-free bookkeeping begin_cycle would do.
@@ -303,17 +305,8 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
         if not prefetch_inert:
             prefetch_tick(cycle, ftq)
         retired = backend.retired
-        # Occupancy run-length accounting, inlined (one branch per
-        # cycle instead of a method call; same arithmetic as
-        # RunLengthObserver.observe).
         occ = len(ftq_entries)
-        if occ == occ_value:
-            occ_weight += 1
-        else:
-            if occ_weight:
-                occ_hist.observe(occ_value, occ_weight)
-            occ_value = occ
-            occ_weight = 1
+        occupancy[occ] += 1
         if sampler is not None:
             sampler.advance(cycle, occ, retired, mem_stats.demand_misses)
         if profiler is not None:
@@ -321,13 +314,8 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
 
         if not warmed and retired >= warmup:
             sim.cycle = cycle
-            occupancy._value = occ_value
-            occupancy._weight = occ_weight
-            occupancy, sampler = sim._end_warmup(occupancy, sampler)
+            sampler = sim._end_warmup(occupancy, sampler)
             warmed = True
-            occ_hist = occupancy._histogram
-            occ_value = occupancy._value
-            occ_weight = occupancy._weight
         elif not fetched and retired < total:
             # A jump needs both gates: prefetcher quiescence (O(1), and
             # implied by an inert tick) and the stall proof.
@@ -337,12 +325,8 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
                     plan = _plan_from_proof(proof, cycle, max_cycles)
                     if plan is not None:
                         sim.cycle = cycle
-                        occupancy._value = occ_value
-                        occupancy._weight = occ_weight
                         sim._apply_skip(plan, occupancy, sampler)
                         cycle = sim.cycle
-                        occ_value = occupancy._value
-                        occ_weight = occupancy._weight
 
         if watchdog > 0:
             if retired > progress_retired:
@@ -350,13 +334,9 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
                 progress_cycle = cycle
             elif cycle - progress_cycle >= watchdog:
                 sim.cycle = cycle
-                occupancy._value = occ_value
-                occupancy._weight = occ_weight
                 raise sim._watchdog_stall(watchdog)
         if cycle >= ckpt_at:
             sim.cycle = cycle
-            occupancy._value = occ_value
-            occupancy._weight = occ_weight
             ckpt_at = sim._checkpoint(occupancy, sampler)
         if retired >= total:
             # Retirement only moves in the retire step at the top of
@@ -365,6 +345,4 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             break
 
     sim.cycle = cycle
-    occupancy._value = occ_value
-    occupancy._weight = occ_weight
-    return occupancy, sampler
+    return sampler

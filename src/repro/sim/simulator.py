@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import time
 from typing import Callable
 
 from repro.bpred import ReturnAddressStack, make_direction_predictor
@@ -31,14 +32,13 @@ from repro.frontend import FetchEngine, FetchTargetQueue, FTQEntry, \
     PredictUnit
 from repro.ftb import FetchTargetBuffer, TwoLevelFTB
 from repro.memory import MemorySystem
-from repro.memory.hierarchy import MemoryStats
 from repro.obs import events as obs_events
 from repro.obs.profile import CycleProfiler
 from repro.prefetch import make_prefetcher
 from repro.sim.events import run_event_loop
 from repro.sim.results import SimResult
-from repro.stats import IntervalSampler, IntervalSeries, \
-    RunLengthObserver, StatGroup, TelemetryNode, TelemetrySnapshot
+from repro.stats import IntervalSampler, IntervalSeries, StatGroup, \
+    TelemetryNode, TelemetrySnapshot, flush_counts
 from repro.trace import Trace
 
 __all__ = ["Simulator"]
@@ -188,9 +188,9 @@ class Simulator:
         # In-run checkpointing (see checkpoint_every).
         self.checkpoint_interval = 0
         self.checkpoint_sink: Callable[[dict], None] | None = None
-        # The occupancy observer and interval sampler a restored
+        # The occupancy counts and interval sampler a restored
         # machine's run continues with (see restore()).
-        self._resumed: tuple[RunLengthObserver,
+        self._resumed: tuple[list[int],
                              IntervalSampler | None] | None = None
         if warm_records:
             self._fast_forward(warm_records)
@@ -314,6 +314,8 @@ class Simulator:
 
     def run(self) -> SimResult:
         """Simulate until the whole trace has retired."""
+        started = time.perf_counter()
+        start_retired = self.backend.retired
         total = len(self.trace)
         warmup = min(self.config.warmup_instructions, max(0, total - 1))
         max_cycles = self.config.max_cycles
@@ -334,13 +336,15 @@ class Simulator:
 
         window = self.config.telemetry_window
         if self._resumed is not None:
-            # Resuming from a checkpoint: continue the in-progress
-            # occupancy run and series instead of anchoring fresh ones.
+            # Resuming from a checkpoint: continue the occupancy counts
+            # and series instead of anchoring fresh ones.
             occupancy, sampler = self._resumed
             self._resumed = None
         else:
-            occupancy = RunLengthObserver(
-                self.stats.histogram("ftq_occupancy"))
+            # One count per possible FTQ occupancy, incremented in place
+            # each cycle and flushed into the histogram at the warm-up
+            # boundary and at the end of the run.
+            occupancy = [0] * (ftq.depth + 1)
             sampler = IntervalSampler(window, origin=self.cycle,
                                       base_retired=backend.retired) \
                 if window > 0 else None
@@ -357,11 +361,12 @@ class Simulator:
             "resumed": self.cycle > 0})
 
         if engine == "event":
-            occupancy, sampler = run_event_loop(
+            sampler = run_event_loop(
                 self, total=total, warmup=warmup, max_cycles=max_cycles,
                 occupancy=occupancy, sampler=sampler, next_ckpt=next_ckpt,
                 watchdog=watchdog)
-            return self._finish(occupancy, sampler, mem_stats)
+            return self._finish(occupancy, sampler, engine, started,
+                                start_retired)
 
         # The naive loop: the reference semantics the event engine must
         # reproduce bit for bit.  A resume restarts the watchdog's
@@ -381,7 +386,7 @@ class Simulator:
             predict_unit.tick(cycle, ftq)
             prefetcher.tick(cycle, ftq)
             occ = ftq.occupancy()
-            occupancy.observe(occ)
+            occupancy[occ] += 1
             if sampler is not None:
                 sampler.advance(cycle, occ, backend.retired,
                                 mem_stats.demand_misses)
@@ -394,7 +399,7 @@ class Simulator:
                 tracer.record(cycle, self)
 
             if not self._warmed and backend.retired >= warmup:
-                occupancy, sampler = self._end_warmup(occupancy, sampler)
+                sampler = self._end_warmup(occupancy, sampler)
             if watchdog > 0:
                 if backend.retired > progress_retired:
                     progress_retired = backend.retired
@@ -404,7 +409,8 @@ class Simulator:
             if next_ckpt is not None and cycle >= next_ckpt:
                 next_ckpt = self._checkpoint(occupancy, sampler)
 
-        return self._finish(occupancy, sampler, mem_stats)
+        return self._finish(occupancy, sampler, engine, started,
+                            start_retired)
 
     # ------------------------------------------------------------------
     # Run bookkeeping shared by both loops.  Each runs only when its
@@ -418,23 +424,22 @@ class Simulator:
             f"cycle cap exceeded ({max_cycles}); retired "
             f"{self.backend.retired}/{total} — likely a deadlock")
 
-    def _end_warmup(self, occupancy: RunLengthObserver,
+    def _end_warmup(self, occupancy: list[int],
                     sampler: IntervalSampler | None,
-                    ) -> tuple[RunLengthObserver, IntervalSampler | None]:
+                    ) -> IntervalSampler | None:
         """Reset the measurement at the warm-up boundary.
 
         Clears every statistic (caches, predictors, and the FTB stay
-        warm) and returns the fresh occupancy observer and interval
+        warm) and the occupancy counts, and returns the fresh interval
         sampler the loop continues with.
         """
-        occupancy.flush()
+        flush_counts(occupancy, self.stats.histogram("ftq_occupancy"))
         self._warmed = True
         self._measure_start_cycle = self.cycle
         self._measure_start_retired = self.backend.retired
         self._reset_stats()
         if self.profiler is not None:
             self.profiler.reset()
-        occupancy = RunLengthObserver(self.stats.histogram("ftq_occupancy"))
         if sampler is not None:
             # Counters just cleared; anchor the interval series at the
             # measurement origin so window boundaries and deltas cover
@@ -445,7 +450,7 @@ class Simulator:
         obs_events.emit("warmup_end", data={
             "name": self.name, "cycle": self.cycle,
             "retired": self.backend.retired})
-        return occupancy, sampler
+        return sampler
 
     def _watchdog_stall(self, watchdog: int) -> WatchdogStallError:
         """Log a watchdog trip; returns the error the loop raises."""
@@ -456,12 +461,12 @@ class Simulator:
         return WatchdogStallError(self.cycle, self.backend.retired,
                                   watchdog, state=self._stall_dump())
 
-    def _checkpoint(self, occupancy: RunLengthObserver,
+    def _checkpoint(self, occupancy: list[int],
                     sampler: IntervalSampler | None) -> int:
         """Hand the checkpoint sink an end-of-cycle snapshot.
 
         The snapshot is ``{"cycle", "retired", "machine"}``: ``machine``
-        pickles this simulator with the loop's occupancy observer and
+        pickles this simulator with the loop's occupancy counts and
         interval sampler, the trace stored by reference (see
         :meth:`restore`).  Returns the cycle the next snapshot is due.
         A loop takes one at the first end-of-cycle at or past that cycle
@@ -476,28 +481,43 @@ class Simulator:
                               "machine": machine.getvalue()})
         return self.cycle + self.checkpoint_interval
 
-    def _finish(self, occupancy: RunLengthObserver,
-                sampler: IntervalSampler | None,
-                mem_stats: MemoryStats) -> SimResult:
-        """Shared end-of-run finalization for both loops."""
-        occupancy.flush()
+    def _finish(self, occupancy: list[int],
+                sampler: IntervalSampler | None, engine: str,
+                started: float, start_retired: int) -> SimResult:
+        """Shared end-of-run finalization for both loops.
+
+        ``engine`` is the loop that ran, ``started`` the
+        ``perf_counter`` reading when :meth:`run` began and
+        ``start_retired`` the instructions retired by then; they feed
+        only the ``run_end`` event.
+        """
+        flush_counts(occupancy, self.stats.histogram("ftq_occupancy"))
         intervals = None
         if sampler is not None:
             intervals = sampler.finalize(
                 self.cycle, self.backend.retired,
-                mem_stats.demand_misses)
-        obs_events.emit("run_end", data={
-            "name": self.name, "cycle": self.cycle,
-            "retired": self.backend.retired,
-            "skipped_cycles": self.skipped_cycles})
+                self.memory.stats.demand_misses)
+        if obs_events.logging_active():
+            seconds = time.perf_counter() - started
+            retired = self.backend.retired
+            obs_events.emit("run_end", data={
+                "name": self.name, "engine": engine, "cycle": self.cycle,
+                "retired": retired,
+                "skipped_cycles": self.skipped_cycles,
+                "instructions_per_second":
+                    (retired - start_retired) / seconds if seconds > 0
+                    else 0.0,
+                "skipped_ratio":
+                    self.skipped_cycles / self.cycle if self.cycle
+                    else 0.0})
         return self._collect(intervals)
 
-    def _apply_skip(self, plan, occupancy: RunLengthObserver,
+    def _apply_skip(self, plan, occupancy: list[int],
                     sampler: IntervalSampler | None = None) -> None:
         """Batch-apply the bookkeeping of ``plan.cycles`` idle cycles.
 
         Adds exactly the stall counts the naive loop would have,
-        records the (constant) FTQ occupancy samples, advances the
+        counts the (constant) FTQ occupancy ``n`` times, advances the
         interval sampler across the window (retired instructions,
         demand misses, and FTQ occupancy are provably constant inside
         it, so boundary crossings are reconstructed exactly), lets the
@@ -516,7 +536,7 @@ class Simulator:
         if plan.retire_stalled:
             self.backend.stats.retire_stall_cycles += n
         occ = self.ftq.occupancy()
-        occupancy.observe(occ, n)
+        occupancy[occ] += n
         if sampler is not None:
             sampler.advance(plan.target - 1, occ, self.backend.retired,
                             self.memory.stats.demand_misses)

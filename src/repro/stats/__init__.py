@@ -1,6 +1,6 @@
 """Statistics primitives, the telemetry spine, and report formatting."""
 
-from repro.stats.counters import Histogram, RunLengthObserver, StatGroup
+from repro.stats.counters import Histogram, StatGroup, flush_counts
 from repro.stats.report import (
     format_table,
     format_value,
@@ -25,7 +25,7 @@ from repro.stats.telemetry import (
 
 __all__ = [
     "Histogram",
-    "RunLengthObserver",
+    "flush_counts",
     "StatGroup",
     "SCHEMA",
     "TelemetryNode",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from typing import Iterator
 
-__all__ = ["StatGroup", "Histogram", "RunLengthObserver", "UNSET"]
+__all__ = ["StatGroup", "Histogram", "flush_counts", "UNSET"]
 
 
 class Histogram:
@@ -96,45 +96,20 @@ class Histogram:
                 f"distinct={len(self._counts)})")
 
 
-class RunLengthObserver:
-    """Deferred feeder for a :class:`Histogram` sampled every cycle.
+def flush_counts(counts: list[int], histogram: Histogram) -> None:
+    """Move dense per-value counts into ``histogram``.
 
-    Per-cycle series (FTQ occupancy, queue depths) hold the same value
-    for long runs; recording each sample individually makes
-    ``Histogram.observe`` a hot-loop cost.  This observer accumulates
-    consecutive equal samples and flushes each run as one weighted
-    ``observe`` call, which is arithmetically identical to per-sample
-    recording.  Call :meth:`flush` before reading the histogram.
+    A per-cycle series with few possible values (FTQ occupancy runs
+    from 0 to the queue depth) is cheapest to record as
+    ``counts[value] += 1``, one subscript per sample.  This observes
+    each nonzero count once, weighted, which is arithmetically identical
+    to per-sample recording, and zeroes it in place, so whoever holds
+    ``counts`` keeps counting into the same list.
     """
-
-    __slots__ = ("_histogram", "_value", "_weight")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._value = 0
-        self._weight = 0
-
-    def observe(self, value: int, weight: int = 1) -> None:
-        """Record ``value`` for ``weight`` consecutive samples.
-
-        A zero-weight observe is a complete no-op: it neither flushes
-        the buffered run nor switches the tracked value.
-        """
-        if weight == 0:
-            return
-        if value == self._value:
-            self._weight += weight
-        else:
-            if self._weight:
-                self._histogram.observe(self._value, self._weight)
-            self._value = value
-            self._weight = weight
-
-    def flush(self) -> None:
-        """Push any buffered run into the histogram."""
-        if self._weight:
-            self._histogram.observe(self._value, self._weight)
-            self._weight = 0
+    for value, count in enumerate(counts):
+        if count:
+            histogram.observe(value, count)
+            counts[value] = 0
 
 
 class _Unset(int):

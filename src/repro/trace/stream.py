@@ -27,7 +27,8 @@ class Trace:
             raise TraceError("a trace must contain at least one record")
         self.name = name
         self.seed = seed
-        self._records = list(records)
+        #: The record list (treat as read-only).
+        self.records: list[TraceRecord] = list(records)
 
     @classmethod
     def from_program(cls, program: Program, length: int, seed: int = 0,
@@ -37,29 +38,24 @@ class Trace:
         records = walker.walk(length)
         return cls(records, name=name or program.name, seed=seed)
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        """The underlying record list (treat as read-only)."""
-        return self._records
-
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.records)
 
     def __getitem__(self, index: int) -> TraceRecord:
-        return self._records[index]
+        return self.records[index]
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     def slice(self, start: int, stop: int) -> "Trace":
         """A sub-trace covering records [start, stop)."""
-        if not 0 <= start < stop <= len(self._records):
+        if not 0 <= start < stop <= len(self.records):
             raise TraceError(
                 f"invalid slice [{start}, {stop}) of a trace with "
-                f"{len(self._records)} records")
-        return Trace(self._records[start:stop],
+                f"{len(self.records)} records")
+        return Trace(self.records[start:stop],
                      name=f"{self.name}[{start}:{stop}]", seed=self.seed)
 
     def __repr__(self) -> str:
-        return (f"Trace({self.name!r}, records={len(self._records)}, "
+        return (f"Trace({self.name!r}, records={len(self.records)}, "
                 f"seed={self.seed})")

@@ -17,7 +17,12 @@ counted.  The count is deterministic for a given tree and interpreter.
 Each budget is 5% above the count measured on CPython 3.11, and it
 bounds from above only: an interpreter that inlines comprehensions
 (3.12) reads lower.  Before the per-block path was inlined, the same
-runs made 324,117 (``fdip``/``enqueue``) and 279,689 (``none``) calls.
+runs made 324,117 (``fdip``/``enqueue``) and 279,689 (``none``) calls;
+before the memory system answered each access in one call (no
+``DemandResult``, no cache or bus helper), the loops counted FTQ
+occupancy into a list instead of a run-length observer and
+``Trace.records`` became a plain attribute, they made 122,832 and
+102,478.
 
 The build path has a budget of its own: generating ``gcc_like`` and
 walking it four times, 2,000 instructions per walk (seeds 1-4), from
@@ -54,8 +59,8 @@ from repro.workloads.suite import build_program
 
 #: (prefetcher kind, filter mode) -> calls measured on CPython 3.11.
 MEASURED = {
-    ("fdip", "enqueue"): 122_832,
-    ("none", "none"): 102_478,
+    ("fdip", "enqueue"): 92_296,
+    ("none", "none"): 75_793,
 }
 #: Calls of the build path (see the module docstring) on CPython 3.11.
 BUILD_MEASURED = 117_348

@@ -301,6 +301,15 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError,
                            match="unsupported checkpoint version 3"):
             manager.latest()
+        # And a well-formed version-5 envelope: its machines pickled a
+        # run-length occupancy observer, a class that no longer exists.
+        newest = manager.write(_state(40))
+        envelope = json.loads(newest.read_text())
+        envelope["version"] = 5
+        newest.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 5"):
+            manager.latest()
 
     def test_identity_mismatch_raises_not_resumes(self, tmp_path):
         theirs = CheckpointManager(tmp_path, meta={"trace": "a", "seed": 1})

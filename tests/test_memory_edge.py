@@ -21,28 +21,26 @@ class TestL2Contents:
     def test_l2_eviction_restores_memory_latency(self):
         memory = make_memory(l2_kb=2)   # 64 blocks, 2-way, 32 sets
         memory.begin_cycle(1)
-        first = memory.demand_fetch(0, 1)
-        assert first.ready_cycle == 1 + 4 + 50
+        _, now = memory.demand_fetch(0, 1)
+        assert now == 1 + 4 + 50
         # Thrash L2 set 0 (block ids congruent mod 32).
-        now = first.ready_cycle
         for bid in (32, 64):
             memory.begin_cycle(now)
-            result = memory.demand_fetch(bid, now)
-            now = result.ready_cycle
+            _, now = memory.demand_fetch(bid, now)
         memory.begin_cycle(now)
         memory.l1i.invalidate(0)
-        result = memory.demand_fetch(0, now)
+        _, ready = memory.demand_fetch(0, now)
         # Block 0 was evicted from L2: full memory latency again.
-        assert result.ready_cycle - now == 4 + 50
+        assert ready - now == 4 + 50
 
     def test_l2_hit_after_unrelated_traffic(self):
         memory = make_memory(l2_kb=64)
         memory.begin_cycle(1)
-        first = memory.demand_fetch(0, 1)
-        memory.begin_cycle(first.ready_cycle)
+        _, first_ready = memory.demand_fetch(0, 1)
+        memory.begin_cycle(first_ready)
         memory.l1i.invalidate(0)
-        result = memory.demand_fetch(0, first.ready_cycle)
-        assert result.ready_cycle - first.ready_cycle == 4 + 10
+        _, ready = memory.demand_fetch(0, first_ready)
+        assert ready - first_ready == 4 + 10
 
 
 class TestDirectFill:
@@ -63,8 +61,8 @@ class TestDirectFill:
                              fill_to_l1=True)
         memory.begin_cycle(1)
         memory.try_issue_prefetch(5, 1)
-        result = memory.demand_fetch(5, 2)
-        assert result.outcome == MERGED
+        outcome, _ = memory.demand_fetch(5, 2)
+        assert outcome == MERGED
         memory.drain_in_flight()
         assert memory.l1i.contains(5)
         assert memory.stats.get("late_prefetch_fills") == 1
@@ -101,8 +99,8 @@ class TestLeadTimes:
         memory.begin_cycle(ready)
         use_cycle = ready + 20
         memory.begin_cycle(use_cycle)
-        result = memory.demand_fetch(5, use_cycle)
-        assert result.outcome == "sidecar"
+        outcome, _ = memory.demand_fetch(5, use_cycle)
+        assert outcome == "sidecar"
         hist = buffer.stats.histogram("lead_cycles")
         assert hist.total == 1
         assert hist.mean == pytest.approx(20.0)

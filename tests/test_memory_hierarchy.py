@@ -31,53 +31,46 @@ class TestDemandPath:
     def test_cold_miss_latency_is_memory(self):
         memory = small_memory()
         memory.begin_cycle(1)
-        result = memory.demand_fetch(5, 1)
-        assert result.outcome == MISS
+        outcome, ready = memory.demand_fetch(5, 1)
+        assert outcome == MISS
         # bus start 1 + transfer 4 + memory 50
-        assert result.ready_cycle == 1 + 4 + 50
+        assert ready == 1 + 4 + 50
 
     def test_l2_hit_latency_after_first_fill(self):
         memory = small_memory()
         memory.begin_cycle(1)
-        first = memory.demand_fetch(5, 1)
-        memory.begin_cycle(first.ready_cycle)
+        _, first_ready = memory.demand_fetch(5, 1)
+        memory.begin_cycle(first_ready)
         # Evict block 5 from L1 by filling its set beyond assoc.
         memory.l1i.invalidate(5)
         memory.begin_cycle(200)
-        second = memory.demand_fetch(5, 200)
-        assert second.outcome == MISS
-        assert second.ready_cycle == 200 + 4 + 10  # L2 hit now
+        assert memory.demand_fetch(5, 200) == (MISS, 200 + 4 + 10)  # L2 hit
 
     def test_fill_applies_at_ready_cycle(self):
         memory = small_memory()
         memory.begin_cycle(1)
-        result = memory.demand_fetch(5, 1)
-        memory.begin_cycle(result.ready_cycle)
-        assert memory.demand_fetch(5, result.ready_cycle).outcome == HIT_L1
+        _, ready = memory.demand_fetch(5, 1)
+        memory.begin_cycle(ready)
+        assert memory.demand_fetch(5, ready) == (HIT_L1, ready)
 
     def test_merge_into_inflight_demand(self):
         memory = small_memory()
         memory.begin_cycle(1)
-        first = memory.demand_fetch(5, 1)
-        second = memory.demand_fetch(5, 2)
-        assert second.outcome == MERGED
-        assert second.ready_cycle == first.ready_cycle
+        _, first_ready = memory.demand_fetch(5, 1)
+        assert memory.demand_fetch(5, 2) == (MERGED, first_ready)
 
     def test_retry_when_mshrs_full(self):
         memory = small_memory(mshrs=1)
         memory.begin_cycle(1)
         memory.demand_fetch(5, 1)
-        result = memory.demand_fetch(9, 1)
-        assert result.outcome == RETRY
-        assert result.ready_cycle is None
+        assert memory.demand_fetch(9, 1) == (RETRY, None)
 
     def test_sidecar_hit_promotes_to_l1(self):
         buffer = PrefetchBuffer(4)
         memory = small_memory(sidecar=PrefetchBufferSidecar(buffer))
         buffer.insert(5)
         memory.begin_cycle(1)
-        result = memory.demand_fetch(5, 1)
-        assert result.outcome == HIT_SIDECAR
+        assert memory.demand_fetch(5, 1) == (HIT_SIDECAR, 1)
         assert not buffer.contains(5)
         assert memory.l1i.contains(5)
 
@@ -113,9 +106,9 @@ class TestPrefetchPath:
         memory = small_memory(sidecar=PrefetchBufferSidecar(buffer))
         memory.begin_cycle(1)
         memory.try_issue_prefetch(5, 1)
-        result = memory.demand_fetch(5, 3)
-        assert result.outcome == MERGED
-        memory.begin_cycle(result.ready_cycle)
+        outcome, ready = memory.demand_fetch(5, 3)
+        assert outcome == MERGED
+        memory.begin_cycle(ready)
         assert memory.l1i.contains(5)
         assert not buffer.contains(5)          # merged, not buffered
         assert memory.stats.get("late_prefetch_fills") == 1

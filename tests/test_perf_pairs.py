@@ -111,4 +111,51 @@ class TestSummary:
         assert len(lines) == 3
         assert lines[0].split()[0] == "metric"
         assert "+10.0%" in lines[1]
-        assert lines[1].rstrip().endswith("9/10")
+        assert lines[1].split()[-2:] == ["9/10", "gain"]
+
+
+def verdict_of(perf_pairs, base_values, change_values, bound=0.1,
+               better="higher"):
+    """The verdict on one metric over canned (base, change) pairs."""
+    pairs = [(perf_pairs.parse_run(perfbench_stdout("a", m=base)),
+              perf_pairs.parse_run(perfbench_stdout("a", m=change)))
+             for base, change in zip(base_values, change_values)]
+    (row,) = perf_pairs.summarize(pairs, [
+        {"name": "m", "unit": "x", "better": better, "bound": bound}])
+    return row.verdict
+
+
+BASE = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+
+
+class TestVerdict:
+    def test_gain_needs_nine_tenths_and_the_base_spread(self, perf_pairs):
+        up = [value + 5 for value in BASE]
+        assert verdict_of(perf_pairs, BASE, up) == "gain"
+        # Eight wins of ten are not enough, however far the median moves.
+        up[0], up[1] = 90.0, 90.0
+        assert verdict_of(perf_pairs, BASE, up) == "held"
+        # Nor is winning every pair by less than the base's q1-q3 spread.
+        assert verdict_of(perf_pairs, BASE,
+                          [value + 0.5 for value in BASE]) == "held"
+
+    def test_direction_decides_better(self, perf_pairs):
+        down = [value - 5 for value in BASE]
+        assert verdict_of(perf_pairs, BASE, down, better="lower") == "gain"
+        assert verdict_of(perf_pairs, BASE, down, bound=0.01) == "worse"
+
+    def test_worse_by_more_than_the_bound(self, perf_pairs):
+        assert verdict_of(perf_pairs, BASE,
+                          [value * 0.85 for value in BASE]) == "worse"
+        assert verdict_of(perf_pairs, BASE,
+                          [value * 0.95 for value in BASE]) == "held"
+
+    def test_unresolved_when_the_base_spreads_past_the_bound(
+            self, perf_pairs):
+        wide = [80.0, 120.0] * 5
+        assert verdict_of(perf_pairs, wide, wide) == "unresolved"
+        assert verdict_of(perf_pairs, wide, wide, bound=0.5) == "held"
+
+    def test_metric_without_a_bound_is_held_or_gain(self, perf_pairs):
+        assert verdict_of(perf_pairs, BASE, [value / 2 for value in BASE],
+                          bound=None) == "held"

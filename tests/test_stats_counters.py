@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.component import StatsComponent
-from repro.stats import Histogram, RunLengthObserver, StatGroup
+from repro.stats import Histogram, StatGroup, flush_counts
 from repro.stats.counters import UNSET
 
 
@@ -272,43 +272,31 @@ class TestHistogramEdgeCases:
         assert hist.mean == 2.0
 
 
-class TestRunLengthObserver:
+class TestFlushCounts:
     def test_flush_on_finalize(self):
-        """The buffered run only reaches the histogram on flush."""
+        """Counts reach the histogram only on flush, which zeroes them."""
         hist = Histogram()
-        obs = RunLengthObserver(hist)
-        obs.observe(4, weight=3)
-        assert hist.total == 0           # still buffered
-        obs.flush()
+        counts = [0, 0, 0, 0, 3]
+        assert hist.total == 0           # still in the counts
+        flush_counts(counts, hist)
         assert hist.as_dict() == {4: 3}
-        obs.flush()                      # idempotent: nothing buffered
+        assert counts == [0, 0, 0, 0, 0]
+        flush_counts(counts, hist)       # idempotent: nothing counted
         assert hist.as_dict() == {4: 3}
 
-    def test_run_compression_matches_per_sample(self):
-        direct, compressed = Histogram(), Histogram()
-        obs = RunLengthObserver(compressed)
+    def test_counts_match_per_sample(self):
+        direct, counted = Histogram(), Histogram()
+        counts = [0] * 4
         series = [1, 1, 1, 2, 2, 0, 0, 0, 0, 3]
         for value in series:
             direct.observe(value)
-            obs.observe(value)
-        obs.flush()
-        assert compressed.as_dict() == direct.as_dict()
+            counts[value] += 1
+        flush_counts(counts, counted)
+        assert counted.as_dict() == direct.as_dict()
+        assert (counted.total, counted.mean) == (direct.total, direct.mean)
 
-    def test_zero_weight_observe_is_complete_noop(self):
-        """weight=0 must neither flush the run nor switch the value."""
+    def test_zero_count_creates_no_bucket(self):
         hist = Histogram()
-        obs = RunLengthObserver(hist)
-        obs.observe(5, weight=2)
-        obs.observe(7, weight=0)         # must not end the run of 5s
-        obs.observe(5, weight=1)         # extends the same run
-        obs.flush()
-        assert hist.as_dict() == {5: 3}
-
-    def test_value_switch_flushes_previous_run(self):
-        hist = Histogram()
-        obs = RunLengthObserver(hist)
-        obs.observe(1, weight=2)
-        obs.observe(2, weight=4)
-        assert hist.as_dict() == {1: 2}  # first run flushed by switch
-        obs.flush()
-        assert hist.as_dict() == {1: 2, 2: 4}
+        flush_counts([0, 2, 0, 1], hist)
+        assert hist.as_dict() == {1: 2, 3: 1}
+        assert len(hist) == 2

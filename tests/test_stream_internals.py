@@ -39,8 +39,8 @@ class TestMergedFills:
         stream.on_demand(100, MISS, 1)
         memory.begin_cycle(2)
         stream.tick(2, FTQ)                 # request 101
-        result = memory.demand_fetch(101, 3)  # merges into the prefetch
-        memory.begin_cycle(result.ready_cycle)
+        _, ready = memory.demand_fetch(101, 3)  # merges into the prefetch
+        memory.begin_cycle(ready)
         assert stream.stats.get("late_fills") == 1
         # The slot was popped by probe_and_claim during the demand, so
         # the buffer keeps streaming from 102.
