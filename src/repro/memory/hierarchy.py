@@ -99,7 +99,6 @@ class MemorySystem(StatsComponent):
         self._events: list[tuple[int, int]] = []   # (ready_cycle, bid) heap
         self._tag_ports = config.icache_tag_ports
         self._ports_used = 0
-        self._now = 0
 
     # ------------------------------------------------------------------
     # Cycle bookkeeping
@@ -107,7 +106,6 @@ class MemorySystem(StatsComponent):
 
     def begin_cycle(self, now: int) -> None:
         """Advance to ``now``: complete due fills, reset the port budget."""
-        self._now = now
         self._ports_used = 0
         while self._events and self._events[0][0] <= now:
             _, bid = heapq.heappop(self._events)

@@ -88,8 +88,9 @@ SCHEMA = "repro.checkpoint"
 # FTBs keep a set mask, the prediction unit whether its FTB has two
 # levels and the fetch engine its prefetcher's demand hook in place of
 # the prefetcher; 6: the FTQ occupancy is a list of counts, one per
-# occupancy, in place of a run-length observer), so an older snapshot
-# is refused before it is unpickled.
+# occupancy, in place of a run-length observer, and the memory system
+# no longer keeps the current cycle), so an older snapshot is refused
+# before it is unpickled.
 VERSION = 6
 
 #: Snapshot cadence (cycles) when a snapshot directory is given without

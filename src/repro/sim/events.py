@@ -265,7 +265,6 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
         if mem_events and mem_events[0][0] <= cycle:
             memory.begin_cycle(cycle)
         else:
-            memory._now = cycle
             memory._ports_used = 0
         # backend: asleep until the oldest completion; a non-empty
         # window owes exactly one retire_stall_cycles per stalled cycle
