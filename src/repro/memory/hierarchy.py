@@ -209,7 +209,6 @@ class MemorySystem(StatsComponent):
 
         Fails (returns False) when the block is already in flight, the
         MSHR file is full, or the bus is not idle (demand priority).
-        The bus grant is :meth:`Bus.try_acquire_prefetch` inline.
         """
         mshrs = self.mshrs
         in_flight = mshrs._entries
@@ -219,16 +218,10 @@ class MemorySystem(StatsComponent):
         if len(in_flight) >= mshrs.capacity:
             self.stats.prefetch_mshr_stalls += 1
             return False
-        bus = self.bus
-        if bus._busy_until > now:
-            bus.stats.prefetch_rejected += 1
+        start = self.bus.try_acquire_prefetch(now)
+        if start is None:
             return False
-        transfer = bus.transfer_cycles
-        bus._busy_until = now + transfer
-        bus_stats = bus.stats
-        bus_stats.prefetch_transfers += 1
-        bus_stats.busy_cycles += transfer
-        ready = now + transfer + self._backing_latency(bid)
+        ready = start + self.bus.transfer_cycles + self._backing_latency(bid)
         mshrs.allocate(bid, ready, is_prefetch=True, wrong_path=wrong_path)
         heapq.heappush(self._events, (ready, bid))
         self.stats.prefetches_issued += 1
@@ -249,17 +242,14 @@ class MemorySystem(StatsComponent):
         """Cache-probe-filter probe using one idle tag port.
 
         Returns None when no idle port remains this cycle; otherwise
-        consumes a port and answers whether ``bid`` is in the L1-I (the
-        tag probe is :meth:`SetAssociativeCache.probe` inline).
+        consumes a port and answers whether ``bid`` is in the L1-I.
         """
         if self._ports_used >= self._tag_ports:
             self.stats.cpf_no_port += 1
             return None
         self._ports_used += 1
         self.stats.cpf_probes += 1
-        l1i = self.l1i
-        l1i.stats.probes += 1
-        return bid in l1i._sets[bid & l1i._set_mask]
+        return self.l1i.probe(bid)
 
     def oracle_probe(self, bid: int) -> bool:
         """Port-free, stat-free residence check (ideal filtering)."""

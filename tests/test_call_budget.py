@@ -18,8 +18,8 @@ Each budget is 5% above the count measured on CPython 3.11, and it
 bounds from above only: an interpreter that inlines comprehensions
 (3.12) reads lower.  Before the per-block path was inlined, the same
 runs made 324,117 (``fdip``/``enqueue``) and 279,689 (``none``) calls;
-before the memory system answered each access in one call (no
-``DemandResult``, no cache or bus helper), the loops counted FTQ
+before the memory system answered each demand access in one call (no
+``DemandResult``, no L1-I lookup helper), the loops counted FTQ
 occupancy into a list instead of a run-length observer and
 ``Trace.records`` became a plain attribute, they made 122,832 and
 102,478.
@@ -59,7 +59,7 @@ from repro.workloads.suite import build_program
 
 #: (prefetcher kind, filter mode) -> calls measured on CPython 3.11.
 MEASURED = {
-    ("fdip", "enqueue"): 92_296,
+    ("fdip", "enqueue"): 98_598,
     ("none", "none"): 75_793,
 }
 #: Calls of the build path (see the module docstring) on CPython 3.11.
