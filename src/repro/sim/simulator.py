@@ -365,7 +365,7 @@ class Simulator:
                 self, total=total, warmup=warmup, max_cycles=max_cycles,
                 occupancy=occupancy, sampler=sampler, next_ckpt=next_ckpt,
                 watchdog=watchdog)
-            return self._finish(occupancy, sampler, engine, started,
+            return self._finish(occupancy, sampler, started,
                                 start_retired)
 
         # The naive loop: the reference semantics the event engine must
@@ -409,8 +409,7 @@ class Simulator:
             if next_ckpt is not None and cycle >= next_ckpt:
                 next_ckpt = self._checkpoint(occupancy, sampler)
 
-        return self._finish(occupancy, sampler, engine, started,
-                            start_retired)
+        return self._finish(occupancy, sampler, started, start_retired)
 
     # ------------------------------------------------------------------
     # Run bookkeeping shared by both loops.  Each runs only when its
@@ -482,14 +481,13 @@ class Simulator:
         return self.cycle + self.checkpoint_interval
 
     def _finish(self, occupancy: list[int],
-                sampler: IntervalSampler | None, engine: str,
+                sampler: IntervalSampler | None,
                 started: float, start_retired: int) -> SimResult:
         """Shared end-of-run finalization for both loops.
 
-        ``engine`` is the loop that ran, ``started`` the
-        ``perf_counter`` reading when :meth:`run` began and
-        ``start_retired`` the instructions retired by then; they feed
-        only the ``run_end`` event.
+        ``started`` is the ``perf_counter`` reading when :meth:`run`
+        began and ``start_retired`` the instructions retired by then;
+        they feed only the ``run_end`` event.
         """
         flush_counts(occupancy, self.stats.histogram("ftq_occupancy"))
         intervals = None
@@ -501,14 +499,11 @@ class Simulator:
             seconds = time.perf_counter() - started
             retired = self.backend.retired
             obs_events.emit("run_end", data={
-                "name": self.name, "engine": engine, "cycle": self.cycle,
+                "name": self.name, "cycle": self.cycle,
                 "retired": retired,
                 "skipped_cycles": self.skipped_cycles,
                 "instructions_per_second":
                     (retired - start_retired) / seconds if seconds > 0
-                    else 0.0,
-                "skipped_ratio":
-                    self.skipped_cycles / self.cycle if self.cycle
                     else 0.0})
         return self._collect(intervals)
 

@@ -168,21 +168,7 @@ class TestSimulatorEvents:
         assert warm["data"]["cycle"] < end["data"]["cycle"]
         # run_end's retired counts the whole run, warm-up included.
         assert end["data"]["retired"] >= result.instructions
-        assert end["data"]["engine"] == "event"
         assert end["data"]["instructions_per_second"] > 0
-        assert end["data"]["skipped_ratio"] == pytest.approx(
-            end["data"]["skipped_cycles"] / end["data"]["cycle"])
-        assert 0 < end["data"]["skipped_ratio"] < 1
-
-    def test_run_end_names_the_naive_loop(self, tmp_path, tiny_trace):
-        path = str(tmp_path / "e.jsonl")
-        configure_logging(file=path)
-        Simulator(tiny_trace, _fdip(), engine="naive").run()
-        (end,) = [e["data"] for e in read_events(path)
-                  if e["kind"] == "run_end"]
-        assert end["engine"] == "naive"
-        assert end["skipped_cycles"] == 0 and end["skipped_ratio"] == 0.0
-        assert end["instructions_per_second"] > 0
 
     def test_events_do_not_change_results(self, tmp_path, tiny_trace):
         silent = Simulator(tiny_trace, _fdip()).run()
